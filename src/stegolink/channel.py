@@ -54,10 +54,6 @@ class SymbolFrame:
         if not self.degenerate and self.scale <= 0.0:
             raise ValueError("scale must be positive")
 
-    @property
-    def power(self) -> float:
-        return float(np.mean(self.symbols ** 2)) if self.symbols.size else 0.0
-
 
 def encode(z: np.ndarray) -> SymbolFrame:
     """Normalize a grid to zero-mean unit-power symbols.

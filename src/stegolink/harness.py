@@ -279,7 +279,7 @@ def selftest(verbose: bool = True) -> bool:
     """Compact invariant battery for the installed package; True when clean."""
     from . import channel, metrics, rng, schedule, tokenkey
     from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
-    from .pipeline import hide, reveal
+    from .pipeline import KeyedLink, hide, reveal
     from .predictor import Predictor
 
     checks: list[tuple[str, bool, str]] = []
@@ -334,7 +334,8 @@ def selftest(verbose: bool = True) -> bool:
 
     cfg = PipelineConfig(steps=10, shape=(1, 8, 8))
     secret = make_secret(1, (1, 8, 8))
-    err = float(np.max(np.abs(reveal(hide(secret, cfg), cfg) - secret)))
+    link = KeyedLink(cfg)
+    err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
     check("hide/reveal round trip", err < 1e-6, f"max err {err:.2e}")
 
     ok = all(c[1] for c in checks)

@@ -37,7 +37,13 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     return float(min(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / err)))
 
 
-def _ssim_terms(a: np.ndarray, b: np.ndarray, peak: float) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, peak: float) -> float:
+    """Structural similarity over one global window."""
+    if peak <= 0.0:
+        raise ValueError("peak must be positive")
+    a, b = _pair(a, b)
+    a = a.ravel()
+    b = b.ravel()
     mu_a = a.mean()
     mu_b = b.mean()
     da = a - mu_a
@@ -51,34 +57,6 @@ def _ssim_terms(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     # exact arithmetic keeps the score in [-1, 1]; rounding can spill over
     return float(min(1.0, max(-1.0, num / den)))
-
-
-def ssim(a: np.ndarray, b: np.ndarray, peak: float, window: int | None = None) -> float:
-    """Structural similarity over one global window, or box windows if set.
-
-    The windowed mode slides a square window over the last two axes (valid
-    positions only) and averages the per-window scores; useful on larger
-    grids where a single global window washes out structure.
-    """
-    if peak <= 0.0:
-        raise ValueError("peak must be positive")
-    a, b = _pair(a, b)
-    if window is None:
-        return _ssim_terms(a.ravel(), b.ravel(), peak)
-    if a.ndim < 2:
-        raise ValueError("windowed ssim needs at least two axes")
-    h, w = a.shape[-2], a.shape[-1]
-    if not 1 <= window <= min(h, w):
-        raise ValueError("window must fit inside the grid")
-    lead = a.reshape(-1, h, w)
-    other = b.reshape(-1, h, w)
-    scores = []
-    for plane_a, plane_b in zip(lead, other):
-        for i in range(h - window + 1):
-            for j in range(w - window + 1):
-                scores.append(_ssim_terms(plane_a[i:i + window, j:j + window].ravel(),
-                                          plane_b[i:i + window, j:j + window].ravel(), peak))
-    return float(np.mean(scores))
 
 
 @dataclass(frozen=True)

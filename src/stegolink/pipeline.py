@@ -21,11 +21,14 @@ Eavesdroppers: E1 holds only the channel decoder and sees the stego image;
 E2 runs the full keyed reveal with a wrong token (wrong mask, wrong
 reference); E3 runs the reveal with no token at all, skipping mask
 restoration and falling back to a stock reference seed.
+
+Every keyed object is a pure function of the config and its tokens, so a
+KeyedLink builds them once (schedule, predictor, and each receiver's
+conditions and mask) and hide, reveal and eavesdrop all read from it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 from dataclasses import dataclass, fields
@@ -38,12 +41,17 @@ from .metrics import MetricsReport, compare
 from .predictor import ConditionSet, Predictor, embed_text
 from .reference import embed_reference, generate_reference
 from .rng import RandomStream, Seed64, derive
-from .schedule import build_schedule
-from .tokenkey import build_mask, perturb, restore
+from .schedule import NoiseSchedule, build_schedule
+from .tokenkey import PerturbationMask, build_mask, perturb, restore
 
 STOCK_REFERENCE_TOKEN = "stock-reference"  # what a tokenless receiver falls back to
 
 EAVESDROPPER_MODELS = ("E1", "E2", "E3")
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but never a valid count or seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,14 +89,20 @@ class PipelineConfig:
             raise ValueError("token: must be a non-empty string")
         if not 0.0 <= self.guidance_weight <= 1.0:
             raise ValueError("guidance_weight: must lie in [0, 1]")
-        if self.steps < 1:
-            raise ValueError("steps: must be a positive integer")
+        for name in ("steps", "embed_dim", "reference_steps"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name}: must be a positive integer")
+        for name in ("predictor_seed", "noise_seed", "secret_seed", "reference_predictor_seed"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and 0 <= value < 2 ** 64):
+                raise ValueError(f"{name}: must be an integer in [0, 2^64)")
         if not (0.0 < self.beta_start < 1.0 and 0.0 < self.beta_end < 1.0):
             raise ValueError("beta_start/beta_end: must lie in (0, 1)")
+        if self.beta_start > self.beta_end:
+            raise ValueError("beta_start: must not exceed beta_end")
         if self.predictor_kind not in ("zero", "linear", "tiny-mlp"):
             raise ValueError("predictor_kind: must be zero, linear, or tiny-mlp")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim: must be positive")
         if not 0.0 < self.mixing_p <= 1.0:
             raise ValueError("mixing_p: must lie in (0, 1]")
         if not 0.0 < self.edit_strength <= 1.0:
@@ -103,8 +117,6 @@ class PipelineConfig:
             raise ValueError("h: channel gain must be nonzero and finite")
         if not self.eavesdropper_token:
             raise ValueError("eavesdropper_token: must be a non-empty string")
-        if self.reference_steps is not None and self.reference_steps < 1:
-            raise ValueError("reference_steps: must be positive when set")
 
     @property
     def channel(self) -> ChannelConfig:
@@ -130,34 +142,29 @@ class PipelineConfig:
         return PipelineConfig(**kwargs)
 
 
-# -- deterministic construction helpers --------------------------------------
+# -- the keyed link -----------------------------------------------------------
 
-def _predictor(cfg: PipelineConfig) -> Predictor:
-    return Predictor(cfg.predictor_kind, Seed64(cfg.predictor_seed), cfg.embed_dim)
-
-
-def _reference_predictor(cfg: PipelineConfig) -> Predictor:
-    # the reference generator is a different pretrained model than the
-    # hiding sampler, modeled here as a distinct weight seed
-    if cfg.reference_predictor_seed is not None:
-        seed = Seed64(cfg.reference_predictor_seed)
-    else:
-        seed = derive(Seed64(cfg.predictor_seed), "reference-model")
-    return Predictor(cfg.predictor_kind, seed, cfg.embed_dim)
-
-
-def _sampler_params(cfg: PipelineConfig) -> SamplerParams:
-    return SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
-
-
-def build_conditions(cfg: PipelineConfig, reference_token: str) -> ConditionSet:
+def build_conditions(cfg: PipelineConfig, reference_token: str, ref_sched: NoiseSchedule,
+                     ref_pred: Predictor) -> ConditionSet:
     """Assemble the guided condition set for a given reference token."""
     key_e = embed_text(cfg.public_key_text, cfg.embed_dim)
     feat_e = embed_text(cfg.feature_text, cfg.embed_dim)
     base = ConditionSet(key_e, feat_e, np.zeros(cfg.embed_dim), cfg.guidance_weight)
-    ref_sched = build_schedule(cfg.reference_steps or cfg.steps, cfg.beta_start, cfg.beta_end)
-    ref = generate_reference(reference_token, base, ref_sched, _reference_predictor(cfg), cfg.shape)
+    ref = generate_reference(reference_token, base, ref_sched, ref_pred, cfg.shape)
     return ConditionSet(key_e, feat_e, embed_reference(ref, cfg.embed_dim), cfg.guidance_weight)
+
+
+def _conditions_by_token(cfg: PipelineConfig, tokens: tuple[str, ...]) -> dict[str, ConditionSet]:
+    # the reference generator is a different pretrained model than the
+    # hiding sampler, modeled here as a distinct weight seed; it lives only
+    # in this frame, so its weights are freed before the hiding weights exist
+    if cfg.reference_predictor_seed is not None:
+        seed = Seed64(cfg.reference_predictor_seed)
+    else:
+        seed = derive(Seed64(cfg.predictor_seed), "reference-model")
+    ref_pred = Predictor(cfg.predictor_kind, seed, cfg.embed_dim)
+    ref_sched = build_schedule(cfg.reference_steps or cfg.steps, cfg.beta_start, cfg.beta_end)
+    return {t: build_conditions(cfg, t, ref_sched, ref_pred) for t in dict.fromkeys(tokens)}
 
 
 def sync_gain(mixing_p: float, steps: int) -> float:
@@ -166,9 +173,42 @@ def sync_gain(mixing_p: float, steps: int) -> float:
     return 2.0 ** min(int(exponent), 1000)
 
 
-def _pair_gain(cfg: PipelineConfig) -> float:
-    lo, hi = _sampler_params(cfg).window(cfg.steps)
-    return sync_gain(cfg.mixing_p, hi - lo)
+@dataclass(frozen=True)
+class ReceiverKey:
+    """What one receiver regenerates from its token.
+
+    A key without a mask is the tokenless E3 receiver: it inverts against
+    the stock reference and leaves the sign flips in place.
+    """
+
+    conditions: ConditionSet
+    mask: PerturbationMask | None
+
+
+class KeyedLink:
+    """Every keyed object of one config, built once and shared by all ends.
+
+    Holds the hiding schedule, predictor, sampler params and pair gain, and
+    one ReceiverKey per receiver in ``keys``: "legit" (cfg.token, which also
+    keys the transmitter), "E2" (cfg.eavesdropper_token) and "E3" (the stock
+    reference, no mask).  Each distinct token's reference is generated once.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        tokens = (cfg.token, cfg.eavesdropper_token)
+        conditions = _conditions_by_token(cfg, (*tokens, STOCK_REFERENCE_TOKEN))
+        masks = {t: build_mask(t, cfg.shape, cfg.eta) for t in dict.fromkeys(tokens)}
+        self.cfg = cfg
+        self.keys = {
+            "legit": ReceiverKey(conditions[cfg.token], masks[cfg.token]),
+            "E2": ReceiverKey(conditions[cfg.eavesdropper_token], masks[cfg.eavesdropper_token]),
+            "E3": ReceiverKey(conditions[STOCK_REFERENCE_TOKEN], None),
+        }
+        self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+        self.pred = Predictor(cfg.predictor_kind, Seed64(cfg.predictor_seed), cfg.embed_dim)
+        self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
+        lo, hi = self.params.window(cfg.steps)
+        self.gain = sync_gain(cfg.mixing_p, hi - lo)
 
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
@@ -183,68 +223,58 @@ def _unpack_pair(grid: np.ndarray, channels: int, gain: float) -> CoupledState:
 
 # -- transmitter / receiver ---------------------------------------------------
 
-def hide(secret: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    """Render the secret into a stego latent keyed by cfg.token."""
+def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
+    """Render the secret into a stego latent keyed by the link's token."""
+    cfg = link.cfg
     secret = np.asarray(secret, dtype=np.float64)
     if secret.shape != cfg.shape:
         raise ValueError(f"secret shape {secret.shape} does not match config shape {cfg.shape}")
     if not np.isfinite(secret).all():
         raise ValueError("secret contains non-finite values")
-    sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    pred = _predictor(cfg)
-    params = _sampler_params(cfg)
-    conditions = build_conditions(cfg, cfg.token)
+    key = link.keys["legit"]
 
     state = CoupledState(secret.copy(), secret.copy())
-    state = edict_forward(state, sched, pred, None, params)
-    mask = build_mask(cfg.token, cfg.shape, cfg.eta)
-    state = CoupledState(perturb(state.z, mask),
-                         perturb(state.u, mask) if cfg.perturb_both_chains else state.u)
-    state = edict_reverse(state, sched, pred, conditions, params)
-    return _pack_pair(state, _pair_gain(cfg))
+    state = edict_forward(state, link.sched, link.pred, None, link.params)
+    state = CoupledState(perturb(state.z, key.mask),
+                         perturb(state.u, key.mask) if cfg.perturb_both_chains else state.u)
+    state = edict_reverse(state, link.sched, link.pred, key.conditions, link.params)
+    return _pack_pair(state, link.gain)
 
 
-def _keyed_reveal(stego_hat: np.ndarray, cfg: PipelineConfig, reveal_token: str,
-                  restore_mask: bool) -> np.ndarray:
+def _keyed_reveal(stego_hat: np.ndarray, link: KeyedLink, key: ReceiverKey) -> np.ndarray:
+    cfg = link.cfg
     channels = cfg.shape[0]
     expected = (2 * channels,) + cfg.shape[1:]
     stego_hat = np.asarray(stego_hat, dtype=np.float64)
     if stego_hat.shape != expected:
         raise ValueError(f"stego shape {stego_hat.shape} does not match expected {expected}")
-    sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    pred = _predictor(cfg)
-    params = _sampler_params(cfg)
-    conditions = build_conditions(cfg, reveal_token)
 
-    state = _unpack_pair(stego_hat, channels, _pair_gain(cfg))
-    state = edict_forward(state, sched, pred, conditions, params)
-    if restore_mask:
-        mask = build_mask(reveal_token, cfg.shape, cfg.eta)
-        state = CoupledState(restore(state.z, mask),
-                             restore(state.u, mask) if cfg.perturb_both_chains else state.u)
-    state = edict_reverse(state, sched, pred, None, params)
+    state = _unpack_pair(stego_hat, channels, link.gain)
+    state = edict_forward(state, link.sched, link.pred, key.conditions, link.params)
+    if key.mask is not None:
+        state = CoupledState(restore(state.z, key.mask),
+                             restore(state.u, key.mask) if cfg.perturb_both_chains else state.u)
+    state = edict_reverse(state, link.sched, link.pred, None, link.params)
     return state.z
 
 
-def reveal(stego_hat: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+def reveal(stego_hat: np.ndarray, link: KeyedLink) -> np.ndarray:
     """Invert hide with the correct token; exact up to float drift."""
-    return _keyed_reveal(stego_hat, cfg, cfg.token, restore_mask=True)
+    return _keyed_reveal(stego_hat, link, link.keys["legit"])
 
 
-def eavesdrop(stego_hat: np.ndarray, cfg: PipelineConfig, model: str) -> np.ndarray:
+def eavesdrop(stego_hat: np.ndarray, link: KeyedLink, model: str) -> np.ndarray:
     """Run one adversary model against a decoded stego grid.
 
     E1 returns the visible stego image unchanged (decoder-only adversary).
-    E2 runs the full reveal with cfg.eavesdropper_token.  E3 runs the reveal
-    with mask restoration skipped and the stock reference seed.
+    E2 runs the full reveal with the eavesdropper token's key.  E3 runs the
+    reveal with the stock reference and no mask restoration.
     """
     if model not in EAVESDROPPER_MODELS:
         raise ValueError(f"model must be one of {EAVESDROPPER_MODELS}")
     if model == "E1":
-        return np.asarray(stego_hat, dtype=np.float64)[:cfg.shape[0]].copy()
-    if model == "E2":
-        return _keyed_reveal(stego_hat, cfg, cfg.eavesdropper_token, restore_mask=True)
-    return _keyed_reveal(stego_hat, cfg, STOCK_REFERENCE_TOKEN, restore_mask=False)
+        return np.asarray(stego_hat, dtype=np.float64)[:link.cfg.shape[0]].copy()
+    return _keyed_reveal(stego_hat, link, link.keys[model])
 
 
 # -- synthetic secrets --------------------------------------------------------
@@ -310,13 +340,6 @@ class TrialRecord:
                            edict_roundtrip_error=float(d["edict_roundtrip_error"]),
                            peak=float(d["peak"]))
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_line(line: str) -> "TrialRecord":
-        return TrialRecord.from_dict(json.loads(line))
-
 
 def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     """Hide, transmit, and score every receiver against the secret.
@@ -330,14 +353,15 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     if peak <= 0.0:
         raise ValueError("secret must not be constant (needs a positive dynamic range)")
 
-    stego = hide(secret, cfg)
+    link = KeyedLink(cfg)
+    stego = hide(secret, link)
     frame = encode(stego)
     received = transmit(frame, cfg.channel)
     stego_hat = decode(received, cfg.channel, stego.shape)
 
-    recovered = reveal(stego_hat, cfg)
-    outputs = {model: eavesdrop(stego_hat, cfg, model) for model in EAVESDROPPER_MODELS}
-    roundtrip = reveal(stego, cfg)
+    recovered = reveal(stego_hat, link)
+    outputs = {model: eavesdrop(stego_hat, link, model) for model in EAVESDROPPER_MODELS}
+    roundtrip = reveal(stego, link)
 
     return TrialRecord(
         config=cfg.to_dict(),

@@ -172,10 +172,6 @@ class Predictor:
         return out.reshape(z.shape)
 
 
-def predict(predictor: Predictor, z: np.ndarray, t: int, conditions: ConditionSet | None = None) -> np.ndarray:
-    return predictor.predict(z, t, conditions)
-
-
 def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: ConditionSet) -> np.ndarray:
     """Mixture of key-only and fully conditioned predictions.
 

@@ -97,10 +97,17 @@ def uniform_stream(seed: Seed64 | int, n: int) -> np.ndarray:
     return _bits_to_unit(_splitmix_block(_as_seed(seed).value, 0, n))
 
 
-def _gaussian_pairs(seed_value: int, first_pair: int, pairs: int) -> np.ndarray:
-    # pair j consumes uniform draws (2j, 2j+1); returns 2*pairs values with
-    # both Box-Muller outputs of each pair kept, in order
-    u = _bits_to_unit(_splitmix_block(seed_value, 2 * first_pair, 2 * pairs))
+def gaussian_stream(seed: Seed64 | int, n: int) -> np.ndarray:
+    """First n standard normal doubles via Box-Muller on uniform pairs.
+
+    Pair j consumes uniform draws (2j, 2j+1) and both of its outputs are
+    kept, in order.  Pair boundaries are fixed at even stream offsets, so any
+    prefix of the output is independent of how many values are requested.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    pairs = (n + 1) // 2
+    u = _bits_to_unit(_splitmix_block(_as_seed(seed).value, 0, 2 * pairs))
     u1 = u[0::2]
     u2 = u[1::2]
     u1 = np.where(u1 == 0.0, _INV_2_53, u1)  # keep log finite
@@ -109,19 +116,7 @@ def _gaussian_pairs(seed_value: int, first_pair: int, pairs: int) -> np.ndarray:
     out = np.empty(2 * pairs, dtype=np.float64)
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
-    return out
-
-
-def gaussian_stream(seed: Seed64 | int, n: int) -> np.ndarray:
-    """First n standard normal doubles via Box-Muller on uniform pairs.
-
-    Pair boundaries are fixed at even stream offsets, so any prefix of the
-    output is independent of how many values are requested.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    pairs = (n + 1) // 2
-    return _gaussian_pairs(_as_seed(seed).value, 0, pairs)[:n]
+    return out[:n]
 
 
 class RandomStream:
@@ -135,38 +130,9 @@ class RandomStream:
         self.seed = _as_seed(seed)
         self.draws_emitted = 0
 
-    @property
-    def state(self) -> int:
-        # SplitMix64 internal state after draws_emitted draws
-        with np.errstate(over="ignore"):
-            s = np.uint64(self.seed.value) + np.uint64(self.draws_emitted % (1 << 64)) * _GOLDEN
-        return int(s)
-
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be non-negative")
         block = _bits_to_unit(_splitmix_block(self.seed.value, self.draws_emitted, n))
         self.draws_emitted += n
         return block
-
-
-class GaussianStream:
-    """Stateful Box-Muller stream over a RandomStream.
-
-    take(n) followed by take(m) concatenates to gaussian_stream(seed, n+m);
-    a half-consumed pair is carried between calls.
-    """
-
-    def __init__(self, seed: Seed64 | int):
-        self.seed = _as_seed(seed)
-        self._position = 0  # gaussian values emitted so far
-
-    def take(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        first_pair = self._position // 2
-        last_pair = (self._position + n + 1) // 2
-        block = _gaussian_pairs(self.seed.value, first_pair, last_pair - first_pair)
-        lo = self._position - 2 * first_pair
-        self._position += n
-        return block[lo:lo + n]

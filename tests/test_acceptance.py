@@ -13,7 +13,7 @@ from stegolink.channel import ChannelConfig, encode, transmit
 from stegolink.edict import CoupledState, SamplerParams, ddim_sample, edict_forward, edict_reverse
 from stegolink.harness import SweepSpec, aggregates_csv, export_plot_data, records_to_jsonl, run_sweep
 from stegolink.metrics import mse, psnr, ssim
-from stegolink.pipeline import PipelineConfig, hide, make_secret, reveal, run_trial
+from stegolink.pipeline import KeyedLink, PipelineConfig, hide, make_secret, reveal, run_trial
 from stegolink.predictor import Predictor
 from stegolink.rng import derive, gaussian_stream, hash_token
 from stegolink.schedule import build_schedule
@@ -104,7 +104,8 @@ def test_02_keyed_recovery_noiseless():
                              steps=50, noiseless=True,
                              secret_seed=derive(seed, "secret").value)
         secret = make_secret(cfg.secret_seed, cfg.shape)
-        recovered = reveal(hide(secret, cfg), cfg)
+        link = KeyedLink(cfg)
+        recovered = reveal(hide(secret, link), link)
         worst = max(worst, float(np.max(np.abs(recovered - secret))))
     elapsed = time.perf_counter() - start
     report(worst < 1e-6 and elapsed < 60.0,

@@ -90,6 +90,19 @@ class TestRun:
         assert proc.stderr.startswith("config error:")
         assert "eta" in proc.stderr
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"beta_start": 0.05}, "beta_start"),
+        ({"steps": 10.5}, "steps"),
+        ({"predictor_seed": -1}, "predictor_seed"),
+        ({"secret_seed": -3}, "secret_seed"),
+    ])
+    def test_bad_config_value_rc2_names_field(self, tmp_path, payload, field):
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        proc = run_cli("run", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert field in proc.stderr
+
     def test_missing_config_rc2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")
         assert proc.returncode == 2

@@ -1,5 +1,6 @@
 """Config parsing, deterministic sweeps, aggregation, and plot exports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -153,6 +154,27 @@ class TestRunSweep:
     def test_iter_matches_list(self):
         spec = small_sweep()
         assert list(iter_sweep(spec)) == run_sweep(spec)
+
+
+# SHA-256 of records_to_jsonl(run_sweep(PINNED_SPEC)). The digest pins the
+# records as computed with this numpy/BLAS build, so it can differ on another
+# one. Only a change that alters records on purpose may re-pin it, and it
+# records which records changed, and why, in CHANGES.md.
+PINNED_SWEEP_SHA256 = "59de67d256fe671804e5512b513c7515032a2a1cb92b040d8cfd3be36014a2f7"
+
+PINNED_SPEC = SweepSpec(
+    base=PipelineConfig(steps=10, shape=(1, 8, 8), token="pin"),
+    axes={"predictor_kind": ["zero", "linear", "tiny-mlp"], "eta": [0.05, 0.5],
+          "guidance_weight": [0.4, 1.0]},
+    base_seed="pinned",
+)
+
+
+def test_pinned_reference_sweep_digest():
+    rows = run_sweep(PINNED_SPEC)
+    assert len(rows) == 12 and all(row["error"] is None for row in rows)
+    digest = hashlib.sha256(records_to_jsonl(rows).encode("utf-8")).hexdigest()
+    assert digest == PINNED_SWEEP_SHA256
 
 
 class TestAggregation:

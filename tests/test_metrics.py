@@ -101,17 +101,6 @@ class TestSsim:
         expect = (2.0 * mu * (mu + c) + c1) / (mu ** 2 + (mu + c) ** 2 + c1)
         assert abs(ssim(a, b, 1.0) - expect) < 1e-12
 
-    def test_windowed_mode_identity(self):
-        a, _ = pair(12, (1, 8, 8))
-        assert ssim(a, a, 1.0, window=4) == 1.0
-
-    def test_windowed_mode_validates_window(self):
-        a, b = pair(13, (1, 8, 8))
-        with pytest.raises(ValueError):
-            ssim(a, b, 1.0, window=9)
-        with pytest.raises(ValueError):
-            ssim(a.ravel(), b.ravel(), 1.0, window=2)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((2, 2)), np.zeros((3, 3)), 1.0)

@@ -1,10 +1,15 @@
 """End-to-end hide/reveal orchestration and the adversary models."""
 
+import json
+import weakref
+
 import numpy as np
 import pytest
 
+import stegolink.pipeline as pipeline
 from stegolink.pipeline import (
     EAVESDROPPER_MODELS,
+    KeyedLink,
     PipelineConfig,
     TrialRecord,
     eavesdrop,
@@ -39,6 +44,16 @@ class TestConfigValidation:
         ("beta_start", 0.0),
         ("shape", (1, 8)),
         ("shape", (0, 8, 8)),
+        ("beta_start", 0.05),
+        ("steps", 10.5),
+        ("steps", True),
+        ("embed_dim", 8.0),
+        ("reference_steps", 0),
+        ("reference_steps", 2.5),
+        ("predictor_seed", -1),
+        ("secret_seed", -3),
+        ("noise_seed", 2 ** 64),
+        ("reference_predictor_seed", -1),
     ])
     def test_invalid_field_named_in_error(self, field, value):
         with pytest.raises(ValueError) as exc:
@@ -78,29 +93,31 @@ class TestHide:
     def test_deterministic(self):
         cfg = fast_cfg()
         secret = make_secret(Seed64(11), cfg.shape)
-        assert np.array_equal(hide(secret, cfg), hide(secret, cfg))
+        link = KeyedLink(cfg)
+        assert np.array_equal(hide(secret, link), hide(secret, link))
+        assert np.array_equal(hide(secret, link), hide(secret, KeyedLink(cfg)))
 
     def test_output_carries_pair_in_double_channels(self):
         cfg = fast_cfg(shape=(2, 8, 8))
         secret = make_secret(Seed64(11), cfg.shape)
-        assert hide(secret, cfg).shape == (4, 8, 8)
+        assert hide(secret, KeyedLink(cfg)).shape == (4, 8, 8)
 
     def test_shape_mismatch_rejected(self):
         cfg = fast_cfg()
         with pytest.raises(ValueError):
-            hide(np.zeros((2, 8, 8)), cfg)
+            hide(np.zeros((2, 8, 8)), KeyedLink(cfg))
 
     def test_nonfinite_secret_rejected(self):
         cfg = fast_cfg()
         bad = np.full(cfg.shape, np.nan)
         with pytest.raises(ValueError):
-            hide(bad, cfg)
+            hide(bad, KeyedLink(cfg))
 
     def test_stego_visible_half_not_secret(self):
         # the carrier must not leak the secret verbatim
         cfg = fast_cfg(steps=25)
         secret = make_secret(Seed64(11), cfg.shape)
-        visible = hide(secret, cfg)[:cfg.shape[0]]
+        visible = hide(secret, KeyedLink(cfg))[:cfg.shape[0]]
         rel = float(np.linalg.norm(visible - secret) /
                     max(np.linalg.norm(visible), np.linalg.norm(secret)))
         assert rel > 0.1
@@ -108,7 +125,7 @@ class TestHide:
     def test_distinct_tokens_distinct_stego(self):
         cfg_by_token = {t: fast_cfg(steps=25, token=t) for t in ("9000", "76576", "6718")}
         secret = make_secret(Seed64(11), (1, 8, 8))
-        grids = {t: hide(secret, c)[:1] for t, c in cfg_by_token.items()}
+        grids = {t: hide(secret, KeyedLink(c))[:1] for t, c in cfg_by_token.items()}
         names = list(grids)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -146,56 +163,63 @@ class TestEndToEndRecovery:
         cfg = PipelineConfig(predictor_kind=kind, mixing_p=p, steps=T, eta=eta,
                              shape=(1, 8, 8), noiseless=True)
         secret = make_secret(hash_token(f"e2e|{kind}|{p}|{T}|{eta}", "trial"), cfg.shape)
-        err = float(np.max(np.abs(reveal(hide(secret, cfg), cfg) - secret)))
+        link = KeyedLink(cfg)
+        err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6
 
     def test_single_chain_perturbation_also_exact(self):
         cfg = fast_cfg(steps=25, eta=0.1, perturb_both_chains=False)
         secret = make_secret(Seed64(21), cfg.shape)
-        err = float(np.max(np.abs(reveal(hide(secret, cfg), cfg) - secret)))
+        link = KeyedLink(cfg)
+        err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6
 
     def test_partial_guidance_weight_exact(self):
         cfg = fast_cfg(steps=25, guidance_weight=0.4)
         secret = make_secret(Seed64(22), cfg.shape)
-        err = float(np.max(np.abs(reveal(hide(secret, cfg), cfg) - secret)))
+        link = KeyedLink(cfg)
+        err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6
 
     def test_reference_steps_override_exact(self):
         cfg = fast_cfg(steps=25, reference_steps=10)
         secret = make_secret(Seed64(23), cfg.shape)
-        err = float(np.max(np.abs(reveal(hide(secret, cfg), cfg) - secret)))
+        link = KeyedLink(cfg)
+        err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6
 
     def test_wrong_shape_stego_rejected(self):
         cfg = fast_cfg()
         with pytest.raises(ValueError):
-            reveal(np.zeros((3, 8, 8)), cfg)
+            reveal(np.zeros((3, 8, 8)), KeyedLink(cfg))
 
 
 class TestEavesdrop:
     def test_model_name_validated(self):
         cfg = fast_cfg()
         with pytest.raises(ValueError):
-            eavesdrop(np.zeros((2, 8, 8)), cfg, "E4")
+            eavesdrop(np.zeros((2, 8, 8)), KeyedLink(cfg), "E4")
 
     def test_e1_returns_visible_stego(self):
         cfg = fast_cfg()
         secret = make_secret(Seed64(31), cfg.shape)
-        stego = hide(secret, cfg)
-        assert np.array_equal(eavesdrop(stego, cfg, "E1"), stego[:cfg.shape[0]])
+        link = KeyedLink(cfg)
+        stego = hide(secret, link)
+        assert np.array_equal(eavesdrop(stego, link, "E1"), stego[:cfg.shape[0]])
 
     def test_e2_with_correct_token_degenerates_to_legit(self):
         cfg = fast_cfg(eavesdropper_token="9000", token="9000")
         secret = make_secret(Seed64(32), cfg.shape)
-        stego = hide(secret, cfg)
-        assert np.array_equal(eavesdrop(stego, cfg, "E2"), reveal(stego, cfg))
+        link = KeyedLink(cfg)
+        stego = hide(secret, link)
+        assert np.array_equal(eavesdrop(stego, link, "E2"), reveal(stego, link))
 
     def test_e2_with_wrong_token_differs(self):
         cfg = fast_cfg(eta=0.1)
         secret = make_secret(Seed64(33), cfg.shape)
-        stego = hide(secret, cfg)
-        assert not np.allclose(eavesdrop(stego, cfg, "E2"), secret, atol=1e-3)
+        link = KeyedLink(cfg)
+        stego = hide(secret, link)
+        assert not np.allclose(eavesdrop(stego, link, "E2"), secret, atol=1e-3)
 
     def test_wrong_token_recovery_strictly_worse(self):
         from stegolink.metrics import psnr
@@ -204,14 +228,58 @@ class TestEavesdrop:
             cfg = PipelineConfig(steps=25, shape=(1, 8, 8), eta=0.1, noiseless=True,
                                  secret_seed=400 + i)
             secret = make_secret(Seed64(cfg.secret_seed), cfg.shape)
-            stego = hide(secret, cfg)
+            link = KeyedLink(cfg)
+            stego = hide(secret, link)
             peak = float(secret.max() - secret.min())
-            legit_scores.append(psnr(reveal(stego, cfg), secret, peak))
-            eaves_scores.append(psnr(eavesdrop(stego, cfg, "E2"), secret, peak))
+            legit_scores.append(psnr(reveal(stego, link), secret, peak))
+            eaves_scores.append(psnr(eavesdrop(stego, link, "E2"), secret, peak))
         assert np.mean(legit_scores) > np.mean(eaves_scores)
 
     def test_model_list_is_fixed(self):
         assert EAVESDROPPER_MODELS == ("E1", "E2", "E3")
+
+
+class TestKeyedLink:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"Predictor": 0, "generate_reference": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        return counts
+
+    @pytest.mark.parametrize("eavesdropper_token,references", [("856427", 3), ("9000", 2)])
+    def test_trial_builds_each_model_and_reference_once(self, counts, eavesdropper_token, references):
+        # one hiding and one reference model; one reference per distinct token
+        cfg = fast_cfg(token="9000", eavesdropper_token=eavesdropper_token, noiseless=False)
+        run_trial(make_secret(Seed64(46), cfg.shape), cfg)
+        assert counts == {"Predictor": 2, "generate_reference": references}
+
+    def test_reference_model_released_once_built(self, monkeypatch):
+        made = []
+        real = pipeline.Predictor
+
+        def tracking(*args, **kwargs):
+            pred = real(*args, **kwargs)
+            made.append(weakref.ref(pred))
+            return pred
+
+        monkeypatch.setattr(pipeline, "Predictor", tracking)
+        link = KeyedLink(fast_cfg())
+        assert len(made) == 2
+        assert [r() for r in made if r() is not None] == [link.pred]
+
+    def test_receiver_keys(self):
+        link = KeyedLink(fast_cfg(eta=0.5))
+        assert set(link.keys) == {"legit", "E2", "E3"}
+        assert link.keys["E3"].mask is None
+        assert not np.array_equal(link.keys["legit"].mask.bits, link.keys["E2"].mask.bits)
 
 
 class TestMakeSecret:
@@ -247,12 +315,14 @@ class TestRunTrial:
     def test_deterministic_records(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0)
         secret = make_secret(Seed64(43), cfg.shape)
-        assert run_trial(secret, cfg).to_json_line() == run_trial(secret, cfg).to_json_line()
+        first, second = (json.dumps(run_trial(secret, cfg).to_dict(), sort_keys=True) for _ in range(2))
+        assert first == second
 
     def test_record_serialization_round_trip(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0)
         rec = run_trial(make_secret(Seed64(44), cfg.shape), cfg)
-        assert TrialRecord.from_json_line(rec.to_json_line()) == rec
+        line = json.dumps(rec.to_dict(), sort_keys=True)
+        assert TrialRecord.from_dict(json.loads(line)) == rec
 
     def test_channel_noise_separates_legit_from_cap(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, steps=25)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stegolink.predictor import ConditionSet, Predictor, embed_text, guided_predict, predict
+from stegolink.predictor import ConditionSet, Predictor, embed_text, guided_predict
 from stegolink.rng import Seed64, gaussian_stream
 
 
@@ -130,11 +130,6 @@ class TestPredict:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Predictor("resnet", weight_seed=7)
-
-    def test_module_level_wrapper(self):
-        p = Predictor("linear", weight_seed=7)
-        z = gaussian_stream(Seed64(5), 64).reshape(1, 8, 8)
-        assert np.array_equal(predict(p, z, 2, conditions()), p.predict(z, 2, conditions()))
 
 
 class TestGuidedPredict:
