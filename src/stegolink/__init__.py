@@ -14,7 +14,7 @@ from .schedule import NoiseSchedule, build_schedule, telescoped_gain
 from .predictor import ConditionSet, Predictor, embed_text, guided_predict
 from .edict import CoupledState, SamplerParams, SamplerDivergenceError, edict_forward, edict_reverse, ddim_sample
 from .tokenkey import PerturbationMask, init_latent, build_mask, perturb, restore
-from .reference import ReferenceLatent, generate_reference, embed_reference
+from .reference import generate_reference, embed_reference
 from .channel import ChannelConfig, SymbolFrame, encode, transmit, decode
 from .metrics import MetricsReport, mse, psnr, ssim, compare
 from .pipeline import PipelineConfig, KeyedLink, TrialRecord, hide, reveal, eavesdrop, run_trial, make_secret

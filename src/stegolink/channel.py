@@ -8,10 +8,7 @@ signal power:
     sigma^2 = P_signal / 10^(snr_db / 10)
 
 Noise draws come from a seeded gaussian stream so every transmission is
-reproducible.  An I/Q flag treats consecutive symbols as the real and
-imaginary parts of complex samples with per-component variance sigma^2/2;
-with a real-valued gain the two layouts produce identical samples, so the
-flag is interface compatibility, not a different channel.
+reproducible.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ class ChannelConfig:
     h: float = 1.0
     noise_seed: Seed64 | int = 1
     noiseless: bool = False
-    complex_iq: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.snr_db):
@@ -79,13 +75,8 @@ def transmit(frame: SymbolFrame, cfg: ChannelConfig) -> SymbolFrame:
     s = frame.symbols
     if cfg.noiseless:
         return replace(frame, symbols=cfg.h * s)
-    if cfg.complex_iq and s.size % 2 != 0:
-        raise ValueError("complex I/Q mode needs an even symbol count")
     p_signal = float(np.mean(s ** 2))
     sigma2 = p_signal / (10.0 ** (cfg.snr_db / 10.0))
-    # complex I/Q: per-sample power and noise variance both double, and the
-    # variance splits evenly over I and Q, so the per-component sigma is the
-    # same expression as the real layout
     noise = gaussian_stream(cfg.noise_seed, s.size)
     return replace(frame, symbols=cfg.h * s + np.sqrt(sigma2) * noise)
 

@@ -6,14 +6,16 @@ invertible affine map given the other chain, the noising direction can undo
 the denoising direction exactly, to floating-point precision, even though the
 noise predictor itself is a black box.
 
-Reverse (denoise) step t, applied for t = t_end .. t_start+1:
+The sampler traverses the window of the first hi = ceil(edit_strength * T)
+steps from the clean end.  Reverse (denoise) step t, applied for
+t = hi .. 1:
 
     z_inter = a[t] z + b[t] eps(u, t, c)
     u_inter = a[t] u + b[t] eps(z_inter, t, c)
     z'      = p z_inter + (1 - p) u_inter
     u'      = p u_inter + (1 - p) z'
 
-Forward (noise) step t, applied for t = t_start+1 .. t_end, is the exact
+Forward (noise) step t, applied for t = 1 .. hi, is the exact
 inverse: unmix, then undo the two affine denoise sub-steps in reverse order.
 The same eps evaluations appear at the same states in both directions, which
 is what makes the round trip exact.
@@ -63,22 +65,17 @@ class CoupledState:
         if not (np.isfinite(self.z).all() and np.isfinite(self.u).all()):
             raise ValueError("coupled chains must be finite")
 
-    def copy(self) -> "CoupledState":
-        return CoupledState(self.z.copy(), self.u.copy())
-
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Mixing coefficient and the slice of the schedule to traverse.
+    """Mixing coefficient and the share of the schedule to traverse.
 
-    When t_start/t_end are omitted the window covers the first
-    ceil(edit_strength * T) steps from the clean end.
+    The window covers the first ceil(edit_strength * T) steps from the
+    clean end; edit_strength 1 is the full schedule.
     """
 
     mixing_p: float = 0.93
     edit_strength: float = 1.0
-    t_start: int | None = None
-    t_end: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mixing_p <= 1.0:
@@ -87,11 +84,7 @@ class SamplerParams:
             raise ValueError("edit_strength must lie in (0, 1]")
 
     def window(self, T: int) -> tuple[int, int]:
-        lo = 0 if self.t_start is None else int(self.t_start)
-        hi = math.ceil(self.edit_strength * T) if self.t_end is None else int(self.t_end)
-        if not 0 <= lo < hi <= T:
-            raise ValueError(f"invalid step window [{lo}, {hi}] for T={T}")
-        return lo, hi
+        return 0, math.ceil(self.edit_strength * T)
 
 
 def _eps(pred: Predictor, x: np.ndarray, t: int, conditions: ConditionSet | None) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pipeline import PipelineConfig, make_secret, run_trial
+from .pipeline import PipelineConfig, _is_int, make_secret, run_trial
 from .rng import derive, hash_token
 
 SWEEP_AXES = ("snr_db", "eta", "token", "secret_seed", "mixing_p", "edit_strength",
@@ -49,8 +49,8 @@ class SweepSpec:
                 raise ConfigError(f"axes.{name}: not a sweepable field (allowed: {', '.join(SWEEP_AXES)})")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigError(f"axes.{name}: must be a non-empty list")
-        if self.trials_per_point < 1:
-            raise ConfigError("trials_per_point: must be >= 1")
+        if not (_is_int(self.trials_per_point) and self.trials_per_point >= 1):
+            raise ConfigError("trials_per_point: must be an integer >= 1")
         if not self.base_seed:
             raise ConfigError("base_seed: must be a non-empty string")
 
@@ -78,7 +78,7 @@ def parse_config(path: str):
         except (TypeError, ValueError) as e:
             raise ConfigError(f"base: {e}") from e
         return SweepSpec(base=base, axes=dict(data.get("axes", {})),
-                         trials_per_point=int(data.get("trials_per_point", 1)),
+                         trials_per_point=data.get("trials_per_point", 1),
                          base_seed=str(data.get("base_seed", "sweep")))
     try:
         return PipelineConfig.from_dict(data)

@@ -54,6 +54,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# one type check per declared field kind (the annotation string); values are
+# checked, never converted, so a record carries exactly what the config held
+_KIND_CHECKS = {
+    "str": (lambda v: isinstance(v, str) and v != "", "must be a non-empty string"),
+    "bool": (lambda v: isinstance(v, bool), "must be true or false"),
+    "float": (lambda v: isinstance(v, float) or _is_int(v), "must be a number"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Full experiment configuration; every field has a JSON-safe value."""
@@ -71,12 +80,10 @@ class PipelineConfig:
     mixing_p: float = 0.93
     edit_strength: float = 0.5
     eta: float = 0.05
-    perturb_both_chains: bool = True
     shape: tuple[int, int, int] = (1, 16, 16)
     snr_db: float = 10.0
     h: float = 1.0
     noiseless: bool = False
-    complex_iq: bool = False
     noise_seed: int = 1
     secret_seed: int = 11
     eavesdropper_token: str = "856427"
@@ -84,9 +91,14 @@ class PipelineConfig:
     reference_predictor_seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        if not self.token:
-            raise ValueError("token: must be a non-empty string")
+        for f in fields(self):
+            check = _KIND_CHECKS.get(f.type)
+            if check is not None and not check[0](getattr(self, f.name)):
+                raise ValueError(f"{f.name}: {check[1]}")
+        if not (isinstance(self.shape, (list, tuple)) and len(self.shape) == 3
+                and all(_is_int(s) and s >= 1 for s in self.shape)):
+            raise ValueError("shape: must be three positive integers (channels, height, width)")
+        object.__setattr__(self, "shape", tuple(self.shape))
         if not 0.0 <= self.guidance_weight <= 1.0:
             raise ValueError("guidance_weight: must lie in [0, 1]")
         for name in ("steps", "embed_dim", "reference_steps"):
@@ -109,19 +121,15 @@ class PipelineConfig:
             raise ValueError("edit_strength: must lie in (0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta: must lie in [0, 1]")
-        if len(self.shape) != 3 or any(s < 1 for s in self.shape):
-            raise ValueError("shape: must be three positive integers (channels, height, width)")
         if not math.isfinite(self.snr_db):
             raise ValueError("snr_db: must be finite")
         if self.h == 0.0 or not math.isfinite(self.h):
             raise ValueError("h: channel gain must be nonzero and finite")
-        if not self.eavesdropper_token:
-            raise ValueError("eavesdropper_token: must be a non-empty string")
 
     @property
     def channel(self) -> ChannelConfig:
         return ChannelConfig(snr_db=self.snr_db, h=self.h, noise_seed=self.noise_seed,
-                             noiseless=self.noiseless, complex_iq=self.complex_iq)
+                             noiseless=self.noiseless)
 
     def to_dict(self) -> dict:
         out = {}
@@ -136,10 +144,7 @@ class PipelineConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        kwargs = dict(d)
-        if "shape" in kwargs:
-            kwargs["shape"] = tuple(kwargs["shape"])
-        return PipelineConfig(**kwargs)
+        return PipelineConfig(**d)
 
 
 # -- the keyed link -----------------------------------------------------------
@@ -235,8 +240,7 @@ def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
 
     state = CoupledState(secret.copy(), secret.copy())
     state = edict_forward(state, link.sched, link.pred, None, link.params)
-    state = CoupledState(perturb(state.z, key.mask),
-                         perturb(state.u, key.mask) if cfg.perturb_both_chains else state.u)
+    state = CoupledState(perturb(state.z, key.mask), perturb(state.u, key.mask))
     state = edict_reverse(state, link.sched, link.pred, key.conditions, link.params)
     return _pack_pair(state, link.gain)
 
@@ -252,8 +256,7 @@ def _keyed_reveal(stego_hat: np.ndarray, link: KeyedLink, key: ReceiverKey) -> n
     state = _unpack_pair(stego_hat, channels, link.gain)
     state = edict_forward(state, link.sched, link.pred, key.conditions, link.params)
     if key.mask is not None:
-        state = CoupledState(restore(state.z, key.mask),
-                             restore(state.u, key.mask) if cfg.perturb_both_chains else state.u)
+        state = CoupledState(restore(state.z, key.mask), restore(state.u, key.mask))
     state = edict_reverse(state, link.sched, link.pred, None, link.params)
     return state.z
 

@@ -10,31 +10,21 @@ image-feature adapter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .edict import SamplerParams, ddim_sample
 from .predictor import ConditionSet, Predictor
-from .rng import Seed64, gaussian_stream, hash_token
+from .rng import gaussian_stream, hash_token
 from .schedule import NoiseSchedule
 
 
-@dataclass(frozen=True)
-class ReferenceLatent:
-    grid: np.ndarray
-    source_token_hash: Seed64
-
-
 def generate_reference(token: bytes | str, conditions: ConditionSet, sched: NoiseSchedule,
-                       pred: Predictor, shape: tuple[int, ...]) -> ReferenceLatent:
-    """Denoise a keyed draw over the full schedule into a reference latent."""
-    seed = hash_token(token, "ref")
+                       pred: Predictor, shape: tuple[int, ...]) -> np.ndarray:
+    """Denoise a keyed draw over the full schedule into a reference latent grid."""
     size = int(np.prod(shape))
-    start = gaussian_stream(seed, size).reshape(shape)
-    params = SamplerParams(mixing_p=1.0, t_start=0, t_end=sched.T)
-    grid = ddim_sample(start, sched, pred, conditions.without_reference(), "denoising", params)
-    return ReferenceLatent(grid=grid, source_token_hash=seed)
+    start = gaussian_stream(hash_token(token, "ref"), size).reshape(shape)
+    params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
+    return ddim_sample(start, sched, pred, conditions.without_reference(), "denoising", params)
 
 
 _POOL_SEGMENTS = 16
@@ -51,7 +41,7 @@ def _pooled_stats(channel: np.ndarray) -> np.ndarray:
     return np.concatenate([means - means.mean(), variances - variances.mean()])
 
 
-def embed_reference(ref: ReferenceLatent, d: int = 64) -> np.ndarray:
+def embed_reference(grid: np.ndarray, d: int = 64) -> np.ndarray:
     """Project pooled per-channel statistics to a unit vector in R^d.
 
     The projection (centering plus a fixed seeded Gaussian map) is one
@@ -60,7 +50,7 @@ def embed_reference(ref: ReferenceLatent, d: int = 64) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("embedding dimension must be positive")
-    grid = np.asarray(ref.grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim < 1:
         raise ValueError("reference grid must have at least one axis")
     channels = grid.reshape(grid.shape[0], -1) if grid.ndim > 1 else grid.reshape(1, -1)

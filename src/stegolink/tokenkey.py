@@ -33,21 +33,14 @@ def init_latent(token: bytes | str, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbationMask:
-    """Binary sign-flip mask and the density it was drawn at."""
+    """Binary sign-flip mask."""
 
     bits: np.ndarray
-    eta: float
 
     def __post_init__(self):
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
         if not np.isin(self.bits, (0, 1)).all():
             raise ValueError("mask bits must be 0 or 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-
-    @property
-    def density(self) -> float:
-        return float(self.bits.mean())
 
 
 def build_mask(token: bytes | str, shape: tuple[int, ...], eta: float) -> PerturbationMask:
@@ -60,7 +53,7 @@ def build_mask(token: bytes | str, shape: tuple[int, ...], eta: float) -> Pertur
     size = _grid_size(shape)
     u = uniform_stream(hash_token(token, "mask"), size)
     bits = (u < eta).astype(np.uint8).reshape(shape)
-    return PerturbationMask(bits=bits, eta=eta)
+    return PerturbationMask(bits=bits)
 
 
 def perturb(z: np.ndarray, mask: PerturbationMask) -> np.ndarray:

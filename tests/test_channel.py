@@ -63,18 +63,6 @@ class TestTransmit:
         cfg = ChannelConfig(snr_db=5.0, noise_seed=21)
         assert np.array_equal(transmit(f, cfg).symbols, transmit(f, cfg).symbols)
 
-    def test_complex_iq_needs_even_count(self):
-        odd = SymbolFrame(symbols=np.ones(3), scale=1.0, offset=0.0)
-        with pytest.raises(ValueError):
-            transmit(odd, ChannelConfig(complex_iq=True))
-
-    def test_complex_iq_matches_real_layout_for_real_gain(self):
-        # I/Q pairing with a real h is the identical sample stream
-        f = encode(gaussian_stream(Seed64(6), 64))
-        a = transmit(f, ChannelConfig(snr_db=10.0, noise_seed=3, complex_iq=False))
-        b = transmit(f, ChannelConfig(snr_db=10.0, noise_seed=3, complex_iq=True))
-        assert np.array_equal(a.symbols, b.symbols)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChannelConfig(snr_db=np.inf)

@@ -95,6 +95,7 @@ class TestRun:
         ({"steps": 10.5}, "steps"),
         ({"predictor_seed": -1}, "predictor_seed"),
         ({"secret_seed": -3}, "secret_seed"),
+        ({"shape": [1, 8.5, 8]}, "shape"),
     ])
     def test_bad_config_value_rc2_names_field(self, tmp_path, payload, field):
         cfg = write_json(tmp_path / "cfg.json", payload)

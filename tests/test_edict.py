@@ -57,13 +57,6 @@ class TestStateAndParams:
         assert SamplerParams(mixing_p=0.9, edit_strength=0.41).window(10) == (0, 5)
         assert SamplerParams(mixing_p=0.9, edit_strength=1.0).window(10) == (0, 10)
 
-    def test_explicit_window_validated(self):
-        assert SamplerParams(mixing_p=0.9, t_start=2, t_end=7).window(10) == (2, 7)
-        with pytest.raises(ValueError):
-            SamplerParams(mixing_p=0.9, t_start=7, t_end=2).window(10)
-        with pytest.raises(ValueError):
-            SamplerParams(mixing_p=0.9, t_start=0, t_end=11).window(10)
-
 
 class TestSubstepAlgebra:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.93, 1.0])

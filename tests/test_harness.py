@@ -83,6 +83,14 @@ class TestParseConfig:
         assert isinstance(spec, SweepSpec)
         assert spec.axes == {"snr_db": [5.0, 10.0]}
 
+    @pytest.mark.parametrize("value", ["two", 1.9, True])
+    def test_trials_per_point_must_be_positive_integer(self, tmp_path, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"axes": {"snr_db": [5.0]}, "trials_per_point": value}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert "trials_per_point" in str(exc.value)
+
 
 class TestSweepSpecValidation:
     def test_needs_at_least_one_axis(self):
@@ -160,7 +168,7 @@ class TestRunSweep:
 # records as computed with this numpy/BLAS build, so it can differ on another
 # one. Only a change that alters records on purpose may re-pin it, and it
 # records which records changed, and why, in CHANGES.md.
-PINNED_SWEEP_SHA256 = "59de67d256fe671804e5512b513c7515032a2a1cb92b040d8cfd3be36014a2f7"
+PINNED_SWEEP_SHA256 = "e196270f2de71e883f1b91a3a6dc4f8ef12893124040147d7f07fb9f4e1d00ff"
 
 PINNED_SPEC = SweepSpec(
     base=PipelineConfig(steps=10, shape=(1, 8, 8), token="pin"),

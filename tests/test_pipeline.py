@@ -1,7 +1,11 @@
 """End-to-end hide/reveal orchestration and the adversary models."""
 
 import json
+import re
 import weakref
+
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,18 @@ class TestConfigValidation:
         ("secret_seed", -3),
         ("noise_seed", 2 ** 64),
         ("reference_predictor_seed", -1),
+        ("shape", (1, 8.5, 8)),
+        ("shape", (1, True, 8)),
+        ("shape", "188"),
+        ("token", 9000),
+        ("eavesdropper_token", 856427),
+        ("predictor_kind", None),
+        ("noiseless", "no"),
+        ("noiseless", 1),
+        ("snr_db", "10"),
+        ("mixing_p", "0.9"),
+        ("eta", True),
+        ("h", None),
     ])
     def test_invalid_field_named_in_error(self, field, value):
         with pytest.raises(ValueError) as exc:
@@ -64,12 +80,22 @@ class TestConfigValidation:
         cfg = fast_cfg(token="4242", eta=0.1, snr_db=7.5)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_readme_reference_lists_every_field(self):
+        # the backticked names in the first column of README's table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        documented = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert documented == {f.name for f in fields(PipelineConfig)}
+
     def test_unknown_key_rejected(self):
-        d = fast_cfg().to_dict()
-        d["bogus_knob"] = 1
-        with pytest.raises(ValueError) as exc:
-            PipelineConfig.from_dict(d)
-        assert "bogus_knob" in str(exc.value)
+        # the removed fields too: an old config file that still sets them fails
+        for key in ("bogus_knob", "complex_iq", "perturb_both_chains"):
+            d = fast_cfg().to_dict()
+            d[key] = 1
+            with pytest.raises(ValueError) as exc:
+                PipelineConfig.from_dict(d)
+            assert key in str(exc.value)
 
 
 class TestSyncGain:
@@ -163,13 +189,6 @@ class TestEndToEndRecovery:
         cfg = PipelineConfig(predictor_kind=kind, mixing_p=p, steps=T, eta=eta,
                              shape=(1, 8, 8), noiseless=True)
         secret = make_secret(hash_token(f"e2e|{kind}|{p}|{T}|{eta}", "trial"), cfg.shape)
-        link = KeyedLink(cfg)
-        err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
-        assert err < 1e-6
-
-    def test_single_chain_perturbation_also_exact(self):
-        cfg = fast_cfg(steps=25, eta=0.1, perturb_both_chains=False)
-        secret = make_secret(Seed64(21), cfg.shape)
         link = KeyedLink(cfg)
         err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6

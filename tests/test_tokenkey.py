@@ -53,7 +53,7 @@ class TestBuildMask:
         n = 4 * 64 * 64
         m = build_mask("density-token", shape, eta)
         band = 3.0 * np.sqrt(eta * (1.0 - eta) / n)
-        assert abs(m.density - eta) <= band
+        assert abs(m.bits.mean() - eta) <= band
 
     def test_deterministic(self):
         a = build_mask("9000", (2, 8, 8), 0.5)
@@ -78,12 +78,12 @@ class TestBuildMask:
 
     def test_mask_validation(self):
         with pytest.raises(ValueError):
-            PerturbationMask(bits=np.full((2, 2), 2, dtype=np.uint8), eta=0.5)
+            PerturbationMask(bits=np.full((2, 2), 2, dtype=np.uint8))
 
 
 class TestPerturbRestore:
     def test_direct_evaluation(self):
-        m = PerturbationMask(bits=np.array([0, 1, 1], dtype=np.uint8), eta=0.5)
+        m = PerturbationMask(bits=np.array([0, 1, 1], dtype=np.uint8))
         assert np.array_equal(perturb(np.array([1.0, -2.0, 3.0]), m),
                               np.array([1.0, 2.0, -3.0]))
 
