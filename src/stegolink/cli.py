@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from dataclasses import replace
 
@@ -97,6 +98,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     records_path = os.path.join(args.out, "records.jsonl")
     aggregates_path = os.path.join(args.out, "aggregates.csv")
     records = []
+    total = len(spec.points()) * spec.trials_per_point
+    start = last_report = time.perf_counter()
     with open(records_path, "w", encoding="utf-8") as fh:
         for row in iter_sweep(spec):
             fh.write(records_to_jsonl([row]))
@@ -104,6 +107,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if row["error"] is not None:
                 print(f"point {row['point_index']} trial {row['trial_index']} failed: {row['error']}",
                       file=sys.stderr)
+            now = time.perf_counter()
+            if now - last_report >= 1.0 and len(records) < total:
+                last_report = now
+                rate = len(records) / (now - start)
+                print(f"sweep: {len(records)}/{total} trials, {rate:.2f} trials/s, "
+                      f"ETA {(total - len(records)) / rate:.0f} s", file=sys.stderr, flush=True)
+    elapsed = time.perf_counter() - start
+    print(f"sweep: done {len(records)}/{total} trials in {elapsed:.1f} s "
+          f"({len(records) / elapsed:.2f} trials/s)", file=sys.stderr)
     with open(aggregates_path, "w", encoding="utf-8") as fh:
         fh.write(aggregates_csv(records))
     failures = sum(1 for row in records if row["error"] is not None)

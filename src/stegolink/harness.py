@@ -49,9 +49,14 @@ class SweepSpec:
                 raise ConfigError(f"axes.{name}: not a sweepable field (allowed: {', '.join(SWEEP_AXES)})")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigError(f"axes.{name}: must be a non-empty list")
+            for value in values:
+                try:
+                    replace(self.base, **{name: value})
+                except ValueError as e:
+                    raise ConfigError(f"axes.{name}: bad value {value!r}: {e}") from e
         if not (_is_int(self.trials_per_point) and self.trials_per_point >= 1):
             raise ConfigError("trials_per_point: must be an integer >= 1")
-        if not self.base_seed:
+        if not (isinstance(self.base_seed, str) and self.base_seed):
             raise ConfigError("base_seed: must be a non-empty string")
 
     def points(self) -> list[dict]:
@@ -79,7 +84,7 @@ def parse_config(path: str):
             raise ConfigError(f"base: {e}") from e
         return SweepSpec(base=base, axes=dict(data.get("axes", {})),
                          trials_per_point=data.get("trials_per_point", 1),
-                         base_seed=str(data.get("base_seed", "sweep")))
+                         base_seed=data.get("base_seed", "sweep"))
     try:
         return PipelineConfig.from_dict(data)
     except (TypeError, ValueError) as e:
@@ -101,14 +106,17 @@ def iter_sweep(spec: SweepSpec):
     """Yield one record dict per trial, in deterministic order.
 
     A failing trial yields an error row instead of aborting the sweep.
+    Consecutive trials share one memo of keyed objects (see KeyedLink), so
+    a model or condition set that the next trial also uses is built once.
     """
+    memo: dict = {}
     for point_index, point in enumerate(spec.points()):
         for trial_index in range(spec.trials_per_point):
             row = {"point_index": point_index, "trial_index": trial_index, "axes": dict(point)}
             try:
                 cfg = _trial_config(spec, point, point_index, trial_index)
                 secret = make_secret(cfg.secret_seed, cfg.shape)
-                record = run_trial(secret, cfg)
+                record = run_trial(secret, cfg, memo)
                 row["trial"] = record.to_dict()
                 row["error"] = None
             except Exception as e:  # noqa: BLE001 - error rows are part of the contract

@@ -149,27 +149,41 @@ class PipelineConfig:
 
 # -- the keyed link -----------------------------------------------------------
 
-def build_conditions(cfg: PipelineConfig, reference_token: str, ref_sched: NoiseSchedule,
-                     ref_pred: Predictor) -> ConditionSet:
+def build_conditions(reference_token: str, ref_sched: NoiseSchedule, ref_pred: Predictor, *,
+                     key_text: str, feature_text: str, embed_dim: int, guidance_weight: float,
+                     shape: tuple[int, int, int]) -> ConditionSet:
     """Assemble the guided condition set for a given reference token."""
-    key_e = embed_text(cfg.public_key_text, cfg.embed_dim)
-    feat_e = embed_text(cfg.feature_text, cfg.embed_dim)
-    base = ConditionSet(key_e, feat_e, np.zeros(cfg.embed_dim), cfg.guidance_weight)
-    ref = generate_reference(reference_token, base, ref_sched, ref_pred, cfg.shape)
-    return ConditionSet(key_e, feat_e, embed_reference(ref, cfg.embed_dim), cfg.guidance_weight)
+    key_e = embed_text(key_text, embed_dim)
+    feat_e = embed_text(feature_text, embed_dim)
+    base = ConditionSet(key_e, feat_e, np.zeros(embed_dim), guidance_weight)
+    ref = generate_reference(reference_token, base, ref_sched, ref_pred, shape)
+    return ConditionSet(key_e, feat_e, embed_reference(ref, embed_dim), guidance_weight)
 
 
-def _conditions_by_token(cfg: PipelineConfig, tokens: tuple[str, ...]) -> dict[str, ConditionSet]:
-    # the reference generator is a different pretrained model than the
-    # hiding sampler, modeled here as a distinct weight seed; it lives only
-    # in this frame, so its weights are freed before the hiding weights exist
+def _condition_inputs(cfg: PipelineConfig) -> dict:
+    """Every value a receiver's condition set is built from, besides its token.
+
+    The reference generator is a different pretrained model than the hiding
+    sampler, modeled here as a distinct weight seed.
+    """
     if cfg.reference_predictor_seed is not None:
-        seed = Seed64(cfg.reference_predictor_seed)
+        model_seed = cfg.reference_predictor_seed
     else:
-        seed = derive(Seed64(cfg.predictor_seed), "reference-model")
-    ref_pred = Predictor(cfg.predictor_kind, seed, cfg.embed_dim)
-    ref_sched = build_schedule(cfg.reference_steps or cfg.steps, cfg.beta_start, cfg.beta_end)
-    return {t: build_conditions(cfg, t, ref_sched, ref_pred) for t in dict.fromkeys(tokens)}
+        model_seed = derive(Seed64(cfg.predictor_seed), "reference-model").value
+    return {"key_text": cfg.public_key_text, "feature_text": cfg.feature_text,
+            "embed_dim": cfg.embed_dim, "guidance_weight": cfg.guidance_weight,
+            "kind": cfg.predictor_kind, "model_seed": model_seed,
+            "steps": cfg.reference_steps or cfg.steps, "beta_start": cfg.beta_start,
+            "beta_end": cfg.beta_end, "shape": cfg.shape}
+
+
+def _conditions_by_token(tokens: list[str], *, kind: str, model_seed: int, steps: int,
+                         beta_start: float, beta_end: float, **inputs) -> dict[str, ConditionSet]:
+    # the reference model lives only in this frame, so its weights are freed
+    # before the hiding weights exist
+    ref_pred = Predictor(kind, Seed64(model_seed), inputs["embed_dim"])
+    ref_sched = build_schedule(steps, beta_start, beta_end)
+    return {t: build_conditions(t, ref_sched, ref_pred, **inputs) for t in tokens}
 
 
 def sync_gain(mixing_p: float, steps: int) -> float:
@@ -197,11 +211,30 @@ class KeyedLink:
     one ReceiverKey per receiver in ``keys``: "legit" (cfg.token, which also
     keys the transmitter), "E2" (cfg.eavesdropper_token) and "E3" (the stock
     reference, no mask).  Each distinct token's reference is generated once.
+
+    ``memo`` lets consecutive links share the hiding predictor and the
+    condition sets, each keyed by every value it is built from.  A link first
+    drops every entry it will not use, so the memo never holds more than one
+    link's objects.  None means a fresh dict: the link builds everything.
     """
 
-    def __init__(self, cfg: PipelineConfig):
+    def __init__(self, cfg: PipelineConfig, memo: dict | None = None):
+        memo = {} if memo is None else memo
         tokens = (cfg.token, cfg.eavesdropper_token)
-        conditions = _conditions_by_token(cfg, (*tokens, STOCK_REFERENCE_TOKEN))
+        inputs = _condition_inputs(cfg)
+        condition_keys = {t: ("conditions", t, *inputs.values())
+                          for t in (*tokens, STOCK_REFERENCE_TOKEN)}
+        model_key = ("model", cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
+        for stale in memo.keys() - {model_key, *condition_keys.values()}:
+            del memo[stale]
+        missing = [t for t, key in condition_keys.items() if key not in memo]
+        if missing:
+            built = _conditions_by_token(missing, **inputs)
+            memo.update((condition_keys[t], c) for t, c in built.items())
+        if model_key not in memo:
+            memo[model_key] = Predictor(cfg.predictor_kind, Seed64(cfg.predictor_seed), cfg.embed_dim)
+
+        conditions = {t: memo[key] for t, key in condition_keys.items()}
         masks = {t: build_mask(t, cfg.shape, cfg.eta) for t in dict.fromkeys(tokens)}
         self.cfg = cfg
         self.keys = {
@@ -210,7 +243,7 @@ class KeyedLink:
             "E3": ReceiverKey(conditions[STOCK_REFERENCE_TOKEN], None),
         }
         self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-        self.pred = Predictor(cfg.predictor_kind, Seed64(cfg.predictor_seed), cfg.embed_dim)
+        self.pred = memo[model_key]
         self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
         lo, hi = self.params.window(cfg.steps)
         self.gain = sync_gain(cfg.mixing_p, hi - lo)
@@ -344,19 +377,21 @@ class TrialRecord:
                            peak=float(d["peak"]))
 
 
-def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
+def run_trial(secret: np.ndarray, cfg: PipelineConfig, memo: dict | None = None) -> TrialRecord:
     """Hide, transmit, and score every receiver against the secret.
 
     The E1 report scores the visible stego image against the secret; its
     "recovery" is by definition just the stego.  A channel-free reveal of
     the same stego is included as the sampler round-trip diagnostic.
+    ``memo`` is passed to KeyedLink, so consecutive trials can share keyed
+    objects; the record is the same with or without it.
     """
     secret = np.asarray(secret, dtype=np.float64)
     peak = float(secret.max() - secret.min())
     if peak <= 0.0:
         raise ValueError("secret must not be constant (needs a positive dynamic range)")
 
-    link = KeyedLink(cfg)
+    link = KeyedLink(cfg, memo)
     stego = hide(secret, link)
     frame = encode(stego)
     received = transmit(frame, cfg.channel)

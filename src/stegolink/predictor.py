@@ -16,6 +16,8 @@ which is affine in lam and hits each endpoint exactly.
 
 from __future__ import annotations
 
+import functools
+
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,13 +83,16 @@ def embed_text(text: str, d: int = 64) -> np.ndarray:
     return v / n
 
 
+@functools.lru_cache(maxsize=4096)
 def _time_embedding(t: int) -> np.ndarray:
-    # transformer-style sinusoidal embedding of the step index
+    # transformer-style sinusoidal embedding of the step index; every call
+    # for a step shares one read-only array
     j = np.arange(_TIME_DIM // 2, dtype=np.float64)
     freq = 10000.0 ** (-2.0 * j / _TIME_DIM)
     emb = np.empty(_TIME_DIM, dtype=np.float64)
     emb[0::2] = np.sin(t * freq)
     emb[1::2] = np.cos(t * freq)
+    emb.flags.writeable = False
     return emb
 
 

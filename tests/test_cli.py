@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from stegolink.harness import parse_config, records_to_jsonl, run_sweep
+
 CLI = [sys.executable, "-m", "stegolink"]
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -173,6 +175,27 @@ class TestSweepAndExport:
         proc = run_cli("export", "--records", str(sweep_dir / "records.jsonl"),
                        "--kind", "violin")
         assert proc.returncode == 2
+
+    def test_progress_on_stderr_leaves_records_unchanged(self, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
+        proc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("sweep: done 4/4 trials in ")
+        records = (tmp_path / "out" / "records.jsonl").read_text()
+        assert records == records_to_jsonl(run_sweep(parse_config(cfg)))
+
+    @pytest.mark.parametrize("change,field", [
+        ({"base_seed": None}, "base_seed"),
+        ({"base_seed": 5}, "base_seed"),
+        ({"axes": {"token": [9000]}}, "axes.token"),
+        ({"axes": {"eta": [0.05, 7.0]}}, "axes.eta"),
+    ])
+    def test_bad_sweep_value_rc2_names_field(self, tmp_path, change, field):
+        cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, **change))
+        proc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert field in proc.stderr
 
     def test_run_config_rejected_by_sweep(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8]})

@@ -9,6 +9,7 @@ import pytest
 from stegolink.harness import (
     ConfigError,
     SweepSpec,
+    _trial_config,
     aggregate_records,
     aggregates_csv,
     export_plot_data,
@@ -19,7 +20,7 @@ from stegolink.harness import (
     run_sweep,
     selftest,
 )
-from stegolink.pipeline import PipelineConfig
+from stegolink.pipeline import PipelineConfig, make_secret, run_trial
 
 
 def fast_base(**kw):
@@ -33,6 +34,13 @@ def small_sweep(**kw):
                 trials_per_point=2, base_seed="unit")
     spec.update(kw)
     return SweepSpec(**spec)
+
+
+def diverging_sweep():
+    # mixing_p 1e-6 passes validation, but its coupled chains stop being
+    # finite once the trial runs
+    return small_sweep(base=fast_base(predictor_kind="zero", edit_strength=1.0),
+                       axes={"mixing_p": [0.93, 1e-6]}, trials_per_point=1)
 
 
 class TestParseConfig:
@@ -91,6 +99,14 @@ class TestParseConfig:
             parse_config(str(path))
         assert "trials_per_point" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_base_seed_must_be_non_empty_string(self, tmp_path, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"axes": {"snr_db": [5.0]}, "base_seed": value}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert "base_seed" in str(exc.value)
+
 
 class TestSweepSpecValidation:
     def test_needs_at_least_one_axis(self):
@@ -113,6 +129,13 @@ class TestSweepSpecValidation:
     def test_base_seed_non_empty(self):
         with pytest.raises(ValueError):
             small_sweep(base_seed="")
+
+    @pytest.mark.parametrize("name,values", [("token", ["fine", ""]), ("eta", [0.05, 7.0]),
+                                             ("steps", [10, 2.5]), ("predictor_kind", ["resnet"])])
+    def test_axis_values_checked_up_front(self, name, values):
+        with pytest.raises(ConfigError) as exc:
+            small_sweep(axes={name: values})
+        assert f"axes.{name}:" in str(exc.value)
 
     def test_points_cartesian_in_insertion_order(self):
         spec = small_sweep(axes={"snr_db": [5.0, 10.0], "eta": [0.01, 0.5]})
@@ -152,12 +175,32 @@ class TestRunSweep:
         assert rows[1]["trial"]["config"]["secret_seed"] == 202
 
     def test_error_rows_never_abort(self):
-        spec = small_sweep(axes={"token": ["fine", ""]}, trials_per_point=1)
-        rows = run_sweep(spec)
+        # a config that validates but whose chains diverge while it runs
+        rows = run_sweep(diverging_sweep())
         assert len(rows) == 2
         assert rows[0]["error"] is None
-        assert rows[1]["error"] is not None and "token" in rows[1]["error"]
+        assert rows[1]["error"] == "ValueError: coupled chains must be finite"
         assert rows[1]["trial"] is None
+
+    def test_shared_keyed_objects_leave_every_row_unchanged(self):
+        # consecutive trials change each input of the shared keyed objects,
+        # and every other trial fails after its link is built
+        spec = small_sweep(base=fast_base(edit_strength=1.0), trials_per_point=1, base_seed="reuse",
+                           axes={"token": ["pin", "other"], "predictor_kind": ["zero", "tiny-mlp"],
+                                 "steps": [10, 12], "guidance_weight": [0.4, 1.0], "eta": [0.05, 0.5],
+                                 "snr_db": [5.0, 10.0], "mixing_p": [0.93, 1e-6]})
+        rows = run_sweep(spec)
+        assert len(rows) == 128
+        assert sum(row["error"] is not None for row in rows) == 64
+        for point_index, (row, point) in enumerate(zip(rows, spec.points())):
+            alone = {"point_index": point_index, "trial_index": 0, "axes": point}
+            try:
+                cfg = _trial_config(spec, point, point_index, 0)
+                alone["trial"] = run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg).to_dict()
+                alone["error"] = None
+            except ValueError as e:
+                alone["trial"], alone["error"] = None, f"{type(e).__name__}: {e}"
+            assert json.dumps(row, sort_keys=True) == json.dumps(alone, sort_keys=True)
 
     def test_iter_matches_list(self):
         spec = small_sweep()
@@ -213,8 +256,7 @@ class TestAggregation:
         assert all(lo < hi for lo, hi in zip(gaps, gaps[1:]))
 
     def test_error_rows_excluded_from_stats(self):
-        spec = small_sweep(axes={"token": ["fine", ""]}, trials_per_point=1)
-        aggs = aggregate_records(run_sweep(spec))
+        aggs = aggregate_records(run_sweep(diverging_sweep()))
         assert len(aggs) == 2
         assert aggs[1]["ok"] == 0
         assert aggs[1]["legit_psnr_db_mean"] is None

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stegolink.pipeline as pipeline
+from stegolink.harness import SweepSpec, run_sweep
 from stegolink.pipeline import (
     EAVESDROPPER_MODELS,
     KeyedLink,
@@ -279,6 +280,23 @@ class TestKeyedLink:
         cfg = fast_cfg(token="9000", eavesdropper_token=eavesdropper_token, noiseless=False)
         run_trial(make_secret(Seed64(46), cfg.shape), cfg)
         assert counts == {"Predictor": 2, "generate_reference": references}
+
+    def test_sweep_shares_the_model_and_references(self, counts):
+        # the first trial builds both models and three references; the other
+        # three trials of the same (config, token) build nothing keyed
+        spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0]},
+                         trials_per_point=2, base_seed="shared")
+        assert all(row["error"] is None for row in run_sweep(spec))
+        assert counts == {"Predictor": 2, "generate_reference": 3}
+
+    def test_memo_holds_only_the_last_links_objects(self):
+        memo = {}
+        for token in ("9000", "76576", "6718"):
+            link = KeyedLink(fast_cfg(token=token), memo)
+        fresh = {}
+        KeyedLink(fast_cfg(token="6718"), fresh)
+        assert memo.keys() == fresh.keys() and len(memo) == 4
+        assert any(value is link.pred for value in memo.values())
 
     def test_reference_model_released_once_built(self, monkeypatch):
         made = []
