@@ -23,6 +23,10 @@ is what makes the round trip exact.
 The plain DDIM baseline reuses eps at the state it has when noising, which
 is only approximate; its round-trip error is the gap EDICT closes.
 
+A state may stack several rows along a leading axis, each with its own
+conditions in the predictor's RowBias: every update is elementwise, so the
+rows evolve independently through one predictor call per evaluation.
+
 Stability note: the unmixing layer expands the difference between the chains
 by 1/p^2 per forward step.  With p well below 1 and many steps the expansion
 outruns double precision and exactness is unrecoverable; parameter defaults
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictor import ConditionSet, Predictor, guided_predict
+from .predictor import Predictor, RowBias
 from .schedule import NoiseSchedule
 
 
@@ -87,12 +91,6 @@ class SamplerParams:
         return 0, math.ceil(self.edit_strength * T)
 
 
-def _eps(pred: Predictor, x: np.ndarray, t: int, conditions: ConditionSet | None) -> np.ndarray:
-    if conditions is None:
-        return pred.predict(x, t, None)
-    return guided_predict(pred, x, t, conditions)
-
-
 def _check_finite(op: str, t: int, *arrays: np.ndarray) -> None:
     for arr in arrays:
         if not np.isfinite(arr).all():
@@ -100,36 +98,35 @@ def _check_finite(op: str, t: int, *arrays: np.ndarray) -> None:
 
 
 def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
-                  conditions: ConditionSet | None, params: SamplerParams) -> CoupledState:
+                  bias: RowBias, params: SamplerParams) -> CoupledState:
     """Noise a coupled state across the window; exact inverse of edict_reverse."""
     lo, hi = params.window(sched.T)
     p = params.mixing_p
     z, u = state.z.copy(), state.u.copy()
     for t in range(lo + 1, hi + 1):
         # intermediates are checked before feeding the predictor so an
-        # unmix overflow surfaces as a divergence at its step, not as an
-        # input error deep inside the predictor
+        # unmix overflow surfaces as a divergence at its step
         with np.errstate(over="ignore", invalid="ignore"):
             u_inter = (u - (1.0 - p) * z) / p
             z_inter = (z - (1.0 - p) * u_inter) / p
         _check_finite("edict_forward", t, u_inter, z_inter)
-        u = sched.gamma[t] * u_inter - sched.omega[t] * _eps(pred, z_inter, t, conditions)
+        u = sched.gamma[t] * u_inter - sched.omega[t] * pred.predict(z_inter, t, bias)
         _check_finite("edict_forward", t, u)
-        z = sched.gamma[t] * z_inter - sched.omega[t] * _eps(pred, u, t, conditions)
+        z = sched.gamma[t] * z_inter - sched.omega[t] * pred.predict(u, t, bias)
         _check_finite("edict_forward", t, z)
     return CoupledState(z, u)
 
 
 def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
-                  conditions: ConditionSet | None, params: SamplerParams) -> CoupledState:
+                  bias: RowBias, params: SamplerParams) -> CoupledState:
     """Denoise a coupled state across the window; exact inverse of edict_forward."""
     lo, hi = params.window(sched.T)
     p = params.mixing_p
     z, u = state.z.copy(), state.u.copy()
     for t in range(hi, lo, -1):
-        z_inter = sched.a[t] * z + sched.b[t] * _eps(pred, u, t, conditions)
+        z_inter = sched.a[t] * z + sched.b[t] * pred.predict(u, t, bias)
         _check_finite("edict_reverse", t, z_inter)
-        u_inter = sched.a[t] * u + sched.b[t] * _eps(pred, z_inter, t, conditions)
+        u_inter = sched.a[t] * u + sched.b[t] * pred.predict(z_inter, t, bias)
         with np.errstate(over="ignore", invalid="ignore"):
             z = p * z_inter + (1.0 - p) * u_inter
             u = p * u_inter + (1.0 - p) * z
@@ -138,7 +135,7 @@ def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
 
 
 def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
-                conditions: ConditionSet | None, direction: str, params: SamplerParams) -> np.ndarray:
+                bias: RowBias, direction: str, params: SamplerParams) -> np.ndarray:
     """Single-chain DDIM pass across the window.
 
     "denoising" applies z <- a[t] z + b[t] eps(z, t).  "noising" applies the
@@ -151,10 +148,10 @@ def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
     x = np.asarray(z, dtype=np.float64).copy()
     if direction == "denoising":
         for t in range(hi, lo, -1):
-            x = sched.a[t] * x + sched.b[t] * _eps(pred, x, t, conditions)
+            x = sched.a[t] * x + sched.b[t] * pred.predict(x, t, bias)
             _check_finite("ddim_sample", t, x)
     else:
         for t in range(lo + 1, hi + 1):
-            x = sched.gamma[t] * x - sched.omega[t] * _eps(pred, x, t, conditions)
+            x = sched.gamma[t] * x - sched.omega[t] * pred.predict(x, t, bias)
             _check_finite("ddim_sample", t, x)
     return x

@@ -317,7 +317,8 @@ def selftest(verbose: bool = True) -> bool:
         z = rng.gaussian_stream(rng.Seed64(100 + i), 128).reshape(2, 8, 8)
         uu = rng.gaussian_stream(rng.Seed64(200 + i), 128).reshape(2, 8, 8)
         state = CoupledState(z, uu)
-        back = edict_reverse(edict_forward(state, sched, pred, None, params), sched, pred, None, params)
+        plain = pred.bias(z.size, sched.T, [None])
+        back = edict_reverse(edict_forward(state, sched, pred, plain, params), sched, pred, plain, params)
         worst = max(worst, float(np.max(np.abs(back.z - z))), float(np.max(np.abs(back.u - uu))))
     check("coupled round trip", worst < 1e-8, f"max err {worst:.2e}")
 

@@ -23,8 +23,16 @@ reference); E3 runs the reveal with no token at all, skipping mask
 restoration and falling back to a stock reference seed.
 
 Every keyed object is a pure function of the config and its tokens, so a
-KeyedLink builds them once (schedule, predictor, and each receiver's
-conditions and mask) and hide, reveal and eavesdrop all read from it.
+KeyedLink builds them once (schedule, predictor, each receiver's conditions
+and mask, and the predictor's latent-free input terms) and hide, reveal and
+eavesdrop all read from it.
+
+One batched reveal serves every receiver: the legit, E2 and E3 receivers and
+the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
+coupled-sampler pass, since they share the predictor, the schedule and the
+window and differ only in start state, conditions and mask.  The row count is
+fixed, so every reveal of a link runs the same computation; reveal and
+eavesdrop return their row of it.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ from .tokenkey import PerturbationMask, build_mask, perturb, restore
 STOCK_REFERENCE_TOKEN = "stock-reference"  # what a tokenless receiver falls back to
 
 EAVESDROPPER_MODELS = ("E1", "E2", "E3")
+
+# the rows of the batched reveal; the round trip starts from the sent stego
+REVEAL_ROWS = ("legit", "E2", "E3", "roundtrip")
 
 
 def _is_int(value) -> bool:
@@ -121,8 +132,12 @@ class PipelineConfig:
             raise ValueError("edit_strength: must lie in (0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta: must lie in [0, 1]")
-        if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db: must be finite")
+        try:
+            snr_ratio = 10.0 ** (self.snr_db / 10.0)  # the channel's noise divisor
+        except OverflowError:
+            snr_ratio = math.inf
+        if not 0.0 < snr_ratio < math.inf:
+            raise ValueError("snr_db: 10^(snr_db/10) must be a positive finite number")
         if self.h == 0.0 or not math.isfinite(self.h):
             raise ValueError("h: channel gain must be nonzero and finite")
 
@@ -212,6 +227,12 @@ class KeyedLink:
     keys the transmitter), "E2" (cfg.eavesdropper_token) and "E3" (the stock
     reference, no mask).  Each distinct token's reference is generated once.
 
+    For the batched reveal it holds the REVEAL_ROWS mask stack (E3's row all
+    zeros) and two RowBias: ``reveal_bias`` conditions the rows by the legit,
+    E2, E3 and legit keys, ``plain_bias`` leaves them unconditioned.  Hiding
+    is a one-row batch of the same terms (``hide_bias``), so its conditioned
+    pass and the legit row's inverse add identical bias bits.
+
     ``memo`` lets consecutive links share the hiding predictor and the
     condition sets, each keyed by every value it is built from.  A link first
     drops every entry it will not use, so the memo never holds more than one
@@ -248,14 +269,23 @@ class KeyedLink:
         lo, hi = self.params.window(cfg.steps)
         self.gain = sync_gain(cfg.mixing_p, hi - lo)
 
+        n = int(np.prod(cfg.shape))
+        row_keys = [self.keys["legit"], self.keys["E2"], self.keys["E3"], self.keys["legit"]]  # REVEAL_ROWS
+        self.reveal_bias = self.pred.bias(n, cfg.steps, [key.conditions for key in row_keys])
+        self.plain_bias = self.pred.bias(n, cfg.steps, [None] * len(row_keys))
+        self.hide_bias = (self.plain_bias.take([0]), self.reveal_bias.take([0]))
+        no_flips = np.zeros(cfg.shape, dtype=np.uint8)
+        self.reveal_mask = PerturbationMask(np.stack([no_flips if key.mask is None else key.mask.bits
+                                                      for key in row_keys]))
+
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
     return np.concatenate([state.z, gain * (state.z - state.u)], axis=0)
 
 
 def _unpack_pair(grid: np.ndarray, channels: int, gain: float) -> CoupledState:
-    z = grid[:channels]
-    u = z - grid[channels:] / gain
+    z = grid[..., :channels, :, :]
+    u = z - grid[..., channels:, :, :] / gain
     return CoupledState(z.copy(), u)
 
 
@@ -269,48 +299,60 @@ def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
         raise ValueError(f"secret shape {secret.shape} does not match config shape {cfg.shape}")
     if not np.isfinite(secret).all():
         raise ValueError("secret contains non-finite values")
-    key = link.keys["legit"]
+    mask = link.keys["legit"].mask
+    plain, keyed = link.hide_bias
 
     state = CoupledState(secret.copy(), secret.copy())
-    state = edict_forward(state, link.sched, link.pred, None, link.params)
-    state = CoupledState(perturb(state.z, key.mask), perturb(state.u, key.mask))
-    state = edict_reverse(state, link.sched, link.pred, key.conditions, link.params)
+    state = edict_forward(state, link.sched, link.pred, plain, link.params)
+    state = CoupledState(perturb(state.z, mask), perturb(state.u, mask))
+    state = edict_reverse(state, link.sched, link.pred, keyed, link.params)
     return _pack_pair(state, link.gain)
 
 
-def _keyed_reveal(stego_hat: np.ndarray, link: KeyedLink, key: ReceiverKey) -> np.ndarray:
+def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> np.ndarray:
+    """Run the batched reveal; returns one recovered latent per REVEAL_ROWS entry.
+
+    The legit, E2 and E3 rows start from stego_hat and the round-trip row
+    from stego.  A non-finite start is rejected here, before any step runs.
+    """
     cfg = link.cfg
     channels = cfg.shape[0]
     expected = (2 * channels,) + cfg.shape[1:]
     stego_hat = np.asarray(stego_hat, dtype=np.float64)
-    if stego_hat.shape != expected:
-        raise ValueError(f"stego shape {stego_hat.shape} does not match expected {expected}")
+    stego = np.asarray(stego, dtype=np.float64)
+    for grid in (stego_hat, stego):
+        if grid.shape != expected:
+            raise ValueError(f"stego shape {grid.shape} does not match expected {expected}")
 
-    state = _unpack_pair(stego_hat, channels, link.gain)
-    state = edict_forward(state, link.sched, link.pred, key.conditions, link.params)
-    if key.mask is not None:
-        state = CoupledState(restore(state.z, key.mask), restore(state.u, key.mask))
-    state = edict_reverse(state, link.sched, link.pred, None, link.params)
+    starts = np.stack([stego_hat, stego_hat, stego_hat, stego])  # REVEAL_ROWS
+    state = _unpack_pair(starts, channels, link.gain)
+    state = edict_forward(state, link.sched, link.pred, link.reveal_bias, link.params)
+    state = CoupledState(restore(state.z, link.reveal_mask), restore(state.u, link.reveal_mask))
+    state = edict_reverse(state, link.sched, link.pred, link.plain_bias, link.params)
     return state.z
 
 
 def reveal(stego_hat: np.ndarray, link: KeyedLink) -> np.ndarray:
-    """Invert hide with the correct token; exact up to float drift."""
-    return _keyed_reveal(stego_hat, link, link.keys["legit"])
+    """Invert hide with the correct token; exact up to float drift.
+
+    Returns the legit row of the batched reveal of stego_hat.
+    """
+    return _reveal_rows(stego_hat, stego_hat, link)[REVEAL_ROWS.index("legit")]
 
 
 def eavesdrop(stego_hat: np.ndarray, link: KeyedLink, model: str) -> np.ndarray:
     """Run one adversary model against a decoded stego grid.
 
     E1 returns the visible stego image unchanged (decoder-only adversary).
-    E2 runs the full reveal with the eavesdropper token's key.  E3 runs the
-    reveal with the stock reference and no mask restoration.
+    E2 and E3 return their row of the batched reveal of stego_hat: E2 runs
+    the full reveal with the eavesdropper token's key, E3 the reveal with
+    the stock reference and no mask restoration.
     """
     if model not in EAVESDROPPER_MODELS:
         raise ValueError(f"model must be one of {EAVESDROPPER_MODELS}")
     if model == "E1":
         return np.asarray(stego_hat, dtype=np.float64)[:link.cfg.shape[0]].copy()
-    return _keyed_reveal(stego_hat, link, link.keys[model])
+    return _reveal_rows(stego_hat, stego_hat, link)[REVEAL_ROWS.index(model)]
 
 
 # -- synthetic secrets --------------------------------------------------------
@@ -382,7 +424,8 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig, memo: dict | None = None)
 
     The E1 report scores the visible stego image against the secret; its
     "recovery" is by definition just the stego.  A channel-free reveal of
-    the same stego is included as the sampler round-trip diagnostic.
+    the same stego is included as the sampler round-trip diagnostic.  The
+    three keyed receivers and the round trip run as one batched reveal.
     ``memo`` is passed to KeyedLink, so consecutive trials can share keyed
     objects; the record is the same with or without it.
     """
@@ -397,16 +440,14 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig, memo: dict | None = None)
     received = transmit(frame, cfg.channel)
     stego_hat = decode(received, cfg.channel, stego.shape)
 
-    recovered = reveal(stego_hat, link)
-    outputs = {model: eavesdrop(stego_hat, link, model) for model in EAVESDROPPER_MODELS}
-    roundtrip = reveal(stego, link)
+    recovered = dict(zip(REVEAL_ROWS, _reveal_rows(stego_hat, stego, link)))
 
     return TrialRecord(
         config=cfg.to_dict(),
-        legit=compare(recovered, secret, peak),
-        eaves1=compare(outputs["E1"], secret, peak),
-        eaves2=compare(outputs["E2"], secret, peak),
-        eaves3=compare(outputs["E3"], secret, peak),
-        edict_roundtrip_error=float(np.max(np.abs(roundtrip - secret))),
+        legit=compare(recovered["legit"], secret, peak),
+        eaves1=compare(eavesdrop(stego_hat, link, "E1"), secret, peak),
+        eaves2=compare(recovered["E2"], secret, peak),
+        eaves3=compare(recovered["E3"], secret, peak),
+        edict_roundtrip_error=float(np.max(np.abs(recovered["roundtrip"] - secret))),
         peak=peak,
     )

@@ -4,7 +4,9 @@ Real diffusion hiding uses a large pretrained denoiser; this module swaps in
 small deterministic stand-ins with the same call shape so the samplers can be
 exercised end to end at desk scale.  A predictor maps (latent, step, optional
 conditions) to a latent-shaped noise estimate and is a pure function of its
-inputs and its weight seed.
+inputs and its weight seed.  It runs over a batch of rows, each with its own
+latent and conditions; the part of the input that does not depend on the
+latent is precomputed once per batch (RowBias).
 
 Guidance follows the usual two-prediction mixture: the conditional estimate
 is pulled toward the reference-conditioned prediction by weight lam,
@@ -15,8 +17,6 @@ which is affine in lam and hits each endpoint exactly.
 """
 
 from __future__ import annotations
-
-import functools
 
 from dataclasses import dataclass, replace
 
@@ -83,17 +83,40 @@ def embed_text(text: str, d: int = 64) -> np.ndarray:
     return v / n
 
 
-@functools.lru_cache(maxsize=4096)
-def _time_embedding(t: int) -> np.ndarray:
-    # transformer-style sinusoidal embedding of the step index; every call
-    # for a step shares one read-only array
+def _time_embeddings(steps: int) -> np.ndarray:
+    # transformer-style sinusoidal embedding of each step index 0..steps
     j = np.arange(_TIME_DIM // 2, dtype=np.float64)
     freq = 10000.0 ** (-2.0 * j / _TIME_DIM)
-    emb = np.empty(_TIME_DIM, dtype=np.float64)
-    emb[0::2] = np.sin(t * freq)
-    emb[1::2] = np.cos(t * freq)
-    emb.flags.writeable = False
+    angles = np.arange(steps + 1, dtype=np.float64)[:, None] * freq
+    emb = np.empty((steps + 1, _TIME_DIM), dtype=np.float64)
+    emb[:, 0::2] = np.sin(angles)
+    emb[:, 1::2] = np.cos(angles)
     return emb
+
+
+@dataclass(frozen=True)
+class RowBias:
+    """The latent-free part of a predictor's input for a batch of rows.
+
+    Each row's latent has n values.  ``step[t]`` is the step term at step t
+    (tiny-mlp only, else None), and ``cond[k, r]`` is row r's condition term
+    in guidance branch k.  There is one branch (full, key-only or, for
+    unconditioned rows, zero), or two, key only then full, mixed as
+    (1 - guidance_weight) * key_only + guidance_weight * full.
+    """
+
+    n: int
+    step: np.ndarray | None
+    cond: np.ndarray
+    guidance_weight: float
+
+    @property
+    def rows(self) -> int:
+        return self.cond.shape[1]
+
+    def take(self, rows: list[int]) -> "RowBias":
+        """The same terms for a subset of the rows; the step term is shared."""
+        return replace(self, cond=self.cond[:, rows])
 
 
 class Predictor:
@@ -104,6 +127,9 @@ class Predictor:
     a one-hidden-layer tanh network of width 4*embed_dim whose fan-in scaled
     weights keep outputs bounded.  Weights are built once per latent size and
     cached; predictions are pure functions of (latent, t, conditions).
+
+    Everything in the input besides the latent is precomputed once per batch
+    of rows by ``bias``; ``predict`` then runs one kernel over all the rows.
     """
 
     def __init__(self, kind: str, weight_seed: Seed64 | int = 7, embed_dim: int = 64):
@@ -150,44 +176,84 @@ class Predictor:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, z: np.ndarray, t: int, conditions: ConditionSet | None = None) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if not np.isfinite(z).all():
-            raise ValueError("latent contains non-finite values")
-        if t < 1:
-            raise ValueError("step index must be >= 1")
-        if conditions is not None and conditions.dim != self.embed_dim:
-            raise ValueError("conditions dimension does not match predictor embed_dim")
+    def bias(self, n: int, steps: int, rows: list[ConditionSet | None]) -> RowBias:
+        """Precompute the latent-free terms for rows of n-value latents.
 
+        The step term covers steps 0..steps.  Each row is conditioned by its
+        ConditionSet or unconditioned (None); the rows of one batch are all
+        conditioned, with one guidance weight, or all unconditioned.
+        """
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not rows:
+            raise ValueError("a batch needs at least one row")
+        conditioned = [c for c in rows if c is not None]
+        if conditioned and len(conditioned) != len(rows):
+            raise ValueError("rows must be all conditioned or all unconditioned")
+        if any(c.dim != self.embed_dim for c in conditioned):
+            raise ValueError("conditions dimension does not match predictor embed_dim")
+        weights = {c.guidance_weight for c in conditioned}
+        if len(weights) > 1:
+            raise ValueError("conditioned rows must share one guidance_weight")
+        lam = weights.pop() if weights else 1.0
+
+        # the endpoints keep only the branch they use
+        if not conditioned:
+            cvec = None
+        elif lam == 1.0:
+            cvec = np.stack([[c.stacked() for c in rows]])
+        elif lam == 0.0:
+            cvec = np.stack([[c.without_reference().stacked() for c in rows]])
+        else:
+            cvec = np.stack([[c.without_reference().stacked() for c in rows],
+                             [c.stacked() for c in rows]])
+
+        step = None
+        if self.kind == "zero":
+            cond = np.zeros((1, len(rows), 0))
+        elif self.kind == "linear":
+            _, w, direction = self.weights_for(n)
+            cond = (np.zeros((1, len(rows), n)) if cvec is None
+                    else (_BIAS_SCALE * (cvec @ w))[..., None] * direction)
+        else:
+            w1, _ = self.weights_for(n)
+            step = _time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T
+            cond = np.zeros((1, len(rows), w1.shape[0])) if cvec is None else cvec @ w1[:, n + _TIME_DIM:].T
+        return RowBias(n, step, cond, lam)
+
+    def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
+        """Noise estimate at step t for each of the bias's rows.
+
+        z stacks one latent per row along its leading axis (a single latent
+        is a one-row batch as it is); the result has z's shape.  Values are
+        checked where they enter the pipeline, not here: the samplers check
+        every state they produce.
+        """
         if self.kind == "zero":
             return np.zeros_like(z)
-
-        flat = z.ravel()
-        n = flat.size
-        cvec = conditions.stacked() if conditions is not None else np.zeros(3 * self.embed_dim)
-
+        n = bias.n
+        flat = z.reshape(bias.rows, n)
         if self.kind == "linear":
-            q, w, direction = self.weights_for(n)
-            out = q @ flat + _BIAS_SCALE * float(w @ cvec) * direction
-            return out.reshape(z.shape)
-
-        w1, w2 = self.weights_for(n)
-        x = np.concatenate([flat, _time_embedding(t), cvec])
-        out = w2 @ np.tanh(w1 @ x)
+            q = self.weights_for(n)[0]
+            out = flat @ q.T + bias.cond
+        else:
+            w1, w2 = self.weights_for(n)
+            out = np.tanh(flat @ w1[:, :n].T + bias.step[t] + bias.cond) @ w2.T
+        if len(out) == 2:
+            lam = bias.guidance_weight
+            out = (1.0 - lam) * out[0] + lam * out[1]
         return out.reshape(z.shape)
 
 
-def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: ConditionSet) -> np.ndarray:
-    """Mixture of key-only and fully conditioned predictions.
+def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: ConditionSet | None) -> np.ndarray:
+    """One latent's guided noise estimate at step t: a one-row batch.
 
-    The endpoints skip the unused branch; with IEEE arithmetic the mixture at
-    lam 0 or 1 equals that branch bitwise anyway.
+    Builds the row's bias for this call alone; a loop over steps builds it
+    once and calls ``Predictor.predict``.  With IEEE arithmetic the mixture
+    at lam 0 or 1 equals that branch bitwise, so the endpoints evaluate only
+    that branch.
     """
-    lam = conditions.guidance_weight
-    if lam == 0.0:
-        return predictor.predict(z, t, conditions.without_reference())
-    if lam == 1.0:
-        return predictor.predict(z, t, conditions)
-    key_only = predictor.predict(z, t, conditions.without_reference())
-    full = predictor.predict(z, t, conditions)
-    return (1.0 - lam) * key_only + lam * full
+    z = np.asarray(z, dtype=np.float64)
+    if not np.isfinite(z).all():
+        raise ValueError("latent contains non-finite values")
+    return predictor.predict(z, t, predictor.bias(z.size, t, [conditions]))

@@ -10,6 +10,8 @@ image-feature adapter.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .edict import SamplerParams, ddim_sample
@@ -20,11 +22,16 @@ from .schedule import NoiseSchedule
 
 def generate_reference(token: bytes | str, conditions: ConditionSet, sched: NoiseSchedule,
                        pred: Predictor, shape: tuple[int, ...]) -> np.ndarray:
-    """Denoise a keyed draw over the full schedule into a reference latent grid."""
+    """Denoise a keyed draw over the full schedule into a reference latent grid.
+
+    With the reference slot zeroed, the key-only and full predictions are the
+    same, so the guidance weight is moot and one prediction per step suffices.
+    """
     size = int(np.prod(shape))
     start = gaussian_stream(hash_token(token, "ref"), size).reshape(shape)
     params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
-    return ddim_sample(start, sched, pred, conditions.without_reference(), "denoising", params)
+    key_only = replace(conditions.without_reference(), guidance_weight=1.0)
+    return ddim_sample(start, sched, pred, pred.bias(size, sched.T, [key_only]), "denoising", params)
 
 
 _POOL_SEGMENTS = 16

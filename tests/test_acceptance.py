@@ -48,15 +48,17 @@ def inversion_runs():
     start = time.perf_counter()
     edict_errs = []
     for z, u in states:
-        noised = edict_forward(CoupledState(z, u), sched, pred, None, params)
-        back = edict_reverse(noised, sched, pred, None, params)
+        plain = pred.bias(z.size, sched.T, [None])
+        noised = edict_forward(CoupledState(z, u), sched, pred, plain, params)
+        back = edict_reverse(noised, sched, pred, plain, params)
         edict_errs.append(max(np.max(np.abs(back.z - z)), np.max(np.abs(back.u - u))))
     elapsed = time.perf_counter() - start
 
     ddim_errs = []
     for z, _ in states:
-        noised = ddim_sample(z, sched, pred, None, "noising", params)
-        back = ddim_sample(noised, sched, pred, None, "denoising", params)
+        plain = pred.bias(z.size, sched.T, [None])
+        noised = ddim_sample(z, sched, pred, plain, "noising", params)
+        back = ddim_sample(noised, sched, pred, plain, "denoising", params)
         ddim_errs.append(float(np.max(np.abs(back - z))))
     return {"edict": np.array(edict_errs), "ddim": np.array(ddim_errs), "elapsed": elapsed}
 

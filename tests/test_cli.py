@@ -98,6 +98,8 @@ class TestRun:
         ({"predictor_seed": -1}, "predictor_seed"),
         ({"secret_seed": -3}, "secret_seed"),
         ({"shape": [1, 8.5, 8]}, "shape"),
+        ({"snr_db": -6000}, "snr_db"),
+        ({"snr_db": 4000}, "snr_db"),
     ])
     def test_bad_config_value_rc2_names_field(self, tmp_path, payload, field):
         cfg = write_json(tmp_path / "cfg.json", payload)

@@ -25,6 +25,11 @@ def seeded_state(tag, i, shape=None):
     return CoupledState(z=buf[:n].reshape(shape), u=buf[n:].reshape(shape))
 
 
+def plain(pred, grid, T):
+    """Unconditioned one-row bias for latents shaped like grid."""
+    return pred.bias(np.asarray(grid).size, T, [None])
+
+
 def shared_conditions(lam=1.0):
     return ConditionSet(
         key_embedding=embed_text("key", 64),
@@ -78,7 +83,8 @@ class TestClosedForms:
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(40), 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
-        out = edict_forward(state, sched, Predictor("zero", 7), None,
+        pred = Predictor("zero", 7)
+        out = edict_forward(state, sched, pred, plain(pred, v, 10),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         gain = telescoped_gain(sched)
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
@@ -87,7 +93,8 @@ class TestClosedForms:
     def test_forward_single_step_hand_value(self):
         sched = build_schedule(1, 0.1, 0.1)
         state = CoupledState(np.ones((1, 4, 4)), np.ones((1, 4, 4)))
-        out = edict_forward(state, sched, Predictor("zero", 7), None,
+        pred = Predictor("zero", 7)
+        out = edict_forward(state, sched, pred, plain(pred, state.z, 1),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         assert out.z[0, 0, 0] == pytest.approx(0.9486832980505138, abs=1e-12)
 
@@ -95,7 +102,8 @@ class TestClosedForms:
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(41), 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
-        out = edict_reverse(state, sched, Predictor("zero", 7), None,
+        pred = Predictor("zero", 7)
+        out = edict_reverse(state, sched, pred, plain(pred, v, 10),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         assert np.max(np.abs(out.z - v / telescoped_gain(sched))) < 1e-12
 
@@ -103,7 +111,8 @@ class TestClosedForms:
         sched = build_schedule(1, 0.1, 0.1)
         v = gaussian_stream(Seed64(42), 16).reshape(1, 4, 4)
         state = CoupledState(v.copy(), v.copy())
-        out = edict_reverse(state, sched, Predictor("zero", 7), None,
+        pred = Predictor("zero", 7)
+        out = edict_reverse(state, sched, pred, plain(pred, v, 1),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
         assert np.max(np.abs(out.z - sched.a[1] * v)) < 1e-15
 
@@ -111,7 +120,8 @@ class TestClosedForms:
         # unmixing is the identity at p=1, so distinct chains just telescope
         sched = build_schedule(10)
         st = seeded_state("p1-indep", 0, (1, 8, 8))
-        out = edict_forward(st, sched, Predictor("zero", 7), None,
+        pred = Predictor("zero", 7)
+        out = edict_forward(st, sched, pred, plain(pred, st.z, 10),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
         gain = telescoped_gain(sched)
         assert np.max(np.abs(out.z - gain * st.z)) < 1e-12
@@ -121,19 +131,21 @@ class TestClosedForms:
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(43), 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
+        pred = Predictor("zero", 7)
         fwd = edict_forward(CoupledState(v.copy(), v.copy()), sched,
-                            Predictor("zero", 7), None, params)
+                            pred, plain(pred, v, 10), params)
         assert np.max(np.abs(fwd.z - fwd.u)) < 1e-12
         rev = edict_reverse(CoupledState(v.copy(), v.copy()), sched,
-                            Predictor("zero", 7), None, params)
+                            pred, plain(pred, v, 10), params)
         assert np.max(np.abs(rev.z - rev.u)) < 1e-12
 
     def test_window_respects_edit_strength(self):
         # forward over half the schedule telescopes over just that window
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(44), 64).reshape(1, 8, 8)
+        pred = Predictor("zero", 7)
         out = edict_forward(CoupledState(v.copy(), v.copy()), sched,
-                            Predictor("zero", 7), None,
+                            pred, plain(pred, v, 10),
                             SamplerParams(mixing_p=0.93, edit_strength=0.5))
         gain = float(np.prod(sched.gamma[1:6]))
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
@@ -165,8 +177,9 @@ class TestExactInversion:
         worst = 0.0
         for i in range(6):
             st = seeded_state(f"edict-rt|{kind}|{p}|{T}", i)
-            back = edict_reverse(edict_forward(st, sched, pred, None, params),
-                                 sched, pred, None, params)
+            bias = plain(pred, st.z, T)
+            back = edict_reverse(edict_forward(st, sched, pred, bias, params),
+                                 sched, pred, bias, params)
             worst = max(worst,
                         float(np.max(np.abs(back.z - st.z))),
                         float(np.max(np.abs(back.u - st.u))))
@@ -179,8 +192,8 @@ class TestExactInversion:
         sched = build_schedule(T)
         pred = Predictor(kind, weight_seed=7)
         params = SamplerParams(mixing_p=p, edit_strength=1.0)
-        cond = shared_conditions()
         st = seeded_state(f"edict-cond|{kind}|{p}|{T}", 0)
+        cond = pred.bias(st.z.size, T, [shared_conditions()])
         back = edict_reverse(edict_forward(st, sched, pred, cond, params),
                              sched, pred, cond, params)
         err = max(float(np.max(np.abs(back.z - st.z))),
@@ -192,8 +205,9 @@ class TestExactInversion:
         pred = Predictor("tiny-mlp", weight_seed=7)
         params = SamplerParams(mixing_p=0.93, edit_strength=0.5)
         st = seeded_state("edict-window", 1)
-        back = edict_reverse(edict_forward(st, sched, pred, None, params),
-                             sched, pred, None, params)
+        bias = plain(pred, st.z, 50)
+        back = edict_reverse(edict_forward(st, sched, pred, bias, params),
+                             sched, pred, bias, params)
         assert float(np.max(np.abs(back.z - st.z))) < 1e-8
 
 
@@ -205,7 +219,7 @@ class TestDivergenceSignal:
         huge = np.full((1, 4, 4), 1e308)
         state = CoupledState(huge, -huge)
         with pytest.raises(SamplerDivergenceError) as exc:
-            edict_forward(state, sched, pred, None, params)
+            edict_forward(state, sched, pred, plain(pred, huge, 50), params)
         assert "step" in str(exc.value)
 
 
@@ -213,7 +227,8 @@ class TestDDIM:
     def test_zero_predictor_denoise_closed_form(self):
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(50), 64).reshape(1, 8, 8)
-        out = ddim_sample(v, sched, Predictor("zero", 7), None, "denoising",
+        pred = Predictor("zero", 7)
+        out = ddim_sample(v, sched, pred, plain(pred, v, 10), "denoising",
                           SamplerParams(mixing_p=1.0, edit_strength=1.0))
         assert np.max(np.abs(out - v / np.sqrt(sched.alpha_bar[10]))) < 1e-12
 
@@ -221,15 +236,17 @@ class TestDDIM:
         sched = build_schedule(50)
         v = gaussian_stream(Seed64(51), 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
-        noised = ddim_sample(v, sched, Predictor("zero", 7), None, "noising", params)
-        back = ddim_sample(noised, sched, Predictor("zero", 7), None, "denoising", params)
+        pred = Predictor("zero", 7)
+        noised = ddim_sample(v, sched, pred, plain(pred, v, 50), "noising", params)
+        back = ddim_sample(noised, sched, pred, plain(pred, v, 50), "denoising", params)
         assert np.max(np.abs(back - v)) < 1e-12
 
     def test_direction_validated(self):
         sched = build_schedule(5)
+        pred = Predictor("zero", 7)
+        bias = plain(pred, np.zeros((1, 4, 4)), 5)
         with pytest.raises(ValueError):
-            ddim_sample(np.zeros((1, 4, 4)), sched, Predictor("zero", 7), None,
-                        "sideways", SamplerParams(mixing_p=1.0))
+            ddim_sample(np.zeros((1, 4, 4)), sched, pred, bias, "sideways", SamplerParams(mixing_p=1.0))
 
     def test_round_trip_error_exceeds_coupled_sampler(self):
         # the single-chain inversion reuses the prediction at the wrong
@@ -240,11 +257,12 @@ class TestDDIM:
         ddim_errs, edict_errs = [], []
         for i in range(10):
             st = seeded_state("ddim-gap", i)
-            noised = ddim_sample(st.z, sched, pred, None, "noising", params)
-            back = ddim_sample(noised, sched, pred, None, "denoising", params)
+            bias = plain(pred, st.z, 50)
+            noised = ddim_sample(st.z, sched, pred, bias, "noising", params)
+            back = ddim_sample(noised, sched, pred, bias, "denoising", params)
             ddim_errs.append(float(np.mean(np.abs(back - st.z))))
-            rt = edict_reverse(edict_forward(st, sched, pred, None, params),
-                               sched, pred, None, params)
+            rt = edict_reverse(edict_forward(st, sched, pred, bias, params),
+                               sched, pred, bias, params)
             edict_errs.append(float(np.mean(np.abs(rt.z - st.z))))
         assert np.mean(ddim_errs) >= 1e3 * np.mean(edict_errs)
         assert all(d > e for d, e in zip(ddim_errs, edict_errs))

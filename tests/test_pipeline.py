@@ -4,16 +4,19 @@ import json
 import re
 import weakref
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stegolink.pipeline as pipeline
+from stegolink.channel import decode, encode, transmit
+from stegolink.edict import CoupledState, SamplerDivergenceError, edict_forward, edict_reverse
 from stegolink.harness import SweepSpec, run_sweep
 from stegolink.pipeline import (
     EAVESDROPPER_MODELS,
+    REVEAL_ROWS,
     KeyedLink,
     PipelineConfig,
     TrialRecord,
@@ -24,7 +27,9 @@ from stegolink.pipeline import (
     run_trial,
     sync_gain,
 )
+from stegolink.predictor import Predictor
 from stegolink.rng import Seed64, hash_token
+from stegolink.tokenkey import restore
 
 
 def fast_cfg(**kw):
@@ -71,6 +76,8 @@ class TestConfigValidation:
         ("mixing_p", "0.9"),
         ("eta", True),
         ("h", None),
+        ("snr_db", -6000.0),
+        ("snr_db", 4000),
     ])
     def test_invalid_field_named_in_error(self, field, value):
         with pytest.raises(ValueError) as exc:
@@ -259,10 +266,91 @@ class TestEavesdrop:
         assert EAVESDROPPER_MODELS == ("E1", "E2", "E3")
 
 
+def sent_and_received(secret, cfg, link):
+    stego = hide(secret, link)
+    return stego, decode(transmit(encode(stego), cfg.channel), cfg.channel, stego.shape)
+
+
+class TestBatchedReveal:
+    def test_reveal_and_eavesdrop_return_the_rows_the_trial_scores(self, monkeypatch):
+        cfg = fast_cfg(noiseless=False, snr_db=10.0, eta=0.1)
+        secret = make_secret(Seed64(51), cfg.shape)
+        scored = []
+        real = pipeline.compare
+
+        def capturing(recovered, reference, peak):
+            scored.append(recovered)
+            return real(recovered, reference, peak)
+
+        monkeypatch.setattr(pipeline, "compare", capturing)
+        run_trial(secret, cfg)
+        legit, _, e2, e3 = scored
+        link = KeyedLink(cfg)
+        _, stego_hat = sent_and_received(secret, cfg, link)
+        assert np.array_equal(reveal(stego_hat, link), legit)
+        assert np.array_equal(eavesdrop(stego_hat, link, "E2"), e2)
+        assert np.array_equal(eavesdrop(stego_hat, link, "E3"), e3)
+
+    def test_each_row_matches_its_own_one_row_reveal(self):
+        # the unbatched reveal of each receiver, one row at a time with its
+        # own conditions and mask; the batched product rounds differently,
+        # so rows agree to a tolerance, far below what a wrong key moves
+        cfg = fast_cfg(noiseless=False, snr_db=10.0, eta=0.1, steps=25)
+        link = KeyedLink(cfg)
+        _, stego_hat = sent_and_received(make_secret(Seed64(52), cfg.shape), cfg, link)
+        batched = {"legit": reveal(stego_hat, link), "E2": eavesdrop(stego_hat, link, "E2"),
+                   "E3": eavesdrop(stego_hat, link, "E3")}
+
+        n = int(np.prod(cfg.shape))
+        plain = link.pred.bias(n, cfg.steps, [None])
+        for name, row in batched.items():
+            key = link.keys[name]
+            keyed = link.pred.bias(n, cfg.steps, [key.conditions])
+            state = edict_forward(pipeline._unpack_pair(stego_hat, cfg.shape[0], link.gain),
+                                  link.sched, link.pred, keyed, link.params)
+            if key.mask is not None:
+                state = CoupledState(restore(state.z, key.mask), restore(state.u, key.mask))
+            alone = edict_reverse(state, link.sched, link.pred, plain, link.params).z
+            assert np.max(np.abs(row - alone)) < 1e-9, name
+        assert not np.allclose(batched["E2"], batched["E3"], atol=1e-3)
+
+    def test_rows_are_in_the_documented_order(self):
+        assert REVEAL_ROWS == ("legit", "E2", "E3", "roundtrip")
+        link = KeyedLink(fast_cfg(eta=0.5))
+        bits = link.reveal_mask.bits
+        assert np.array_equal(bits[0], link.keys["legit"].mask.bits)
+        assert np.array_equal(bits[1], link.keys["E2"].mask.bits)
+        assert not bits[2].any()
+        assert np.array_equal(bits[3], link.keys["legit"].mask.bits)
+
+    def test_divergence_inside_the_reveal_names_op_and_step(self):
+        # p = 0.01 over 100 steps expands the chain gap by 10^400, past the
+        # 2^1000 gain cap, so even a grid with no gap overflows while noising
+        cfg = fast_cfg(predictor_kind="zero", steps=100, edit_strength=1.0, mixing_p=0.01)
+        with pytest.raises(SamplerDivergenceError) as exc:
+            reveal(np.ones((2, 8, 8)), KeyedLink(cfg))
+        assert exc.value.op == "edict_forward" and 1 <= exc.value.step <= 100
+        assert str(exc.value) == f"edict_forward produced a non-finite state at step {exc.value.step}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_stego_rejected_before_any_step(self, monkeypatch, bad):
+        link = KeyedLink(fast_cfg(predictor_kind="tiny-mlp"))
+        calls = []
+        real = Predictor.predict
+        monkeypatch.setattr(Predictor, "predict", lambda *a, **k: calls.append(1) or real(*a, **k))
+        grid = np.zeros((2, 8, 8))
+        grid[1, 3, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reveal(grid, link)
+        with pytest.raises(ValueError, match="finite"):
+            eavesdrop(grid, link, "E3")
+        assert calls == []
+
+
 class TestKeyedLink:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"Predictor": 0, "generate_reference": 0}
+        counts = {"Predictor": 0, "generate_reference": 0, "predict": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -270,16 +358,19 @@ class TestKeyedLink:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in counts:
+        for name in ("Predictor", "generate_reference"):
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        monkeypatch.setattr(Predictor, "predict", counting("predict", Predictor.predict))
         return counts
 
     @pytest.mark.parametrize("eavesdropper_token,references", [("856427", 3), ("9000", 2)])
     def test_trial_builds_each_model_and_reference_once(self, counts, eavesdropper_token, references):
-        # one hiding and one reference model; one reference per distinct token
+        # one hiding and one reference model; one reference per distinct
+        # token, 10 predictions each; 5 steps x 2 chains per sampler pass,
+        # two passes to hide and two for the batched reveal
         cfg = fast_cfg(token="9000", eavesdropper_token=eavesdropper_token, noiseless=False)
         run_trial(make_secret(Seed64(46), cfg.shape), cfg)
-        assert counts == {"Predictor": 2, "generate_reference": references}
+        assert counts == {"Predictor": 2, "generate_reference": references, "predict": 10 * references + 40}
 
     def test_sweep_shares_the_model_and_references(self, counts):
         # the first trial builds both models and three references; the other
@@ -287,7 +378,24 @@ class TestKeyedLink:
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0]},
                          trials_per_point=2, base_seed="shared")
         assert all(row["error"] is None for row in run_sweep(spec))
-        assert counts == {"Predictor": 2, "generate_reference": 3}
+        assert counts == {"Predictor": 2, "generate_reference": 3, "predict": 30 + 4 * 40}
+
+    def test_warm_trial_predicts_200_times(self, counts):
+        # default window (T=50, edit_strength 0.5, lam 1): 25 steps x 2
+        # chains x 2 passes to hide, and as many for all four reveals
+        cfg = PipelineConfig(shape=(1, 8, 8))
+        memo = {}
+        run_trial(make_secret(Seed64(47), cfg.shape), cfg, memo)
+        counts.update(dict.fromkeys(counts, 0))
+        run_trial(make_secret(Seed64(48), cfg.shape), replace(cfg, snr_db=5.0), memo)
+        assert counts == {"Predictor": 0, "generate_reference": 0, "predict": 200}
+
+    @pytest.mark.parametrize("guidance_weight", [1.0, 0.4])
+    def test_reference_generation_predicts_once_per_step(self, counts, guidance_weight):
+        # three references over 50 steps; with the reference slot zeroed the
+        # two guidance branches agree, so partial guidance costs no more
+        KeyedLink(PipelineConfig(shape=(1, 8, 8), guidance_weight=guidance_weight))
+        assert counts["predict"] == 150
 
     def test_memo_holds_only_the_last_links_objects(self):
         memo = {}

@@ -1,5 +1,7 @@
 """Deterministic noise predictors, text embeddings, and guided mixtures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,24 +71,24 @@ class TestPredict:
     def test_shape_preserving(self, kind, shape):
         p = Predictor(kind, weight_seed=7)
         z = gaussian_stream(Seed64(1), int(np.prod(shape))).reshape(shape)
-        assert p.predict(z, 3, conditions()).shape == shape
+        assert guided_predict(p, z, 3, conditions()).shape == shape
 
     def test_zero_kind_returns_zeros(self):
         p = Predictor("zero", weight_seed=7)
         z = gaussian_stream(Seed64(1), 64).reshape(1, 8, 8)
-        assert np.array_equal(p.predict(z, 1, conditions()), np.zeros((1, 8, 8)))
+        assert np.array_equal(guided_predict(p, z, 1, conditions()), np.zeros((1, 8, 8)))
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_deterministic(self, kind):
         z = gaussian_stream(Seed64(2), 64).reshape(1, 8, 8)
-        a = Predictor(kind, weight_seed=7).predict(z, 5, conditions())
-        b = Predictor(kind, weight_seed=7).predict(z, 5, conditions())
+        a = guided_predict(Predictor(kind, weight_seed=7), z, 5, conditions())
+        b = guided_predict(Predictor(kind, weight_seed=7), z, 5, conditions())
         assert np.array_equal(a, b)
 
     def test_weight_seed_changes_output(self):
         z = gaussian_stream(Seed64(2), 64).reshape(1, 8, 8)
-        a = Predictor("tiny-mlp", weight_seed=7).predict(z, 5, conditions())
-        b = Predictor("tiny-mlp", weight_seed=8).predict(z, 5, conditions())
+        a = guided_predict(Predictor("tiny-mlp", weight_seed=7), z, 5, conditions())
+        b = guided_predict(Predictor("tiny-mlp", weight_seed=8), z, 5, conditions())
         assert not np.array_equal(a, b)
 
     def test_none_conditions_match_zero_conditions(self):
@@ -95,7 +97,7 @@ class TestPredict:
         silent = ConditionSet(zero, zero, zero, 1.0)
         for kind in ("linear", "tiny-mlp"):
             p = Predictor(kind, weight_seed=7)
-            assert np.array_equal(p.predict(z, 4, None), p.predict(z, 4, silent))
+            assert np.array_equal(guided_predict(p, z, 4, None), guided_predict(p, z, 4, silent))
 
     def test_linear_lipschitz_at_most_one(self):
         # mixing is orthogonal and the bias does not depend on z
@@ -105,14 +107,14 @@ class TestPredict:
         for i in range(20):
             z1 = gaussian_stream(Seed64(100 + i), 64).reshape(1, 8, 8)
             z2 = gaussian_stream(Seed64(200 + i), 64).reshape(1, 8, 8)
-            num = np.linalg.norm(p.predict(z1, 3, c) - p.predict(z2, 3, c))
+            num = np.linalg.norm(guided_predict(p, z1, 3, c) - guided_predict(p, z2, 3, c))
             worst = max(worst, float(num / np.linalg.norm(z1 - z2)))
         assert worst <= 1.0 + 1e-9
 
     def test_tiny_mlp_bounded_on_unit_inputs(self):
         p = Predictor("tiny-mlp", weight_seed=7)
         z = gaussian_stream(Seed64(4), 64).reshape(1, 8, 8)
-        out = p.predict(z, 10, conditions())
+        out = guided_predict(p, z, 10, conditions())
         assert np.isfinite(out).all()
         assert float(np.max(np.abs(out))) < 50.0
 
@@ -120,12 +122,59 @@ class TestPredict:
         p = Predictor("tiny-mlp", weight_seed=7)
         z = np.full((1, 8, 8), np.nan)
         with pytest.raises(ValueError):
-            p.predict(z, 1, conditions())
+            guided_predict(p, z, 1, conditions())
 
     def test_step_must_be_positive(self):
         p = Predictor("zero", weight_seed=7)
         with pytest.raises(ValueError):
-            p.predict(np.zeros((1, 8, 8)), 0, None)
+            guided_predict(p, np.zeros((1, 8, 8)), 0, None)
+
+    def test_bias_rejects_a_foreign_condition_dimension(self):
+        p = Predictor("tiny-mlp", weight_seed=7, embed_dim=64)
+        with pytest.raises(ValueError, match="embed_dim"):
+            p.bias(64, 10, [conditions(d=32)])
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    def test_latents_must_fit_the_bias_rows(self, kind):
+        p = Predictor(kind, weight_seed=7)
+        with pytest.raises(ValueError):
+            p.predict(np.zeros((4, 1, 8, 8)), 3, p.bias(64, 10, [None]))
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0, None])
+    def test_batched_rows_match_the_dense_formula(self, kind, lam):
+        # each row of one batched call against the single-latent formula,
+        # (1 - lam) * eps(key only) + lam * eps(full) over the concatenated
+        # input [latent, time(t), key, feature, reference]
+        p = Predictor(kind, weight_seed=7)
+        t, n = 7, 128
+        zs = gaussian_stream(Seed64(12), 4 * n).reshape(4, 2, 8, 8)
+        rows = [None] * 4 if lam is None else [
+            ConditionSet(embed_text("key", 64), embed_text("feature", 64), embed_text(f"ref {i}", 64), lam)
+            for i in range(4)]
+        out = p.predict(zs, t, p.bias(n, 10, rows))
+        assert out.shape == zs.shape
+
+        j = np.arange(8)
+        freq = 10000.0 ** (-2.0 * j / 16)
+        time = np.empty(16)
+        time[0::2], time[1::2] = np.sin(t * freq), np.cos(t * freq)
+
+        def dense(flat, cvec):
+            if kind == "linear":
+                q, w, direction = p.weights_for(n)
+                return q @ flat + 0.1 * float(w @ cvec) * direction
+            w1, w2 = p.weights_for(n)
+            return w2 @ np.tanh(w1 @ np.concatenate([flat, time, cvec]))
+
+        for z, c, got in zip(zs, rows, out):
+            flat = z.ravel()
+            if c is None:
+                want = dense(flat, np.zeros(192))
+            else:
+                key_only = dense(flat, c.without_reference().stacked())
+                want = (1.0 - lam) * key_only + lam * dense(flat, c.stacked())
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -135,13 +184,15 @@ class TestPredict:
 class TestGuidedPredict:
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_endpoints_exact(self, kind):
+        # an endpoint evaluates only its branch: lam 0 is exactly the
+        # prediction under the key-only set
         p = Predictor(kind, weight_seed=7)
         z = gaussian_stream(Seed64(6), 64).reshape(1, 8, 8)
         c0 = conditions(lam=0.0)
-        c1 = conditions(lam=1.0)
-        assert np.array_equal(guided_predict(p, z, 3, c0),
-                              p.predict(z, 3, c0.without_reference()))
-        assert np.array_equal(guided_predict(p, z, 3, c1), p.predict(z, 3, c1))
+        key_only = replace(c0.without_reference(), guidance_weight=1.0)
+        assert np.array_equal(guided_predict(p, z, 3, c0), guided_predict(p, z, 3, key_only))
+        for lam, branches in ((0.0, 1), (0.5, 2), (1.0, 1)):
+            assert p.bias(64, 3, [conditions(lam=lam)]).cond.shape[0] == branches
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_affine_in_lambda(self, lam):
