@@ -18,7 +18,10 @@ t = hi .. 1:
 Forward (noise) step t, applied for t = 1 .. hi, is the exact
 inverse: unmix, then undo the two affine denoise sub-steps in reverse order.
 The same eps evaluations appear at the same states in both directions, which
-is what makes the round trip exact.
+is what makes the round trip exact.  Each undo subtracts the very product
+b[t] eps the denoise step added before rescaling by gamma[t], rather than
+folding b[t] into a separately rounded omega[t]; the undo then repeats the
+denoise step's rounding and the round trip drifts less.
 
 The plain DDIM baseline reuses eps at the state it has when noising, which
 is only approximate; its round-trip error is the gap EDICT closes.
@@ -110,9 +113,9 @@ def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
             u_inter = (u - (1.0 - p) * z) / p
             z_inter = (z - (1.0 - p) * u_inter) / p
         _check_finite("edict_forward", t, u_inter, z_inter)
-        u = sched.gamma[t] * u_inter - sched.omega[t] * pred.predict(z_inter, t, bias)
+        u = sched.gamma[t] * (u_inter - sched.b[t] * pred.predict(z_inter, t, bias))
         _check_finite("edict_forward", t, u)
-        z = sched.gamma[t] * z_inter - sched.omega[t] * pred.predict(u, t, bias)
+        z = sched.gamma[t] * (z_inter - sched.b[t] * pred.predict(u, t, bias))
         _check_finite("edict_forward", t, z)
     return CoupledState(z, u)
 
