@@ -62,9 +62,13 @@ def encode(z: np.ndarray) -> SymbolFrame:
         raise ValueError("cannot encode an empty grid")
     if not np.isfinite(flat).all():
         raise ValueError("grid contains non-finite values")
-    offset = float(flat.mean())
-    centered = flat - offset
-    rms = float(np.sqrt(np.mean(centered ** 2)))
+    # a finite grid can still hold more power than float64 does
+    with np.errstate(over="ignore"):
+        offset = float(flat.mean())
+        centered = flat - offset
+        rms = float(np.sqrt(np.mean(centered ** 2)))
+    if not np.isfinite(rms):
+        raise ValueError("grid power overflows float64")
     if rms == 0.0:
         return SymbolFrame(symbols=centered, scale=1.0, offset=offset, degenerate=True)
     return SymbolFrame(symbols=centered / rms, scale=rms, offset=offset)

@@ -18,6 +18,8 @@ which is affine in lam and hits each endpoint exactly.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,6 +85,12 @@ def embed_text(text: str, d: int = 64) -> np.ndarray:
     return v / n
 
 
+def _orthogonal(g: np.ndarray) -> np.ndarray:
+    """The Q factor of g's QR, with the signs fixed so that R's diagonal is positive."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r))
+
+
 def _time_embeddings(steps: int) -> np.ndarray:
     # transformer-style sinusoidal embedding of each step index 0..steps
     j = np.arange(_TIME_DIM // 2, dtype=np.float64)
@@ -128,6 +136,14 @@ class Predictor:
     weights keep outputs bounded.  Weights are built once per latent size and
     cached; predictions are pure functions of (latent, t, conditions).
 
+    The linear mixing of n values is the Kronecker product qa (x) qb of two
+    seeded orthogonal factors, a x a and b x b with a * b = n and a the
+    largest divisor of n up to sqrt(n).  It is applied to each row reshaped
+    to a x b as qa @ row @ qb.T, so the n x n matrix is never formed: the
+    weights hold a^2 + b^2 values (2n for a square n; a prime n falls back to
+    1 x 1 and n x n), and every row runs the same small products whatever the
+    batch size (structured orthogonal maps: Yu et al., NeurIPS 2016).
+
     Everything in the input besides the latent is precomputed once per batch
     of rows by ``bias``; ``predict`` then runs one kernel over all the rows.
     """
@@ -145,15 +161,17 @@ class Predictor:
     # -- weight construction ------------------------------------------------
 
     def _linear_weights(self, n: int) -> tuple:
+        a = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+        b = n // a
+        m = a * a + b * b
         seed = derive(self.weight_seed, f"linear:{n}")
-        raw = gaussian_stream(seed, n * n + 3 * self.embed_dim + n)
-        g = raw[:n * n].reshape(n, n)
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))  # fix the QR sign convention
-        w = raw[n * n:n * n + 3 * self.embed_dim]
-        direction = raw[n * n + 3 * self.embed_dim:]
+        raw = gaussian_stream(seed, m + 3 * self.embed_dim + n)
+        qa = _orthogonal(raw[:a * a].reshape(a, a))
+        qb = _orthogonal(raw[a * a:m].reshape(b, b))
+        w = raw[m:m + 3 * self.embed_dim]
+        direction = raw[m + 3 * self.embed_dim:]
         direction = direction / np.linalg.norm(direction)
-        return q, w, direction
+        return qa, qb, w, direction
 
     def _mlp_weights(self, n: int) -> tuple:
         hidden = 4 * self.embed_dim
@@ -212,7 +230,7 @@ class Predictor:
         if self.kind == "zero":
             cond = np.zeros((1, len(rows), 0))
         elif self.kind == "linear":
-            _, w, direction = self.weights_for(n)
+            _, _, w, direction = self.weights_for(n)
             cond = (np.zeros((1, len(rows), n)) if cvec is None
                     else (_BIAS_SCALE * (cvec @ w))[..., None] * direction)
         else:
@@ -234,8 +252,8 @@ class Predictor:
         n = bias.n
         flat = z.reshape(bias.rows, n)
         if self.kind == "linear":
-            q = self.weights_for(n)[0]
-            out = flat @ q.T + bias.cond
+            qa, qb = self.weights_for(n)[:2]
+            out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape) + bias.cond
         else:
             w1, w2 = self.weights_for(n)
             out = np.tanh(flat @ w1[:, :n].T + bias.step[t] + bias.cond) @ w2.T

@@ -1,5 +1,7 @@
 """Power-normalized codec and seeded AWGN link."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,14 @@ class TestEncode:
             encode(np.zeros((0,)))
         with pytest.raises(ValueError):
             encode(np.array([1.0, np.inf]))
+
+    def test_overflowing_power_rejected_without_warnings(self):
+        # finite values whose squares exceed float64
+        z = np.array([[1e200, -1e200], [3e200, 2e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid power overflows float64"):
+                encode(z)
 
 
 class TestTransmit:

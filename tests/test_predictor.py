@@ -162,8 +162,8 @@ class TestPredict:
 
         def dense(flat, cvec):
             if kind == "linear":
-                q, w, direction = p.weights_for(n)
-                return q @ flat + 0.1 * float(w @ cvec) * direction
+                qa, qb, w, direction = p.weights_for(n)
+                return np.kron(qa, qb) @ flat + 0.1 * float(w @ cvec) * direction
             w1, w2 = p.weights_for(n)
             return w2 @ np.tanh(w1 @ np.concatenate([flat, time, cvec]))
 
@@ -179,6 +179,40 @@ class TestPredict:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Predictor("resnet", weight_seed=7)
+
+
+class TestLinearMap:
+    # the linear mixing is qa (x) qb, applied without forming the n x n matrix
+
+    @pytest.mark.parametrize("n", [7, 64, 192, 1024])
+    def test_kronecker_product_is_orthogonal(self, n):
+        qa, qb = Predictor("linear", weight_seed=7).weights_for(n)[:2]
+        q = np.kron(qa, qb)
+        assert np.max(np.abs(q @ q.T - np.eye(n))) <= 1e-12
+
+    @pytest.mark.parametrize("n, a", [(7, 1), (64, 8), (192, 12), (1024, 32), (4096, 64), (2 * 3 * 5 * 7, 14)])
+    def test_factors_split_n_at_the_largest_divisor_up_to_its_root(self, n, a):
+        qa, qb = Predictor("linear", weight_seed=7).weights_for(n)[:2]
+        assert qa.shape == (a, a) and qb.shape == (n // a, n // a)
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_weights_hold_order_n_values(self, n):
+        weights = Predictor("linear", weight_seed=7, embed_dim=64).weights_for(n)
+        assert sum(w.size for w in weights) == 2 * n + 3 * 64 + n
+
+    @pytest.mark.parametrize("n, shape", [(1024, (1, 32, 32)), (192, (3, 8, 8)), (7, (1, 1, 7))])
+    @pytest.mark.parametrize("lam", [0.4, 1.0, None])
+    def test_each_row_equals_its_one_row_call(self, n, shape, lam):
+        # the same precomputed terms for each row, so only the map is compared
+        p = Predictor("linear", weight_seed=7)
+        zs = gaussian_stream(Seed64(13), 4 * n).reshape(4, *shape)
+        rows = [None] * 4 if lam is None else [
+            ConditionSet(embed_text("key", 64), embed_text("feature", 64), embed_text(f"ref {i}", 64), lam)
+            for i in range(4)]
+        bias = p.bias(n, 10, rows)
+        out = p.predict(zs, 3, bias)
+        for i in range(4):
+            assert np.array_equal(out[i], p.predict(zs[i:i + 1], 3, bias.take([i]))[0])
 
 
 class TestGuidedPredict:
