@@ -41,13 +41,12 @@ class SymbolFrame:
     symbols: np.ndarray
     scale: float
     offset: float
-    degenerate: bool = False  # constant input, nothing but the offset survives
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=np.float64))
         if self.symbols.ndim != 1:
             raise ValueError("symbols must be one-dimensional")
-        if not self.degenerate and self.scale <= 0.0:
+        if self.scale <= 0.0:
             raise ValueError("scale must be positive")
 
 
@@ -55,7 +54,7 @@ def encode(z: np.ndarray) -> SymbolFrame:
     """Normalize a grid to zero-mean unit-power symbols.
 
     A constant grid has no deviation to normalize; it encodes as zeros with
-    scale 1 and the degenerate flag set, the value itself riding in offset.
+    scale 1, the value itself riding in offset.
     """
     flat = np.asarray(z, dtype=np.float64).ravel()
     if flat.size == 0:
@@ -70,7 +69,7 @@ def encode(z: np.ndarray) -> SymbolFrame:
     if not np.isfinite(rms):
         raise ValueError("grid power overflows float64")
     if rms == 0.0:
-        return SymbolFrame(symbols=centered, scale=1.0, offset=offset, degenerate=True)
+        return SymbolFrame(symbols=centered, scale=1.0, offset=offset)
     return SymbolFrame(symbols=centered / rms, scale=rms, offset=offset)
 
 

@@ -15,8 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import acceptance
 from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data,
-                      iter_sweep, load_records, parse_config, records_to_jsonl, selftest)
+                      iter_sweep, load_records, parse_config, records_to_jsonl)
 from .pipeline import PipelineConfig, make_secret, run_trial
 from .rng import Seed64, derive
 
@@ -67,12 +68,29 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(str(e)) from e
 
 
+def _load_secret(path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a secret grid from a .npy file; bad content names the secret_npy field."""
+    try:
+        with open(path, "rb") as fh:
+            secret = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"secret_npy: cannot load {path!r} as a .npy array: {e}") from e
+    if secret.dtype.kind not in "iuf":
+        raise ConfigError(f"secret_npy: dtype {secret.dtype} is not a real number type")
+    if secret.shape != shape:
+        raise ConfigError(f"secret_npy: shape {secret.shape} does not match config shape {shape}")
+    secret = secret.astype(np.float64)
+    if not np.isfinite(secret).all():
+        raise ConfigError("secret_npy: grid holds non-finite values")
+    if secret.min() == secret.max():
+        raise ConfigError("secret_npy: grid is constant (needs a positive dynamic range)")
+    return secret
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     if args.secret_npy:
-        secret = np.asarray(np.load(args.secret_npy), dtype=np.float64)
-        if secret.shape != cfg.shape:
-            raise ConfigError(f"secret file shape {secret.shape} does not match config shape {cfg.shape}")
+        secret = _load_secret(args.secret_npy, cfg.shape)
     else:
         secret = make_secret(cfg.secret_seed, cfg.shape)
     record = run_trial(secret, cfg)
@@ -136,7 +154,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(_args: argparse.Namespace) -> int:
-    return 0 if selftest(verbose=True) else 1
+    ok = True
+    for criterion in acceptance.CRITERIA:
+        check = criterion()
+        print(check.line(), flush=True)
+        ok = ok and check.ok
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_p.add_argument("--out", help="output CSV path (stdout when omitted)")
     export_p.set_defaults(func=_cmd_export)
 
-    selftest_p = sub.add_parser("selftest", help="run the built-in invariant battery")
+    selftest_p = sub.add_parser("selftest", help="run the acceptance battery")
     selftest_p.set_defaults(func=_cmd_selftest)
     return parser
 

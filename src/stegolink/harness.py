@@ -139,50 +139,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _metric_values(rows: list[dict], receiver: str, metric: str) -> np.ndarray:
-    return np.array([row["trial"][receiver][metric] for row in rows], dtype=np.float64)
+_STATS = ("mean", "std")
+_SUMMARY_COLUMNS = (*(f"{receiver}_{metric}_{stat}" for receiver in RECEIVERS
+                      for metric in METRIC_NAMES for stat in _STATS),
+                    "gap_psnr_legit_minus_eaves2")
 
 
 def _summary_cells(rows: list[dict]) -> dict:
     """Mean and population stddev per receiver and metric over ok rows."""
-    cells = {}
-    for receiver in RECEIVERS:
-        for metric in METRIC_NAMES:
-            key = f"{receiver}_{metric}"
-            if rows:
-                values = _metric_values(rows, receiver, metric)
-                cells[f"{key}_mean"] = float(values.mean())
-                cells[f"{key}_std"] = float(values.std())
-            else:
-                cells[f"{key}_mean"] = None
-                cells[f"{key}_std"] = None
+    cells = dict.fromkeys(_SUMMARY_COLUMNS)
     if rows:
+        for receiver in RECEIVERS:
+            for metric in METRIC_NAMES:
+                values = np.array([row["trial"][receiver][metric] for row in rows], dtype=np.float64)
+                cells[f"{receiver}_{metric}_mean"] = float(values.mean())
+                cells[f"{receiver}_{metric}_std"] = float(values.std())
         cells["gap_psnr_legit_minus_eaves2"] = cells["legit_psnr_db_mean"] - cells["eaves2_psnr_db_mean"]
-    else:
-        cells["gap_psnr_legit_minus_eaves2"] = None
     return cells
 
 
 def aggregate_records(records: list[dict]) -> list[dict]:
     """One summary row per sweep point, in point order."""
-    by_point: dict[int, list[dict]] = {}
-    axes_by_point: dict[int, dict] = {}
-    counts: dict[int, int] = {}
+    points: dict[int, list[dict]] = {}
     for row in records:
-        i = row["point_index"]
-        axes_by_point.setdefault(i, row["axes"])
-        counts[i] = counts.get(i, 0) + 1
-        if row.get("error") is None:
-            by_point.setdefault(i, []).append(row)
+        points.setdefault(row["point_index"], []).append(row)
     out = []
-    for i in sorted(axes_by_point):
-        ok_rows = by_point.get(i, [])
-        summary = {"point_index": i}
-        summary.update(axes_by_point[i])
-        summary["trials"] = counts[i]
-        summary["ok"] = len(ok_rows)
-        summary.update(_summary_cells(ok_rows))
-        out.append(summary)
+    for i in sorted(points):
+        rows = points[i]
+        ok_rows = [row for row in rows if row.get("error") is None]
+        out.append({"point_index": i, **rows[0]["axes"], "trials": len(rows), "ok": len(ok_rows),
+                    **_summary_cells(ok_rows)})
     return out
 
 
@@ -196,20 +182,13 @@ def _write_csv(rows: list[dict], header: list[str]) -> str:
 
 
 def aggregates_csv(records: list[dict]) -> str:
-    rows = aggregate_records(records)
-    if not rows:
+    if not records:
         return ""
-    axis_cols = [c for c in rows[0] if c not in ("point_index", "trials", "ok")
-                 and not any(c.startswith(r + "_") or c.startswith("gap_") for r in RECEIVERS)]
-    header = ["point_index", *axis_cols, "trials", "ok"]
-    for receiver in RECEIVERS:
-        for metric in METRIC_NAMES:
-            header += [f"{receiver}_{metric}_mean", f"{receiver}_{metric}_std"]
-    header.append("gap_psnr_legit_minus_eaves2")
-    return _write_csv(rows, header)
+    header = ["point_index", *records[0]["axes"], "trials", "ok", *_SUMMARY_COLUMNS]
+    return _write_csv(aggregate_records(records), header)
 
 
-def _group_by_axis(records: list[dict], axis: str) -> list[tuple]:
+def _curve_csv(records: list[dict], axis: str) -> str:
     groups: dict = {}
     for row in records:
         if row.get("error") is not None:
@@ -217,41 +196,19 @@ def _group_by_axis(records: list[dict], axis: str) -> list[tuple]:
         if axis not in row["axes"]:
             raise ConfigError(f"records carry no '{axis}' axis; cannot export this kind")
         groups.setdefault(row["axes"][axis], []).append(row)
-    return sorted(groups.items(), key=lambda kv: kv[0])
-
-
-def _curve_csv(records: list[dict], axis: str) -> str:
-    rows = []
-    for value, group in _group_by_axis(records, axis):
-        row = {axis: value, "n": len(group)}
-        row.update(_summary_cells(group))
-        rows.append(row)
-    header = [axis, "n"]
-    for receiver in RECEIVERS:
-        for metric in METRIC_NAMES:
-            header += [f"{receiver}_{metric}_mean", f"{receiver}_{metric}_std"]
-    header.append("gap_psnr_legit_minus_eaves2")
-    return _write_csv(rows, header)
+    rows = [{axis: value, "n": len(groups[value]), **_summary_cells(groups[value])}
+            for value in sorted(groups)]
+    return _write_csv(rows, [axis, "n", *_SUMMARY_COLUMNS])
 
 
 def _scenario_csv(records: list[dict]) -> str:
     ok_rows = [row for row in records if row.get("error") is None]
-    rows = []
-    for receiver in RECEIVERS:
-        row = {"scenario": receiver, "n": len(ok_rows)}
-        for metric in METRIC_NAMES:
-            if ok_rows:
-                values = _metric_values(ok_rows, receiver, metric)
-                row[f"{metric}_mean"] = float(values.mean())
-                row[f"{metric}_std"] = float(values.std())
-            else:
-                row[f"{metric}_mean"] = None
-                row[f"{metric}_std"] = None
-        rows.append(row)
-    header = ["scenario", "n"]
-    for metric in METRIC_NAMES:
-        header += [f"{metric}_mean", f"{metric}_std"]
-    return _write_csv(rows, header)
+    cells = _summary_cells(ok_rows)
+    columns = [f"{metric}_{stat}" for metric in METRIC_NAMES for stat in _STATS]
+    rows = [{"scenario": receiver, "n": len(ok_rows),
+             **{column: cells[f"{receiver}_{column}"] for column in columns}}
+            for receiver in RECEIVERS]
+    return _write_csv(rows, ["scenario", "n", *columns])
 
 
 def export_plot_data(records: list[dict], kind: str) -> str:
@@ -280,76 +237,3 @@ def load_records(path: str) -> list[dict]:
                 records.append(json.loads(line))
     return records
 
-
-# -- selftest -----------------------------------------------------------------
-
-def selftest(verbose: bool = True) -> bool:
-    """Compact invariant battery for the installed package; True when clean."""
-    from . import channel, metrics, rng, schedule, tokenkey
-    from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
-    from .pipeline import KeyedLink, hide, reveal
-    from .predictor import Predictor
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        checks.append((name, bool(ok), detail))
-
-    seed = rng.hash_token("", "")
-    check("hash empty vector", seed.value == 0xE3B0C44298FC1C14, hex(seed.value))
-
-    u = rng.uniform_stream(rng.Seed64(0), 1)
-    check("splitmix reference", u[0] == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53, repr(float(u[0])))
-
-    g = rng.gaussian_stream(rng.hash_token("selftest", "init"), 1_000_000)
-    check("gaussian moments", abs(g.mean()) < 0.005 and abs(g.var() - 1.0) < 0.01,
-          f"mean={g.mean():.2e} var={g.var():.6f}")
-
-    sched = schedule.build_schedule(50)
-    ident = np.max(np.abs(sched.gamma[1:] * sched.a[1:] - 1.0))
-    check("schedule identities", ident < 1e-15 and
-          abs(schedule.telescoped_gain(sched) - np.sqrt(sched.alpha_bar[50])) == 0.0, f"max|gamma*a-1|={ident:.2e}")
-
-    pred = Predictor("tiny-mlp", 7)
-    params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
-    worst = 0.0
-    for i in range(5):
-        z = rng.gaussian_stream(rng.Seed64(100 + i), 128).reshape(2, 8, 8)
-        uu = rng.gaussian_stream(rng.Seed64(200 + i), 128).reshape(2, 8, 8)
-        state = CoupledState(z, uu)
-        plain = pred.bias(z.size, sched.T, [None])
-        back = edict_reverse(edict_forward(state, sched, pred, plain, params), sched, pred, plain, params)
-        worst = max(worst, float(np.max(np.abs(back.z - z))), float(np.max(np.abs(back.u - uu))))
-    check("coupled round trip", worst < 1e-8, f"max err {worst:.2e}")
-
-    z = rng.gaussian_stream(rng.Seed64(3), 256)
-    mask = tokenkey.build_mask("selftest", (256,), 0.5)
-    check("mask involution", np.array_equal(tokenkey.restore(tokenkey.perturb(z, mask), mask), z))
-
-    frame = channel.encode(z.reshape(1, 16, 16))
-    cfg10 = channel.ChannelConfig(snr_db=10.0, noise_seed=5)
-    big = channel.SymbolFrame(symbols=rng.gaussian_stream(rng.Seed64(6), 1_000_000), scale=1.0, offset=0.0)
-    noisy = channel.transmit(big, cfg10)
-    measured = 10.0 * np.log10(np.mean(big.symbols ** 2) / np.mean((noisy.symbols - big.symbols) ** 2))
-    check("channel calibration", abs(measured - 10.0) < 0.1, f"{measured:.3f} dB at 10 dB")
-    back = channel.decode(channel.transmit(frame, channel.ChannelConfig(noiseless=True)), cfg10, (1, 16, 16))
-    link_err = float(np.max(np.abs(back - z.reshape(1, 16, 16))))
-    check("noiseless link identity", link_err < 1e-12, f"max err {link_err:.2e}")
-
-    a = np.zeros((10, 10))
-    b = np.zeros((10, 10))
-    b[0, 0] = 1.0
-    check("metric identities", metrics.psnr(a, b, 1.0) == 20.0 and metrics.ssim(a, a, 1.0) == 1.0)
-
-    cfg = PipelineConfig(steps=10, shape=(1, 8, 8))
-    secret = make_secret(1, (1, 8, 8))
-    link = KeyedLink(cfg)
-    err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
-    check("hide/reveal round trip", err < 1e-6, f"max err {err:.2e}")
-
-    ok = all(c[1] for c in checks)
-    if verbose:
-        for name, passed, detail in checks:
-            suffix = f"  ({detail})" if detail else ""
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}{suffix}")
-    return ok

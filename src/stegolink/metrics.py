@@ -68,10 +68,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {"mse": self.mse, "psnr_db": self.psnr_db, "ssim": self.ssim}
 
-    @staticmethod
-    def from_dict(d: dict) -> "MetricsReport":
-        return MetricsReport(mse=float(d["mse"]), psnr_db=float(d["psnr_db"]), ssim=float(d["ssim"]))
-
 
 def compare(recovered: np.ndarray, target: np.ndarray, peak: float) -> MetricsReport:
     """Bundle all three metrics of a recovery against its target."""

@@ -408,16 +408,6 @@ class TrialRecord:
             "peak": self.peak,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrialRecord":
-        return TrialRecord(config=dict(d["config"]),
-                           legit=MetricsReport.from_dict(d["legit"]),
-                           eaves1=MetricsReport.from_dict(d["eaves1"]),
-                           eaves2=MetricsReport.from_dict(d["eaves2"]),
-                           eaves3=MetricsReport.from_dict(d["eaves3"]),
-                           edict_roundtrip_error=float(d["edict_roundtrip_error"]),
-                           peak=float(d["peak"]))
-
 
 def run_trial(secret: np.ndarray, cfg: PipelineConfig, memo: dict | None = None) -> TrialRecord:
     """Hide, transmit, and score every receiver against the secret.

@@ -1,246 +1,18 @@
-"""Acceptance battery for the full simulator.
+"""One test per stegolink.acceptance criterion, test_NN_<name> by criterion number.
 
-Eleven structural, statistical, and trend checks, each printing one
-[PASS]/[FAIL] line with its measured values (run with -s to see them all).
+Each prints its [PASS]/[FAIL] line with the measured values (run with -s to see them all).
 """
 
-import time
-
-import numpy as np
-import pytest
-
-from stegolink.channel import ChannelConfig, encode, transmit
-from stegolink.edict import CoupledState, SamplerParams, ddim_sample, edict_forward, edict_reverse
-from stegolink.harness import SweepSpec, aggregates_csv, export_plot_data, records_to_jsonl, run_sweep
-from stegolink.metrics import mse, psnr, ssim
-from stegolink.pipeline import KeyedLink, PipelineConfig, hide, make_secret, reveal, run_trial
-from stegolink.predictor import Predictor
-from stegolink.rng import derive, gaussian_stream, hash_token
-from stegolink.schedule import build_schedule
-from stegolink.tokenkey import build_mask, init_latent, perturb
+from stegolink.acceptance import CRITERIA
 
 
-def report(ok: bool, label: str, detail: str) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
-    assert ok, f"{label}: {detail}"
+def _criterion_test(criterion):
+    def test():
+        check = criterion()
+        print(check.line())
+        assert check.ok, f"{check.label}: {check.detail}"
+    return test
 
 
-# -- shared fixtures ------------------------------------------------------------
-
-SHAPES = ((1, 8, 8), (2, 8, 8), (3, 8, 8), (4, 8, 8))
-
-
-@pytest.fixture(scope="module")
-def inversion_runs():
-    """100 forward/reverse round trips (criterion 1) plus DDIM baselines (criterion 3)."""
-    sched = build_schedule(50)
-    pred = Predictor("tiny-mlp")
-    params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
-    states = []
-    for i in range(100):
-        shape = SHAPES[i % len(SHAPES)]
-        seed = hash_token(f"acceptance-inversion|{i}", "trial")
-        n = int(np.prod(shape))
-        z = gaussian_stream(derive(seed, "z"), n).reshape(shape)
-        u = gaussian_stream(derive(seed, "u"), n).reshape(shape)
-        states.append((z, u))
-
-    start = time.perf_counter()
-    edict_errs = []
-    for z, u in states:
-        plain = pred.bias(z.size, sched.T, [None])
-        noised = edict_forward(CoupledState(z, u), sched, pred, plain, params)
-        back = edict_reverse(noised, sched, pred, plain, params)
-        edict_errs.append(max(np.max(np.abs(back.z - z)), np.max(np.abs(back.u - u))))
-    elapsed = time.perf_counter() - start
-
-    ddim_errs = []
-    for z, _ in states:
-        plain = pred.bias(z.size, sched.T, [None])
-        noised = ddim_sample(z, sched, pred, plain, "noising", params)
-        back = ddim_sample(noised, sched, pred, plain, "denoising", params)
-        ddim_errs.append(float(np.max(np.abs(back - z))))
-    return {"edict": np.array(edict_errs), "ddim": np.array(ddim_errs), "elapsed": elapsed}
-
-
-_TRIAL_CACHE: dict = {}
-
-
-def trial_group(eta: float, snr_db: float, n: int = 20) -> list:
-    """20 independently seeded full trials at one (eta, snr) cell, cached."""
-    key = (eta, snr_db)
-    if key not in _TRIAL_CACHE:
-        records = []
-        for i in range(n):
-            seed = hash_token(f"acc|{eta}|{snr_db}|{i}", "trial")
-            cfg = PipelineConfig(eta=eta, snr_db=float(snr_db), steps=50, shape=(1, 8, 8),
-                                 secret_seed=derive(seed, "secret").value,
-                                 noise_seed=derive(seed, "noise").value)
-            records.append(run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg))
-        _TRIAL_CACHE[key] = records
-    return _TRIAL_CACHE[key]
-
-
-def mean_psnr(records: list, receiver: str) -> float:
-    return float(np.mean([getattr(r, receiver).psnr_db for r in records]))
-
-
-# -- criteria -------------------------------------------------------------------
-
-def test_01_exact_inversion(inversion_runs):
-    worst = float(inversion_runs["edict"].max())
-    elapsed = inversion_runs["elapsed"]
-    report(worst < 1e-8 and elapsed < 30.0,
-           "criterion 1 exact inversion",
-           f"max round-trip err {worst:.3e} over 100 coupled states "
-           f"(limit 1e-08), {elapsed:.1f}s (limit 30s)")
-
-
-def test_02_keyed_recovery_noiseless():
-    start = time.perf_counter()
-    worst = 0.0
-    for i in range(50):
-        seed = hash_token(f"acceptance-e2e|{i}", "trial")
-        cfg = PipelineConfig(token=f"token-{seed.value % 10 ** 6:06d}",
-                             eta=0.05, guidance_weight=1.0, edit_strength=0.5,
-                             steps=50, noiseless=True,
-                             secret_seed=derive(seed, "secret").value)
-        secret = make_secret(cfg.secret_seed, cfg.shape)
-        link = KeyedLink(cfg)
-        recovered = reveal(hide(secret, link), link)
-        worst = max(worst, float(np.max(np.abs(recovered - secret))))
-    elapsed = time.perf_counter() - start
-    report(worst < 1e-6 and elapsed < 60.0,
-           "criterion 2 keyed recovery",
-           f"max |reveal(hide(x)) - x| {worst:.3e} over 50 trials "
-           f"(limit 1e-06), {elapsed:.1f}s (limit 60s)")
-
-
-def test_03_inversion_error_gap(inversion_runs):
-    edict_mean = float(inversion_runs["edict"].mean())
-    ddim_mean = float(inversion_runs["ddim"].mean())
-    ratio = ddim_mean / edict_mean
-    report(ratio >= 1e3,
-           "criterion 3 inversion-error gap",
-           f"mean DDIM err {ddim_mean:.3e} / mean coupled err {edict_mean:.3e} "
-           f"= {ratio:.2e} (needs >= 1e3)")
-
-
-def test_04_perturbation_involution():
-    etas = (0.01, 0.05, 0.1, 0.5, 1.0)
-    checked = 0
-    for eta in etas:
-        for i in range(200):
-            mask = build_mask(f"mask-{eta}-{i}", (2, 8, 8), eta)
-            z = gaussian_stream(hash_token(f"grid|{eta}|{i}", "trial"), 128).reshape(2, 8, 8)
-            if not np.array_equal(perturb(perturb(z, mask), mask), z):
-                report(False, "criterion 4 perturbation involution",
-                       f"double flip not bit-exact at eta={eta}, pair {i}")
-            checked += 1
-    report(checked == 1000, "criterion 4 perturbation involution",
-           f"double flip bit-exact on {checked}/1000 pairs, eta in {etas}")
-
-
-def test_05_token_security_gap():
-    start = time.perf_counter()
-    gaps = {}
-    for eta in (0.01, 0.05, 0.5):
-        records = trial_group(eta, 10.0)
-        gaps[eta] = mean_psnr(records, "legit") - mean_psnr(records, "eaves2")
-    elapsed = time.perf_counter() - start
-    ok = gaps[0.05] > 3.0 and gaps[0.5] > gaps[0.01] and elapsed < 300.0
-    report(ok, "criterion 5 token security gap",
-           f"20-seed mean PSNR gap legit-E2 at 10dB: eta 0.01 -> {gaps[0.01]:.2f} dB, "
-           f"0.05 -> {gaps[0.05]:.2f} dB (needs > 3), 0.5 -> {gaps[0.5]:.2f} dB "
-           f"(needs > eta 0.01), {elapsed:.1f}s (limit 300s)")
-
-
-def test_06_eavesdropper_ordering():
-    records = trial_group(0.05, 10.0)
-    legit = mean_psnr(records, "legit")
-    e3 = mean_psnr(records, "eaves3")
-    e2 = mean_psnr(records, "eaves2")
-    report(legit > e3 > e2, "criterion 6 eavesdropper ordering",
-           f"20-seed mean PSNR legit {legit:.2f} > E3 {e3:.2f} > E2 {e2:.2f} dB")
-
-
-def test_07_snr_trend():
-    means = [mean_psnr(trial_group(0.05, snr), "legit") for snr in (5.0, 10.0, 15.0, 20.0)]
-    ok = all(lo <= hi for lo, hi in zip(means, means[1:]))
-    report(ok, "criterion 7 link-quality trend",
-           "20-seed mean legit PSNR across 5/10/15/20 dB: "
-           + " -> ".join(f"{m:.2f}" for m in means))
-
-
-def test_08_channel_calibration():
-    worst = 0.0
-    readings = []
-    for snr in (5.0, 10.0, 15.0, 20.0):
-        seed = hash_token(f"acceptance-cal|{snr}", "trial")
-        raw = gaussian_stream(derive(seed, "payload"), 1_000_000)
-        frame = encode(raw)
-        cfg = ChannelConfig(snr_db=snr, noise_seed=derive(seed, "noise").value)
-        received = transmit(frame, cfg)
-        clean = cfg.h * frame.symbols
-        noise = received.symbols - clean
-        empirical = 10.0 * np.log10(np.mean(clean ** 2) / np.mean(noise ** 2))
-        readings.append(f"{snr:.0f}dB -> {empirical:.3f}")
-        worst = max(worst, abs(empirical - snr))
-    report(worst <= 0.1, "criterion 8 channel calibration",
-           f"empirical SNR over 1e6 symbols: {', '.join(readings)} "
-           f"(worst |err| {worst:.4f} dB, limit 0.1)")
-
-
-def test_09_sweep_determinism():
-    spec = SweepSpec(base=PipelineConfig(steps=25, shape=(1, 8, 8)),
-                     axes={"snr_db": [5.0, 10.0], "eta": [0.01, 0.05]},
-                     trials_per_point=2, base_seed="acceptance-determinism")
-    first, second = run_sweep(spec), run_sweep(spec)
-    tables_a = [records_to_jsonl(first), aggregates_csv(first),
-                export_plot_data(first, "snr_curves"), export_plot_data(first, "eta_curves"),
-                export_plot_data(first, "scenario_bars")]
-    tables_b = [records_to_jsonl(second), aggregates_csv(second),
-                export_plot_data(second, "snr_curves"), export_plot_data(second, "eta_curves"),
-                export_plot_data(second, "scenario_bars")]
-    same = [a.encode() == b.encode() for a, b in zip(tables_a, tables_b)]
-    report(all(same), "criterion 9 sweep determinism",
-           f"two executions of a 16-trial sweep: {sum(same)}/5 exported tables byte-identical")
-
-
-def test_10_statistical_preservation():
-    shape = (1, 1000, 1000)
-    n = 1_000_000
-    token = "statistical-check"
-    flipped = perturb(init_latent(token, shape), build_mask(token, shape, 0.05))
-    mean = float(flipped.mean())
-    var = float(flipped.var())
-    bits = build_mask(token, shape, 0.05).bits
-    flips = int(bits.sum())
-    sigma = np.sqrt(n * 0.05 * 0.95)
-    density_dev = abs(flips - 0.05 * n) / sigma
-    ok = abs(mean) < 0.005 and abs(var - 1.0) < 0.01 and density_dev <= 3.0
-    report(ok, "criterion 10 statistical preservation",
-           f"perturbed keyed latent over 1e6 entries: |mean| {abs(mean):.2e} (limit 5e-3), "
-           f"|var-1| {abs(var - 1.0):.2e} (limit 1e-2), mask density dev {density_dev:.2f} sigma (limit 3)")
-
-
-def test_11_metric_sanity():
-    worst_identity = 0.0
-    for i in range(20):
-        seed = hash_token(f"acceptance-metric|{i}", "trial")
-        a = gaussian_stream(derive(seed, "a"), 256).reshape(16, 16)
-        b = gaussian_stream(derive(seed, "b"), 256).reshape(16, 16)
-        worst_identity = max(worst_identity,
-                             abs(psnr(a, b, 1.0) - 10.0 * np.log10(1.0 / mse(a, b))))
-    self_ssim_exact = all(
-        ssim(g, g, 1.0) == 1.0
-        for g in (gaussian_stream(hash_token(f"acceptance-ssim|{i}", "trial"), 256).reshape(16, 16)
-                  for i in range(5)))
-    zeros = np.zeros((10, 10))
-    spike = zeros.copy()
-    spike[0, 0] = 1.0  # mse exactly 0.01 at peak 1 must score exactly 20 dB
-    twenty = psnr(zeros, spike, 1.0)
-    ok = worst_identity < 1e-10 and self_ssim_exact and twenty == 20.0
-    report(ok, "criterion 11 metric sanity",
-           f"psnr/mse identity err {worst_identity:.2e} (limit 1e-10), "
-           f"ssim(a,a)=1 exact: {self_ssim_exact}, psnr(peak=1, mse=0.01) = {twenty!r}")
+for _number, _criterion in enumerate(CRITERIA, 1):
+    globals()[f"test_{_number:02d}_{_criterion.__name__}"] = _criterion_test(_criterion)

@@ -15,7 +15,7 @@ class TestEncode:
         z = np.array([[2.0, -2.0], [2.0, -2.0]])
         f = encode(z)
         assert np.array_equal(f.symbols, z.ravel() / 2.0)
-        assert f.scale == 2.0 and f.offset == 0.0 and not f.degenerate
+        assert f.scale == 2.0 and f.offset == 0.0
 
     def test_unit_power_over_random_grids(self):
         for i in range(100):
@@ -25,7 +25,7 @@ class TestEncode:
 
     def test_constant_grid_degenerate(self):
         f = encode(np.full((1, 4, 4), 3.25))
-        assert f.degenerate and f.scale == 1.0 and f.offset == 3.25
+        assert f.scale == 1.0 and f.offset == 3.25
         assert not f.symbols.any()
 
     def test_empty_and_nonfinite_rejected(self):

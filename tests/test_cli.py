@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from stegolink import acceptance
+from stegolink.cli import main
 from stegolink.harness import parse_config, records_to_jsonl, run_sweep
+from stegolink.pipeline import make_secret
 
 CLI = [sys.executable, "-m", "stegolink"]
 
@@ -36,6 +40,12 @@ def run_cli(*argv, **kw):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _nan_grid():
+    grid = make_secret(7, (1, 8, 8))
+    grid[0, 3, 3] = np.nan
+    return grid
 
 
 SWEEP_PAYLOAD = {
@@ -122,6 +132,33 @@ class TestRun:
         cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
         proc = run_cli("run", "--config", cfg)
         assert proc.returncode == 2
+
+    def test_secret_npy_gives_the_seeded_record(self, tmp_path):
+        path = tmp_path / "secret.npy"
+        np.save(path, make_secret(7, (1, 8, 8)))
+        from_file, seeded = tmp_path / "file.json", tmp_path / "seeded.json"
+        assert main(["run", *FAST, "--seed", "7", "--secret-npy", str(path), "--out", str(from_file)]) == 0
+        assert main(["run", *FAST, "--seed", "7", "--out", str(seeded)]) == 0
+        assert from_file.read_text() == seeded.read_text()
+
+    @pytest.mark.parametrize("content,reason", [
+        (_nan_grid(), "non-finite"),
+        (np.full((1, 8, 8), 0.5), "constant"),
+        (np.full((1, 8, 8), None, dtype=object), "cannot load"),
+        (np.full((1, 8, 8), "x"), "dtype <U1"),
+        (make_secret(7, (1, 4, 4)), "shape (1, 4, 4)"),
+        (b"not an array", "cannot load"),
+    ], ids=["nan", "constant", "object", "strings", "shape", "not-npy"])
+    def test_bad_secret_npy_rc2_names_field(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "secret.npy"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            np.save(path, content, allow_pickle=True)
+        assert main(["run", *FAST, "--secret-npy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: secret_npy:")
+        assert reason in err
 
 
 @pytest.fixture(scope="module")
@@ -223,11 +260,24 @@ def _installed_launcher():
 
 
 class TestSelftestAndEntryPoint:
-    def test_selftest_rc0_all_pass(self):
-        proc = run_cli("selftest")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        lines = [ln for ln in proc.stdout.splitlines() if ln]
-        assert lines and all(ln.startswith("[PASS]") for ln in lines)
+    def test_selftest_rc0_all_pass(self, capsys):
+        # in-process, so the battery reuses the work the acceptance tests cached
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(acceptance.CRITERIA)
+        for number, line in enumerate(lines, 1):
+            assert line.startswith(f"[PASS] criterion {number} ")
+
+    def test_selftest_failing_criterion_rc1(self, capsys, monkeypatch):
+        failing = acceptance.Check(False, "criterion 2 keyed recovery", "forced failure")
+        criteria = list(acceptance.CRITERIA)
+        criteria[1] = lambda: failing  # the slowest criterion, so the rest stay cheap
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(criteria)
+        assert lines[1] == "[FAIL] criterion 2 keyed recovery: forced failure"
+        assert sum(line.startswith("[FAIL]") for line in lines) == 1
 
     def test_console_script_installed(self):
         """The declared `stegolink` script starts the CLI; no install needed."""

@@ -18,7 +18,6 @@ from stegolink.harness import (
     parse_config,
     records_to_jsonl,
     run_sweep,
-    selftest,
 )
 from stegolink.pipeline import PipelineConfig, make_secret, run_trial
 
@@ -263,7 +262,50 @@ class TestAggregation:
         assert aggs[1]["gap_psnr_legit_minus_eaves2"] is None
 
 
+def _handmade_ok_row(trial_index, psnr_db, mse):
+    trial = {receiver: {"mse": mse * (i + 1), "psnr_db": psnr_db + 2.0 * i, "ssim": 0.5 - 0.125 * i}
+             for i, receiver in enumerate(("legit", "eaves1", "eaves2", "eaves3"))}
+    return {"point_index": 0, "trial_index": trial_index, "axes": {"snr_db": 5.0, "eta": 0.05},
+            "trial": trial, "error": None}
+
+
+def _handmade_error_row(trial_index):
+    return {"point_index": 1, "trial_index": trial_index, "axes": {"snr_db": 10.0, "eta": 0.5},
+            "trial": None, "error": "ValueError: boom"}
+
+
+# dyadic values, so every mean and stddev below is exact
+HANDMADE_RECORDS = [_handmade_ok_row(0, 10.0, 0.25), _handmade_ok_row(1, 12.0, 0.75),
+                    _handmade_error_row(0), _handmade_error_row(1)]
+
+STATS_HEADER = ("legit_psnr_db_mean,legit_psnr_db_std,legit_mse_mean,legit_mse_std,"
+                "legit_ssim_mean,legit_ssim_std,eaves1_psnr_db_mean,eaves1_psnr_db_std,"
+                "eaves1_mse_mean,eaves1_mse_std,eaves1_ssim_mean,eaves1_ssim_std,"
+                "eaves2_psnr_db_mean,eaves2_psnr_db_std,eaves2_mse_mean,eaves2_mse_std,"
+                "eaves2_ssim_mean,eaves2_ssim_std,eaves3_psnr_db_mean,eaves3_psnr_db_std,"
+                "eaves3_mse_mean,eaves3_mse_std,eaves3_ssim_mean,eaves3_ssim_std,"
+                "gap_psnr_legit_minus_eaves2")
+STATS_ROW = ("11.0,1.0,0.5,0.25,0.5,0.0,13.0,1.0,1.0,0.5,0.375,0.0,"
+             "15.0,1.0,1.5,0.75,0.25,0.0,17.0,1.0,2.0,1.0,0.125,0.0,-4.0")
+
+
 class TestExports:
+    def test_tables_of_handmade_records_are_pinned(self):
+        assert aggregates_csv(HANDMADE_RECORDS) == (
+            f"point_index,snr_db,eta,trials,ok,{STATS_HEADER}\n"
+            f"0,5.0,0.05,2,2,{STATS_ROW}\n"
+            "1,10.0,0.5,2,0,,,,,,,,,,,,,,,,,,,,,,,,,\n")
+        assert export_plot_data(HANDMADE_RECORDS, "snr_curves") == (
+            f"snr_db,n,{STATS_HEADER}\n5.0,2,{STATS_ROW}\n")
+        assert export_plot_data(HANDMADE_RECORDS, "eta_curves") == (
+            f"eta,n,{STATS_HEADER}\n0.05,2,{STATS_ROW}\n")
+        assert export_plot_data(HANDMADE_RECORDS, "scenario_bars") == (
+            "scenario,n,psnr_db_mean,psnr_db_std,mse_mean,mse_std,ssim_mean,ssim_std\n"
+            "legit,2,11.0,1.0,0.5,0.25,0.5,0.0\n"
+            "eaves1,2,13.0,1.0,1.0,0.5,0.375,0.0\n"
+            "eaves2,2,15.0,1.0,1.5,0.75,0.25,0.0\n"
+            "eaves3,2,17.0,1.0,2.0,1.0,0.125,0.0\n")
+
     def test_aggregates_csv_deterministic(self):
         spec = small_sweep()
         assert aggregates_csv(run_sweep(spec)) == aggregates_csv(run_sweep(spec))
@@ -301,14 +343,3 @@ class TestExports:
         path.write_text(records_to_jsonl(rows))
         assert load_records(str(path)) == rows
 
-
-class TestSelftest:
-    def test_battery_passes_quietly(self, capsys):
-        assert selftest(verbose=False)
-        assert capsys.readouterr().out == ""
-
-    def test_battery_prints_one_line_per_check(self, capsys):
-        selftest(verbose=True)
-        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
-        assert len(lines) >= 8
-        assert all(ln.startswith("[PASS]") or ln.startswith("[FAIL]") for ln in lines)
