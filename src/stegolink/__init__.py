@@ -10,7 +10,7 @@ run the inverse chain back to the secret.
 """
 
 from .rng import Seed64, RandomStream, hash_token, uniform_stream, gaussian_stream
-from .schedule import NoiseSchedule, build_schedule, telescoped_gain
+from .schedule import NoiseSchedule, build_schedule
 from .predictor import ConditionSet, Predictor, embed_text, guided_predict
 from .edict import CoupledState, SamplerParams, SamplerDivergenceError, edict_forward, edict_reverse, ddim_sample
 from .tokenkey import PerturbationMask, init_latent, build_mask, perturb, restore

@@ -19,6 +19,7 @@ from . import acceptance
 from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data,
                       iter_sweep, load_records, parse_config, records_to_jsonl)
 from .pipeline import PipelineConfig, make_secret, run_trial
+from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
 
 
@@ -31,7 +32,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mixing-p", type=float, dest="mixing_p")
     sub.add_argument("--edit-strength", type=float, dest="edit_strength")
     sub.add_argument("--lambda", type=float, dest="guidance_weight", help="guidance weight in [0, 1]")
-    sub.add_argument("--predictor", choices=("zero", "linear", "tiny-mlp"), dest="predictor_kind")
+    sub.add_argument("--predictor", choices=PREDICTOR_KINDS, dest="predictor_kind")
     sub.add_argument("--seed", type=int, help="trial seed (drives secret and channel noise)")
     sub.add_argument("--shape", help="latent shape as C,H,W")
     sub.add_argument("--noiseless", action="store_true", default=None)
@@ -84,6 +85,8 @@ def _load_secret(path: str, shape: tuple[int, ...]) -> np.ndarray:
         raise ConfigError("secret_npy: grid holds non-finite values")
     if secret.min() == secret.max():
         raise ConfigError("secret_npy: grid is constant (needs a positive dynamic range)")
+    if float(secret.max()) - float(secret.min()) == float("inf"):
+        raise ConfigError("secret_npy: grid range max - min overflows float64")
     return secret
 
 

@@ -90,8 +90,9 @@ class SamplerParams:
         if not 0.0 < self.edit_strength <= 1.0:
             raise ValueError("edit_strength must lie in (0, 1]")
 
-    def window(self, T: int) -> tuple[int, int]:
-        return 0, math.ceil(self.edit_strength * T)
+    def window(self, T: int) -> int:
+        """The number of steps traversed, counted from the clean end."""
+        return math.ceil(self.edit_strength * T)
 
 
 def _check_finite(op: str, t: int, *arrays: np.ndarray) -> None:
@@ -103,10 +104,10 @@ def _check_finite(op: str, t: int, *arrays: np.ndarray) -> None:
 def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
                   bias: RowBias, params: SamplerParams) -> CoupledState:
     """Noise a coupled state across the window; exact inverse of edict_reverse."""
-    lo, hi = params.window(sched.T)
+    hi = params.window(sched.T)
     p = params.mixing_p
     z, u = state.z.copy(), state.u.copy()
-    for t in range(lo + 1, hi + 1):
+    for t in range(1, hi + 1):
         # intermediates are checked before feeding the predictor so an
         # unmix overflow surfaces as a divergence at its step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -123,10 +124,10 @@ def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
 def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
                   bias: RowBias, params: SamplerParams) -> CoupledState:
     """Denoise a coupled state across the window; exact inverse of edict_forward."""
-    lo, hi = params.window(sched.T)
+    hi = params.window(sched.T)
     p = params.mixing_p
     z, u = state.z.copy(), state.u.copy()
-    for t in range(hi, lo, -1):
+    for t in range(hi, 0, -1):
         z_inter = sched.a[t] * z + sched.b[t] * pred.predict(u, t, bias)
         _check_finite("edict_reverse", t, z_inter)
         u_inter = sched.a[t] * u + sched.b[t] * pred.predict(z_inter, t, bias)
@@ -147,14 +148,14 @@ def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
     """
     if direction not in ("noising", "denoising"):
         raise ValueError("direction must be 'noising' or 'denoising'")
-    lo, hi = params.window(sched.T)
+    hi = params.window(sched.T)
     x = np.asarray(z, dtype=np.float64).copy()
     if direction == "denoising":
-        for t in range(hi, lo, -1):
+        for t in range(hi, 0, -1):
             x = sched.a[t] * x + sched.b[t] * pred.predict(x, t, bias)
             _check_finite("ddim_sample", t, x)
     else:
-        for t in range(lo + 1, hi + 1):
+        for t in range(1, hi + 1):
             x = sched.gamma[t] * x - sched.omega[t] * pred.predict(x, t, bias)
             _check_finite("ddim_sample", t, x)
     return x

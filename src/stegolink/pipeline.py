@@ -23,7 +23,7 @@ reference); E3 runs the reveal with no token at all, skipping mask
 restoration and falling back to a stock reference seed.
 
 Every keyed object is a pure function of the config and its tokens, so a
-KeyedLink builds them once (schedule, predictor, each receiver's conditions
+KeyedLink builds them once (schedule, predictor, each reveal row's conditions
 and mask, and the predictor's latent-free input terms) and hide, reveal and
 eavesdrop all read from it.
 
@@ -32,7 +32,8 @@ the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
 coupled-sampler pass, since they share the predictor, the schedule and the
 window and differ only in start state, conditions and mask.  The row count is
 fixed, so every reveal of a link runs the same computation; reveal and
-eavesdrop return their row of it.
+eavesdrop return their row of it.  Hiding is the same coupled pass over the
+legit row alone, with the biases swapped.
 """
 
 from __future__ import annotations
@@ -46,17 +47,18 @@ import numpy as np
 from .channel import ChannelConfig, decode, encode, transmit
 from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
 from .metrics import MetricsReport, compare
-from .predictor import ConditionSet, Predictor, embed_text
+from .predictor import PREDICTOR_KINDS, ConditionSet, Predictor, RowBias, embed_text
 from .reference import embed_reference, generate_reference
 from .rng import RandomStream, Seed64, derive
-from .schedule import NoiseSchedule, build_schedule
-from .tokenkey import PerturbationMask, build_mask, perturb, restore
+from .schedule import build_schedule
+from .tokenkey import PerturbationMask, build_mask, perturb
 
 STOCK_REFERENCE_TOKEN = "stock-reference"  # what a tokenless receiver falls back to
 
 EAVESDROPPER_MODELS = ("E1", "E2", "E3")
 
 # the rows of the batched reveal; the round trip starts from the sent stego
+# and, like the legit row, is keyed by cfg.token
 REVEAL_ROWS = ("legit", "E2", "E3", "roundtrip")
 
 
@@ -98,8 +100,6 @@ class PipelineConfig:
     noise_seed: int = 1
     secret_seed: int = 11
     eavesdropper_token: str = "856427"
-    reference_steps: int | None = None
-    reference_predictor_seed: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -112,19 +112,19 @@ class PipelineConfig:
         object.__setattr__(self, "shape", tuple(self.shape))
         if not 0.0 <= self.guidance_weight <= 1.0:
             raise ValueError("guidance_weight: must lie in [0, 1]")
-        for name in ("steps", "embed_dim", "reference_steps"):
+        for name in ("steps", "embed_dim"):
             value = getattr(self, name)
-            if value is not None and not (_is_int(value) and value >= 1):
+            if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name}: must be a positive integer")
-        for name in ("predictor_seed", "noise_seed", "secret_seed", "reference_predictor_seed"):
+        for name in ("predictor_seed", "noise_seed", "secret_seed"):
             value = getattr(self, name)
-            if value is not None and not (_is_int(value) and 0 <= value < 2 ** 64):
+            if not (_is_int(value) and 0 <= value < 2 ** 64):
                 raise ValueError(f"{name}: must be an integer in [0, 2^64)")
         if not (0.0 < self.beta_start < 1.0 and 0.0 < self.beta_end < 1.0):
             raise ValueError("beta_start/beta_end: must lie in (0, 1)")
         if self.beta_start > self.beta_end:
             raise ValueError("beta_start: must not exceed beta_end")
-        if self.predictor_kind not in ("zero", "linear", "tiny-mlp"):
+        if self.predictor_kind not in PREDICTOR_KINDS:
             raise ValueError("predictor_kind: must be zero, linear, or tiny-mlp")
         if not 0.0 < self.mixing_p <= 1.0:
             raise ValueError("mixing_p: must lie in (0, 1]")
@@ -164,41 +164,38 @@ class PipelineConfig:
 
 # -- the keyed link -----------------------------------------------------------
 
-def build_conditions(reference_token: str, ref_sched: NoiseSchedule, ref_pred: Predictor, *,
-                     key_text: str, feature_text: str, embed_dim: int, guidance_weight: float,
-                     shape: tuple[int, int, int]) -> ConditionSet:
-    """Assemble the guided condition set for a given reference token."""
+def build_conditions(tokens: list[str], *, key_text: str, feature_text: str, embed_dim: int,
+                     kind: str, model_seed: int, steps: int, beta_start: float, beta_end: float,
+                     shape: tuple[int, int, int]) -> dict[str, ConditionSet]:
+    """Assemble the guided condition set of each reference token.
+
+    The two texts are embedded once for all tokens.  The reference model
+    lives only in this frame, so its weights are freed before the hiding
+    weights exist.
+    """
     key_e = embed_text(key_text, embed_dim)
     feat_e = embed_text(feature_text, embed_dim)
-    base = ConditionSet(key_e, feat_e, np.zeros(embed_dim), guidance_weight)
-    ref = generate_reference(reference_token, base, ref_sched, ref_pred, shape)
-    return ConditionSet(key_e, feat_e, embed_reference(ref, embed_dim), guidance_weight)
+    base = ConditionSet(key_e, feat_e, np.zeros(embed_dim))
+    ref_pred = Predictor(kind, Seed64(model_seed), embed_dim)
+    ref_sched = build_schedule(steps, beta_start, beta_end)
+    conditions = {}
+    for t in tokens:
+        ref = generate_reference(t, base, ref_sched, ref_pred, shape)
+        conditions[t] = ConditionSet(key_e, feat_e, embed_reference(ref, embed_dim))
+    return conditions
 
 
 def _condition_inputs(cfg: PipelineConfig) -> dict:
-    """Every value a receiver's condition set is built from, besides its token.
+    """Every value a condition set is built from, besides its token.
 
     The reference generator is a different pretrained model than the hiding
     sampler, modeled here as a distinct weight seed.
     """
-    if cfg.reference_predictor_seed is not None:
-        model_seed = cfg.reference_predictor_seed
-    else:
-        model_seed = derive(Seed64(cfg.predictor_seed), "reference-model").value
     return {"key_text": cfg.public_key_text, "feature_text": cfg.feature_text,
-            "embed_dim": cfg.embed_dim, "guidance_weight": cfg.guidance_weight,
-            "kind": cfg.predictor_kind, "model_seed": model_seed,
-            "steps": cfg.reference_steps or cfg.steps, "beta_start": cfg.beta_start,
-            "beta_end": cfg.beta_end, "shape": cfg.shape}
-
-
-def _conditions_by_token(tokens: list[str], *, kind: str, model_seed: int, steps: int,
-                         beta_start: float, beta_end: float, **inputs) -> dict[str, ConditionSet]:
-    # the reference model lives only in this frame, so its weights are freed
-    # before the hiding weights exist
-    ref_pred = Predictor(kind, Seed64(model_seed), inputs["embed_dim"])
-    ref_sched = build_schedule(steps, beta_start, beta_end)
-    return {t: build_conditions(t, ref_sched, ref_pred, **inputs) for t in tokens}
+            "embed_dim": cfg.embed_dim, "kind": cfg.predictor_kind,
+            "model_seed": derive(Seed64(cfg.predictor_seed), "reference-model").value,
+            "steps": cfg.steps, "beta_start": cfg.beta_start, "beta_end": cfg.beta_end,
+            "shape": cfg.shape}
 
 
 def sync_gain(mixing_p: float, steps: int) -> float:
@@ -207,30 +204,22 @@ def sync_gain(mixing_p: float, steps: int) -> float:
     return 2.0 ** min(int(exponent), 1000)
 
 
-@dataclass(frozen=True)
-class ReceiverKey:
-    """What one receiver regenerates from its token.
-
-    A key without a mask is the tokenless E3 receiver: it inverts against
-    the stock reference and leaves the sign flips in place.
-    """
-
-    conditions: ConditionSet
-    mask: PerturbationMask | None
-
-
 class KeyedLink:
     """Every keyed object of one config, built once and shared by all ends.
 
     Holds the hiding schedule, predictor, sampler params and pair gain, and
-    one ReceiverKey per receiver in ``keys``: "legit" (cfg.token, which also
-    keys the transmitter), "E2" (cfg.eavesdropper_token) and "E3" (the stock
-    reference, no mask).  Each distinct token's reference is generated once.
+    one row per REVEAL_ROWS entry: ``conditions`` holds each row's condition
+    set, regenerated from its reference token (cfg.token for the legit and
+    round-trip rows, cfg.eavesdropper_token for E2, the stock reference for
+    E3), and ``reveal_mask`` stacks each row's sign-flip mask.  E3's mask row
+    is all zeros by its position, whatever the tokens: the tokenless receiver
+    leaves the sign flips in place.  Each distinct token's reference is
+    generated once.
 
-    For the batched reveal it holds the REVEAL_ROWS mask stack (E3's row all
-    zeros) and two RowBias: ``reveal_bias`` conditions the rows by the legit,
-    E2, E3 and legit keys, ``plain_bias`` leaves them unconditioned.  Hiding
-    is a one-row batch of the same terms (``hide_bias``), so its conditioned
+    Two RowBias hold the predictor's latent-free terms for the rows:
+    ``reveal_bias`` conditions each row by its condition set and mixes the
+    guidance branches by cfg.guidance_weight, ``plain_bias`` leaves them
+    unconditioned.  Hiding runs row 0 of the same terms, so its conditioned
     pass and the legit row's inverse add identical bias bits.
 
     ``memo`` lets consecutive links share the hiding predictor and the
@@ -241,42 +230,32 @@ class KeyedLink:
 
     def __init__(self, cfg: PipelineConfig, memo: dict | None = None):
         memo = {} if memo is None else memo
-        tokens = (cfg.token, cfg.eavesdropper_token)
+        row_tokens = (cfg.token, cfg.eavesdropper_token, STOCK_REFERENCE_TOKEN, cfg.token)  # REVEAL_ROWS
         inputs = _condition_inputs(cfg)
-        condition_keys = {t: ("conditions", t, *inputs.values())
-                          for t in (*tokens, STOCK_REFERENCE_TOKEN)}
+        condition_keys = {t: ("conditions", t, *inputs.values()) for t in row_tokens}
         model_key = ("model", cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
         for stale in memo.keys() - {model_key, *condition_keys.values()}:
             del memo[stale]
         missing = [t for t, key in condition_keys.items() if key not in memo]
         if missing:
-            built = _conditions_by_token(missing, **inputs)
-            memo.update((condition_keys[t], c) for t, c in built.items())
+            memo.update((condition_keys[t], c) for t, c in build_conditions(missing, **inputs).items())
         if model_key not in memo:
             memo[model_key] = Predictor(cfg.predictor_kind, Seed64(cfg.predictor_seed), cfg.embed_dim)
 
-        conditions = {t: memo[key] for t, key in condition_keys.items()}
-        masks = {t: build_mask(t, cfg.shape, cfg.eta) for t in dict.fromkeys(tokens)}
         self.cfg = cfg
-        self.keys = {
-            "legit": ReceiverKey(conditions[cfg.token], masks[cfg.token]),
-            "E2": ReceiverKey(conditions[cfg.eavesdropper_token], masks[cfg.eavesdropper_token]),
-            "E3": ReceiverKey(conditions[STOCK_REFERENCE_TOKEN], None),
-        }
+        self.conditions = [memo[condition_keys[t]] for t in row_tokens]
         self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
         self.pred = memo[model_key]
         self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
-        lo, hi = self.params.window(cfg.steps)
-        self.gain = sync_gain(cfg.mixing_p, hi - lo)
+        self.gain = sync_gain(cfg.mixing_p, self.params.window(cfg.steps))
 
         n = int(np.prod(cfg.shape))
-        row_keys = [self.keys["legit"], self.keys["E2"], self.keys["E3"], self.keys["legit"]]  # REVEAL_ROWS
-        self.reveal_bias = self.pred.bias(n, cfg.steps, [key.conditions for key in row_keys])
-        self.plain_bias = self.pred.bias(n, cfg.steps, [None] * len(row_keys))
-        self.hide_bias = (self.plain_bias.take([0]), self.reveal_bias.take([0]))
+        self.reveal_bias = self.pred.bias(n, cfg.steps, self.conditions, cfg.guidance_weight)
+        self.plain_bias = self.pred.bias(n, cfg.steps, [None] * len(REVEAL_ROWS))
+        masks = {t: build_mask(t, cfg.shape, cfg.eta).bits for t in dict.fromkeys(row_tokens[:2])}
         no_flips = np.zeros(cfg.shape, dtype=np.uint8)
-        self.reveal_mask = PerturbationMask(np.stack([no_flips if key.mask is None else key.mask.bits
-                                                      for key in row_keys]))
+        self.reveal_mask = PerturbationMask(np.stack([no_flips if row == "E3" else masks[t]
+                                                      for row, t in zip(REVEAL_ROWS, row_tokens)]))
 
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
@@ -291,6 +270,18 @@ def _unpack_pair(grid: np.ndarray, channels: int, gain: float) -> CoupledState:
 
 # -- transmitter / receiver ---------------------------------------------------
 
+def _coupled_pass(state: CoupledState, link: KeyedLink, noise_bias: RowBias, mask: PerturbationMask,
+                  denoise_bias: RowBias) -> CoupledState:
+    """Noise the chains, flip the signs the mask sets, and denoise them.
+
+    Hiding noises under the plain bias and denoises under the conditioned
+    one; the reveal swaps the two, and its flip, an involution, undoes hiding's.
+    """
+    state = edict_forward(state, link.sched, link.pred, noise_bias, link.params)
+    state = CoupledState(perturb(state.z, mask), perturb(state.u, mask))
+    return edict_reverse(state, link.sched, link.pred, denoise_bias, link.params)
+
+
 def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
     """Render the secret into a stego latent keyed by the link's token."""
     cfg = link.cfg
@@ -299,13 +290,8 @@ def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
         raise ValueError(f"secret shape {secret.shape} does not match config shape {cfg.shape}")
     if not np.isfinite(secret).all():
         raise ValueError("secret contains non-finite values")
-    mask = link.keys["legit"].mask
-    plain, keyed = link.hide_bias
-
-    state = CoupledState(secret.copy(), secret.copy())
-    state = edict_forward(state, link.sched, link.pred, plain, link.params)
-    state = CoupledState(perturb(state.z, mask), perturb(state.u, mask))
-    state = edict_reverse(state, link.sched, link.pred, keyed, link.params)
+    state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link, link.plain_bias.take([0]),
+                          PerturbationMask(link.reveal_mask.bits[0]), link.reveal_bias.take([0]))
     return _pack_pair(state, link.gain)
 
 
@@ -326,10 +312,7 @@ def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> n
 
     starts = np.stack([stego_hat, stego_hat, stego_hat, stego])  # REVEAL_ROWS
     state = _unpack_pair(starts, channels, link.gain)
-    state = edict_forward(state, link.sched, link.pred, link.reveal_bias, link.params)
-    state = CoupledState(restore(state.z, link.reveal_mask), restore(state.u, link.reveal_mask))
-    state = edict_reverse(state, link.sched, link.pred, link.plain_bias, link.params)
-    return state.z
+    return _coupled_pass(state, link, link.reveal_bias, link.reveal_mask, link.plain_bias).z
 
 
 def reveal(stego_hat: np.ndarray, link: KeyedLink) -> np.ndarray:
@@ -420,9 +403,11 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig, memo: dict | None = None)
     objects; the record is the same with or without it.
     """
     secret = np.asarray(secret, dtype=np.float64)
-    peak = float(secret.max() - secret.min())
+    peak = float(secret.max()) - float(secret.min())  # Python floats: an overflow is inf, not a warning
     if peak <= 0.0:
         raise ValueError("secret must not be constant (needs a positive dynamic range)")
+    if peak == math.inf and np.isfinite(secret).all():
+        raise ValueError("secret range max - min overflows float64")
 
     link = KeyedLink(cfg, memo)
     stego = hide(secret, link)

@@ -45,27 +45,24 @@ def _check_embedding(name: str, v: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionSet:
-    """Conditioning bundle: public key, implicit feature, reference, weight."""
+    """Conditioning bundle: public key, implicit feature and reference embeddings."""
 
     key_embedding: np.ndarray
     feature_embedding: np.ndarray
     ref_embedding: np.ndarray
-    guidance_weight: float = 1.0
 
     def __post_init__(self):
         d = int(np.asarray(self.key_embedding).shape[0])
         object.__setattr__(self, "key_embedding", _check_embedding("key_embedding", self.key_embedding, d))
         object.__setattr__(self, "feature_embedding", _check_embedding("feature_embedding", self.feature_embedding, d))
         object.__setattr__(self, "ref_embedding", _check_embedding("ref_embedding", self.ref_embedding, d))
-        if not 0.0 <= self.guidance_weight <= 1.0:
-            raise ValueError("guidance_weight must lie in [0, 1]")
 
     @property
     def dim(self) -> int:
         return self.key_embedding.shape[0]
 
     def without_reference(self) -> "ConditionSet":
-        """Key-only variant: reference embedding zeroed, same weight."""
+        """Key-only variant: reference embedding zeroed."""
         return replace(self, ref_embedding=np.zeros(self.dim))
 
     def stacked(self) -> np.ndarray:
@@ -194,33 +191,33 @@ class Predictor:
 
     # -- prediction ----------------------------------------------------------
 
-    def bias(self, n: int, steps: int, rows: list[ConditionSet | None]) -> RowBias:
+    def bias(self, n: int, steps: int, rows: list[ConditionSet | None],
+             guidance_weight: float = 1.0) -> RowBias:
         """Precompute the latent-free terms for rows of n-value latents.
 
         The step term covers steps 0..steps.  Each row is conditioned by its
         ConditionSet or unconditioned (None); the rows of one batch are all
-        conditioned, with one guidance weight, or all unconditioned.
+        conditioned or all unconditioned.  Conditioned rows mix their two
+        guidance branches by guidance_weight, in [0, 1].
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
         if not rows:
             raise ValueError("a batch needs at least one row")
+        if not 0.0 <= guidance_weight <= 1.0:
+            raise ValueError("guidance_weight must lie in [0, 1]")
         conditioned = [c for c in rows if c is not None]
         if conditioned and len(conditioned) != len(rows):
             raise ValueError("rows must be all conditioned or all unconditioned")
         if any(c.dim != self.embed_dim for c in conditioned):
             raise ValueError("conditions dimension does not match predictor embed_dim")
-        weights = {c.guidance_weight for c in conditioned}
-        if len(weights) > 1:
-            raise ValueError("conditioned rows must share one guidance_weight")
-        lam = weights.pop() if weights else 1.0
 
         # the endpoints keep only the branch they use
         if not conditioned:
             cvec = None
-        elif lam == 1.0:
+        elif guidance_weight == 1.0:
             cvec = np.stack([[c.stacked() for c in rows]])
-        elif lam == 0.0:
+        elif guidance_weight == 0.0:
             cvec = np.stack([[c.without_reference().stacked() for c in rows]])
         else:
             cvec = np.stack([[c.without_reference().stacked() for c in rows],
@@ -237,7 +234,7 @@ class Predictor:
             w1, _ = self.weights_for(n)
             step = _time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T
             cond = np.zeros((1, len(rows), w1.shape[0])) if cvec is None else cvec @ w1[:, n + _TIME_DIM:].T
-        return RowBias(n, step, cond, lam)
+        return RowBias(n, step, cond, guidance_weight)
 
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
         """Noise estimate at step t for each of the bias's rows.
@@ -263,7 +260,8 @@ class Predictor:
         return out.reshape(z.shape)
 
 
-def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: ConditionSet | None) -> np.ndarray:
+def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: ConditionSet | None,
+                   guidance_weight: float = 1.0) -> np.ndarray:
     """One latent's guided noise estimate at step t: a one-row batch.
 
     Builds the row's bias for this call alone; a loop over steps builds it
@@ -274,4 +272,4 @@ def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: Cond
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("latent contains non-finite values")
-    return predictor.predict(z, t, predictor.bias(z.size, t, [conditions]))
+    return predictor.predict(z, t, predictor.bias(z.size, t, [conditions], guidance_weight))

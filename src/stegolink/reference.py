@@ -10,8 +10,6 @@ image-feature adapter.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .edict import SamplerParams, ddim_sample
@@ -25,13 +23,13 @@ def generate_reference(token: bytes | str, conditions: ConditionSet, sched: Nois
     """Denoise a keyed draw over the full schedule into a reference latent grid.
 
     With the reference slot zeroed, the key-only and full predictions are the
-    same, so the guidance weight is moot and one prediction per step suffices.
+    same, so no guidance weight applies and one prediction per step suffices.
     """
     size = int(np.prod(shape))
     start = gaussian_stream(hash_token(token, "ref"), size).reshape(shape)
     params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
-    key_only = replace(conditions.without_reference(), guidance_weight=1.0)
-    return ddim_sample(start, sched, pred, pred.bias(size, sched.T, [key_only]), "denoising", params)
+    bias = pred.bias(size, sched.T, [conditions.without_reference()])
+    return ddim_sample(start, sched, pred, bias, "denoising", params)
 
 
 _POOL_SEGMENTS = 16

@@ -58,7 +58,3 @@ def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> 
     omega = b / a
     return NoiseSchedule(T=int(T), beta=beta, alpha_bar=alpha_bar, a=a, b=b, gamma=gamma, omega=omega)
 
-
-def telescoped_gain(sched: NoiseSchedule) -> float:
-    """Product of gamma over all steps; telescopes to sqrt(alpha_bar[T])."""
-    return float(np.sqrt(sched.alpha_bar[sched.T]))

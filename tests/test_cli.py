@@ -48,6 +48,11 @@ def _nan_grid():
     return grid
 
 
+def _overflowing_range_grid():
+    # every value is finite, but max - min overflows float64
+    return np.where(make_secret(7, (1, 8, 8)) > 0.0, 1e308, -1e308)
+
+
 SWEEP_PAYLOAD = {
     "base": {"steps": 10, "shape": [1, 8, 8], "snr_db": 10.0},
     "axes": {"snr_db": [5.0, 10.0]},
@@ -143,12 +148,13 @@ class TestRun:
 
     @pytest.mark.parametrize("content,reason", [
         (_nan_grid(), "non-finite"),
+        (_overflowing_range_grid(), "overflows float64"),
         (np.full((1, 8, 8), 0.5), "constant"),
         (np.full((1, 8, 8), None, dtype=object), "cannot load"),
         (np.full((1, 8, 8), "x"), "dtype <U1"),
         (make_secret(7, (1, 4, 4)), "shape (1, 4, 4)"),
         (b"not an array", "cannot load"),
-    ], ids=["nan", "constant", "object", "strings", "shape", "not-npy"])
+    ], ids=["nan", "overflowing-range", "constant", "object", "strings", "shape", "not-npy"])
     def test_bad_secret_npy_rc2_names_field(self, tmp_path, capsys, content, reason):
         path = tmp_path / "secret.npy"
         if isinstance(content, bytes):

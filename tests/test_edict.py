@@ -13,7 +13,7 @@ from stegolink.edict import (
 )
 from stegolink.predictor import ConditionSet, Predictor, embed_text
 from stegolink.rng import Seed64, gaussian_stream, hash_token
-from stegolink.schedule import build_schedule, telescoped_gain
+from stegolink.schedule import build_schedule
 
 SHAPES = [(1, 8, 8), (2, 8, 8), (4, 8, 8)]
 
@@ -30,12 +30,11 @@ def plain(pred, grid, T):
     return pred.bias(np.asarray(grid).size, T, [None])
 
 
-def shared_conditions(lam=1.0):
+def shared_conditions():
     return ConditionSet(
         key_embedding=embed_text("key", 64),
         feature_embedding=embed_text("feature", 64),
         ref_embedding=embed_text("reference", 64),
-        guidance_weight=lam,
     )
 
 
@@ -58,9 +57,9 @@ class TestStateAndParams:
             SamplerParams(mixing_p=0.9, edit_strength=1.1)
 
     def test_window_from_edit_strength(self):
-        assert SamplerParams(mixing_p=0.9, edit_strength=0.5).window(10) == (0, 5)
-        assert SamplerParams(mixing_p=0.9, edit_strength=0.41).window(10) == (0, 5)
-        assert SamplerParams(mixing_p=0.9, edit_strength=1.0).window(10) == (0, 10)
+        assert SamplerParams(mixing_p=0.9, edit_strength=0.5).window(10) == 5
+        assert SamplerParams(mixing_p=0.9, edit_strength=0.41).window(10) == 5
+        assert SamplerParams(mixing_p=0.9, edit_strength=1.0).window(10) == 10
 
 
 class TestSubstepAlgebra:
@@ -86,7 +85,7 @@ class TestClosedForms:
         pred = Predictor("zero", 7)
         out = edict_forward(state, sched, pred, plain(pred, v, 10),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
-        gain = telescoped_gain(sched)
+        gain = np.sqrt(sched.alpha_bar[10])  # the product of gamma[1..10]
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
         assert np.max(np.abs(out.u - gain * v)) < 1e-12
 
@@ -105,7 +104,7 @@ class TestClosedForms:
         pred = Predictor("zero", 7)
         out = edict_reverse(state, sched, pred, plain(pred, v, 10),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
-        assert np.max(np.abs(out.z - v / telescoped_gain(sched))) < 1e-12
+        assert np.max(np.abs(out.z - v / np.sqrt(sched.alpha_bar[10]))) < 1e-12
 
     def test_reverse_single_step_p_one(self):
         sched = build_schedule(1, 0.1, 0.1)
@@ -123,7 +122,7 @@ class TestClosedForms:
         pred = Predictor("zero", 7)
         out = edict_forward(st, sched, pred, plain(pred, st.z, 10),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
-        gain = telescoped_gain(sched)
+        gain = np.sqrt(sched.alpha_bar[10])  # the product of gamma[1..10]
         assert np.max(np.abs(out.z - gain * st.z)) < 1e-12
         assert np.max(np.abs(out.u - gain * st.u)) < 1e-12
 

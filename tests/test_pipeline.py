@@ -17,6 +17,7 @@ from stegolink.harness import SweepSpec, run_sweep
 from stegolink.pipeline import (
     EAVESDROPPER_MODELS,
     REVEAL_ROWS,
+    STOCK_REFERENCE_TOKEN,
     KeyedLink,
     PipelineConfig,
     eavesdrop,
@@ -28,7 +29,7 @@ from stegolink.pipeline import (
 )
 from stegolink.predictor import Predictor
 from stegolink.rng import Seed64, hash_token
-from stegolink.tokenkey import restore
+from stegolink.tokenkey import build_mask, restore
 
 
 def fast_cfg(**kw):
@@ -57,12 +58,12 @@ class TestConfigValidation:
         ("steps", 10.5),
         ("steps", True),
         ("embed_dim", 8.0),
-        ("reference_steps", 0),
-        ("reference_steps", 2.5),
+        ("edit_strength", 1.5),
+        ("beta_end", 1.0),
         ("predictor_seed", -1),
         ("secret_seed", -3),
         ("noise_seed", 2 ** 64),
-        ("reference_predictor_seed", -1),
+        ("h", 0.0),
         ("shape", (1, 8.5, 8)),
         ("shape", (1, True, 8)),
         ("shape", "188"),
@@ -97,7 +98,8 @@ class TestConfigValidation:
 
     def test_unknown_key_rejected(self):
         # the removed fields too: an old config file that still sets them fails
-        for key in ("bogus_knob", "complex_iq", "perturb_both_chains"):
+        for key in ("bogus_knob", "complex_iq", "perturb_both_chains", "reference_steps",
+                    "reference_predictor_seed"):
             d = fast_cfg().to_dict()
             d[key] = 1
             with pytest.raises(ValueError) as exc:
@@ -207,13 +209,6 @@ class TestEndToEndRecovery:
         err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6
 
-    def test_reference_steps_override_exact(self):
-        cfg = fast_cfg(steps=25, reference_steps=10)
-        secret = make_secret(Seed64(23), cfg.shape)
-        link = KeyedLink(cfg)
-        err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
-        assert err < 1e-6
-
     def test_wrong_shape_stego_rejected(self):
         cfg = fast_cfg()
         with pytest.raises(ValueError):
@@ -302,25 +297,37 @@ class TestBatchedReveal:
 
         n = int(np.prod(cfg.shape))
         plain = link.pred.bias(n, cfg.steps, [None])
+        masks = {"legit": build_mask(cfg.token, cfg.shape, cfg.eta),
+                 "E2": build_mask(cfg.eavesdropper_token, cfg.shape, cfg.eta), "E3": None}
         for name, row in batched.items():
-            key = link.keys[name]
-            keyed = link.pred.bias(n, cfg.steps, [key.conditions])
+            row_conditions = link.conditions[REVEAL_ROWS.index(name)]
+            keyed = link.pred.bias(n, cfg.steps, [row_conditions], cfg.guidance_weight)
             state = edict_forward(pipeline._unpack_pair(stego_hat, cfg.shape[0], link.gain),
                                   link.sched, link.pred, keyed, link.params)
-            if key.mask is not None:
-                state = CoupledState(restore(state.z, key.mask), restore(state.u, key.mask))
+            if masks[name] is not None:
+                state = CoupledState(restore(state.z, masks[name]), restore(state.u, masks[name]))
             alone = edict_reverse(state, link.sched, link.pred, plain, link.params).z
             assert np.max(np.abs(row - alone)) < 1e-9, name
         assert not np.allclose(batched["E2"], batched["E3"], atol=1e-3)
 
     def test_rows_are_in_the_documented_order(self):
+        # E3's mask row is all zeros by its position, even when E2 holds the
+        # stock reference's token and so E3's conditions
         assert REVEAL_ROWS == ("legit", "E2", "E3", "roundtrip")
-        link = KeyedLink(fast_cfg(eta=0.5))
-        bits = link.reveal_mask.bits
-        assert np.array_equal(bits[0], link.keys["legit"].mask.bits)
-        assert np.array_equal(bits[1], link.keys["E2"].mask.bits)
-        assert not bits[2].any()
-        assert np.array_equal(bits[3], link.keys["legit"].mask.bits)
+        for eavesdropper_token in ("856427", STOCK_REFERENCE_TOKEN):
+            cfg = fast_cfg(eta=0.5, eavesdropper_token=eavesdropper_token)
+            link = KeyedLink(cfg)
+            bits = link.reveal_mask.bits
+            legit = build_mask(cfg.token, cfg.shape, cfg.eta).bits
+            assert np.array_equal(bits[0], legit)
+            assert np.array_equal(bits[1], build_mask(eavesdropper_token, cfg.shape, cfg.eta).bits)
+            assert bits[1].any() and not bits[2].any()
+            assert np.array_equal(bits[3], legit)
+            refs = pipeline.build_conditions([cfg.token, eavesdropper_token, STOCK_REFERENCE_TOKEN],
+                                             **pipeline._condition_inputs(cfg))
+            want = [refs[cfg.token], refs[eavesdropper_token], refs[STOCK_REFERENCE_TOKEN], refs[cfg.token]]
+            for got, cond in zip(link.conditions, want):
+                assert np.array_equal(got.ref_embedding, cond.ref_embedding)
 
     def test_divergence_inside_the_reveal_names_op_and_step(self):
         # p = 0.01 over 100 steps expands the chain gap by 10^400, past the
@@ -420,10 +427,22 @@ class TestKeyedLink:
         assert [r() for r in made if r() is not None] == [link.pred]
 
     def test_receiver_keys(self):
+        # one condition set per distinct token, shared by every row it keys
         link = KeyedLink(fast_cfg(eta=0.5))
-        assert set(link.keys) == {"legit", "E2", "E3"}
-        assert link.keys["E3"].mask is None
-        assert not np.array_equal(link.keys["legit"].mask.bits, link.keys["E2"].mask.bits)
+        legit, e2, e3, roundtrip = link.conditions
+        assert len(link.conditions) == len(REVEAL_ROWS) and roundtrip is legit
+        assert len({id(c) for c in link.conditions}) == 3
+        assert not np.array_equal(legit.ref_embedding, e2.ref_embedding)
+        assert not np.array_equal(e2.ref_embedding, e3.ref_embedding)
+        assert not np.array_equal(link.reveal_mask.bits[0], link.reveal_mask.bits[1])
+
+    def test_guidance_sweep_generates_each_reference_once(self, counts):
+        # the guidance weight mixes the branches at sampling time, so the
+        # references do not depend on it and the memo keeps them across points
+        spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"guidance_weight": [0.0, 0.4, 1.0]},
+                         trials_per_point=2, base_seed="lambda")
+        assert all(row["error"] is None for row in run_sweep(spec))
+        assert counts["generate_reference"] == 3
 
 
 class TestMakeSecret:
@@ -467,6 +486,14 @@ class TestRunTrial:
         rec = run_trial(make_secret(Seed64(44), cfg.shape), cfg)
         line = json.dumps(rec.to_dict(), sort_keys=True)
         assert json.loads(line) == rec.to_dict()
+
+    def test_overflowing_secret_range_rejected(self):
+        # every value is finite but max - min is not: a ValueError, and no
+        # RuntimeWarning on the way (which Tier-1 turns into a failure)
+        cfg = fast_cfg()
+        secret = np.where(make_secret(Seed64(49), cfg.shape) > 0.0, 1e308, -1e308)
+        with pytest.raises(ValueError, match="secret range"):
+            run_trial(secret, cfg)
 
     def test_channel_noise_separates_legit_from_cap(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, steps=25)

@@ -1,7 +1,5 @@
 """Deterministic noise predictors, text embeddings, and guided mixtures."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,19 @@ from stegolink.predictor import ConditionSet, Predictor, embed_text, guided_pred
 from stegolink.rng import Seed64, gaussian_stream
 
 
-def conditions(lam=1.0, d=64):
+def conditions(d=64):
     return ConditionSet(
         key_embedding=embed_text("public key text", d),
         feature_embedding=embed_text("structural feature text", d),
         ref_embedding=embed_text("reference stand-in", d),
-        guidance_weight=lam,
     )
+
+
+def rows_of(lam):
+    """Four conditioned rows, or four unconditioned ones for lam None."""
+    return [None] * 4 if lam is None else [
+        ConditionSet(embed_text("key", 64), embed_text("feature", 64), embed_text(f"ref {i}", 64))
+        for i in range(4)]
 
 
 class TestEmbedText:
@@ -41,21 +45,13 @@ class TestConditionSet:
     def test_embeddings_must_be_unit_or_zero(self):
         good = np.zeros(64)
         with pytest.raises(ValueError):
-            ConditionSet(2.0 * embed_text("a", 64), good, good, 1.0)
-
-    def test_lambda_range(self):
-        e = embed_text("a", 64)
-        with pytest.raises(ValueError):
-            ConditionSet(e, e, e, 1.5)
-        with pytest.raises(ValueError):
-            ConditionSet(e, e, e, -0.1)
+            ConditionSet(2.0 * embed_text("a", 64), good, good)
 
     def test_without_reference_zeroes_only_the_reference(self):
         c = conditions()
         bare = c.without_reference()
         assert np.array_equal(bare.ref_embedding, np.zeros(64))
         assert np.array_equal(bare.key_embedding, c.key_embedding)
-        assert bare.guidance_weight == c.guidance_weight
 
     def test_stacked_layout(self):
         c = conditions()
@@ -94,7 +90,7 @@ class TestPredict:
     def test_none_conditions_match_zero_conditions(self):
         z = gaussian_stream(Seed64(3), 64).reshape(1, 8, 8)
         zero = np.zeros(64)
-        silent = ConditionSet(zero, zero, zero, 1.0)
+        silent = ConditionSet(zero, zero, zero)
         for kind in ("linear", "tiny-mlp"):
             p = Predictor(kind, weight_seed=7)
             assert np.array_equal(guided_predict(p, z, 4, None), guided_predict(p, z, 4, silent))
@@ -149,10 +145,8 @@ class TestPredict:
         p = Predictor(kind, weight_seed=7)
         t, n = 7, 128
         zs = gaussian_stream(Seed64(12), 4 * n).reshape(4, 2, 8, 8)
-        rows = [None] * 4 if lam is None else [
-            ConditionSet(embed_text("key", 64), embed_text("feature", 64), embed_text(f"ref {i}", 64), lam)
-            for i in range(4)]
-        out = p.predict(zs, t, p.bias(n, 10, rows))
+        rows = rows_of(lam)
+        out = p.predict(zs, t, p.bias(n, 10, rows, 1.0 if lam is None else lam))
         assert out.shape == zs.shape
 
         j = np.arange(8)
@@ -180,6 +174,12 @@ class TestPredict:
         with pytest.raises(ValueError):
             Predictor("resnet", weight_seed=7)
 
+    def test_lambda_range(self):
+        p = Predictor("tiny-mlp", weight_seed=7)
+        for lam in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="guidance_weight"):
+                p.bias(64, 10, [conditions()], lam)
+
 
 class TestLinearMap:
     # the linear mixing is qa (x) qb, applied without forming the n x n matrix
@@ -206,10 +206,7 @@ class TestLinearMap:
         # the same precomputed terms for each row, so only the map is compared
         p = Predictor("linear", weight_seed=7)
         zs = gaussian_stream(Seed64(13), 4 * n).reshape(4, *shape)
-        rows = [None] * 4 if lam is None else [
-            ConditionSet(embed_text("key", 64), embed_text("feature", 64), embed_text(f"ref {i}", 64), lam)
-            for i in range(4)]
-        bias = p.bias(n, 10, rows)
+        bias = p.bias(n, 10, rows_of(lam), 1.0 if lam is None else lam)
         out = p.predict(zs, 3, bias)
         for i in range(4):
             assert np.array_equal(out[i], p.predict(zs[i:i + 1], 3, bias.take([i]))[0])
@@ -222,25 +219,24 @@ class TestGuidedPredict:
         # prediction under the key-only set
         p = Predictor(kind, weight_seed=7)
         z = gaussian_stream(Seed64(6), 64).reshape(1, 8, 8)
-        c0 = conditions(lam=0.0)
-        key_only = replace(c0.without_reference(), guidance_weight=1.0)
-        assert np.array_equal(guided_predict(p, z, 3, c0), guided_predict(p, z, 3, key_only))
+        c = conditions()
+        assert np.array_equal(guided_predict(p, z, 3, c, 0.0), guided_predict(p, z, 3, c.without_reference()))
         for lam, branches in ((0.0, 1), (0.5, 2), (1.0, 1)):
-            assert p.bias(64, 3, [conditions(lam=lam)]).cond.shape[0] == branches
+            assert p.bias(64, 3, [c], lam).cond.shape[0] == branches
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_affine_in_lambda(self, lam):
         p = Predictor("tiny-mlp", weight_seed=7)
         z = gaussian_stream(Seed64(8), 64).reshape(1, 8, 8)
-        lo = guided_predict(p, z, 3, conditions(lam=0.0))
-        hi = guided_predict(p, z, 3, conditions(lam=1.0))
-        mid = guided_predict(p, z, 3, conditions(lam=lam))
+        lo = guided_predict(p, z, 3, conditions(), 0.0)
+        hi = guided_predict(p, z, 3, conditions(), 1.0)
+        mid = guided_predict(p, z, 3, conditions(), lam)
         assert np.max(np.abs(mid - (lo + lam * (hi - lo)))) < 1e-12
 
     def test_half_is_mean_of_endpoints(self):
         p = Predictor("linear", weight_seed=7)
         z = gaussian_stream(Seed64(9), 64).reshape(1, 8, 8)
-        lo = guided_predict(p, z, 2, conditions(lam=0.0))
-        hi = guided_predict(p, z, 2, conditions(lam=1.0))
-        mid = guided_predict(p, z, 2, conditions(lam=0.5))
+        lo = guided_predict(p, z, 2, conditions(), 0.0)
+        hi = guided_predict(p, z, 2, conditions(), 1.0)
+        mid = guided_predict(p, z, 2, conditions(), 0.5)
         assert np.max(np.abs(mid - 0.5 * (lo + hi))) < 1e-12

@@ -14,7 +14,6 @@ def base_conditions(d=64):
         key_embedding=embed_text("a calm coastal landscape at dusk", d),
         feature_embedding=embed_text("broad horizon with a single foreground shape", d),
         ref_embedding=np.zeros(d),
-        guidance_weight=1.0,
     )
 
 
@@ -56,7 +55,6 @@ class TestGenerateReference:
             key_embedding=embed_text("a calm coastal landscape at dusk", 64),
             feature_embedding=embed_text("broad horizon with a single foreground shape", 64),
             ref_embedding=embed_text("stray reference", 64),
-            guidance_weight=1.0,
         )
         a = generate_reference("9000", base_conditions(), sched, pred, (1, 8, 8))
         b = generate_reference("9000", loaded, sched, pred, (1, 8, 8))

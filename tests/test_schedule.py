@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stegolink.schedule import build_schedule, telescoped_gain
+from stegolink.schedule import build_schedule
 
 
 class TestBuildSchedule:
@@ -57,18 +57,19 @@ class TestBuildSchedule:
 
 
 class TestTelescopedGain:
+    # the product of gamma over all T steps telescopes to sqrt(alpha_bar[T])
+
     def test_single_step_hand_value(self):
-        assert telescoped_gain(build_schedule(1, 0.1, 0.1)) == pytest.approx(
-            np.sqrt(0.9), abs=1e-15)
-        assert telescoped_gain(build_schedule(1, 0.1, 0.1)) == pytest.approx(
-            0.9486832980505138, abs=1e-12)
+        s = build_schedule(1, 0.1, 0.1)
+        assert np.sqrt(s.alpha_bar[1]) == pytest.approx(np.sqrt(0.9), abs=1e-15)
+        assert np.sqrt(s.alpha_bar[1]) == pytest.approx(0.9486832980505138, abs=1e-12)
 
     @pytest.mark.parametrize("T", [1, 10, 50])
     def test_equals_product_of_gammas(self, T):
         s = build_schedule(T)
-        assert abs(telescoped_gain(s) - float(np.prod(s.gamma[1:]))) < 1e-12
+        assert abs(np.sqrt(s.alpha_bar[T]) - float(np.prod(s.gamma[1:]))) < 1e-12
 
     def test_equals_brute_force_beta_product(self):
         s = build_schedule(50, 1e-4, 2e-2)
         betas = np.linspace(1e-4, 2e-2, 50)
-        assert telescoped_gain(s) == pytest.approx(np.sqrt(np.prod(1.0 - betas)), abs=1e-12)
+        assert np.sqrt(s.alpha_bar[50]) == pytest.approx(np.sqrt(np.prod(1.0 - betas)), abs=1e-12)
