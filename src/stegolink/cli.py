@@ -18,7 +18,8 @@ import numpy as np
 from . import acceptance
 from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data,
                       iter_sweep, load_records, parse_config, records_to_jsonl)
-from .pipeline import PipelineConfig, make_secret, run_trial
+from .metrics import SSIM_MAX_MAGNITUDE
+from .pipeline import PipelineConfig, _model, build_conditions, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
 
@@ -85,8 +86,9 @@ def _load_secret(path: str, shape: tuple[int, ...]) -> np.ndarray:
         raise ConfigError("secret_npy: grid holds non-finite values")
     if secret.min() == secret.max():
         raise ConfigError("secret_npy: grid is constant (needs a positive dynamic range)")
-    if float(secret.max()) - float(secret.min()) == float("inf"):
-        raise ConfigError("secret_npy: grid range max - min overflows float64")
+    if np.abs(secret).max() > SSIM_MAX_MAGNITUDE:
+        raise ConfigError(f"secret_npy: grid magnitude exceeds {SSIM_MAX_MAGNITUDE:.3g}, "
+                          "past which SSIM overflows float64")
     return secret
 
 
@@ -120,6 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     aggregates_path = os.path.join(args.out, "aggregates.csv")
     records = []
     total = len(spec.points()) * spec.trials_per_point
+    references, models = build_conditions.cache_info().misses, _model.cache_info().misses
     start = last_report = time.perf_counter()
     with open(records_path, "w", encoding="utf-8") as fh:
         for row in iter_sweep(spec):
@@ -135,8 +138,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"sweep: {len(records)}/{total} trials, {rate:.2f} trials/s, "
                       f"ETA {(total - len(records)) / rate:.0f} s", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
+    references = build_conditions.cache_info().misses - references
+    models = _model.cache_info().misses - models
     print(f"sweep: done {len(records)}/{total} trials in {elapsed:.1f} s "
-          f"({len(records) / elapsed:.2f} trials/s)", file=sys.stderr)
+          f"({len(records) / elapsed:.2f} trials/s), {references} references generated, "
+          f"{models} models built", file=sys.stderr)
     with open(aggregates_path, "w", encoding="utf-8") as fh:
         fh.write(aggregates_csv(records))
     failures = sum(1 for row in records if row["error"] is not None)

@@ -106,17 +106,16 @@ def iter_sweep(spec: SweepSpec):
     """Yield one record dict per trial, in deterministic order.
 
     A failing trial yields an error row instead of aborting the sweep.
-    Consecutive trials share one memo of keyed objects (see KeyedLink), so
-    a model or condition set that the next trial also uses is built once.
+    Trials share models and condition sets through the pipeline's caches
+    (see KeyedLink); no record depends on what they hold.
     """
-    memo: dict = {}
     for point_index, point in enumerate(spec.points()):
         for trial_index in range(spec.trials_per_point):
             row = {"point_index": point_index, "trial_index": trial_index, "axes": dict(point)}
             try:
                 cfg = _trial_config(spec, point, point_index, trial_index)
                 secret = make_secret(cfg.secret_seed, cfg.shape)
-                record = run_trial(secret, cfg, memo)
+                record = run_trial(secret, cfg)
                 row["trial"] = record.to_dict()
                 row["error"] = None
             except Exception as e:  # noqa: BLE001 - error rows are part of the contract

@@ -11,6 +11,13 @@ PSNR_CAP_DB = 100.0
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 
+# Largest secret magnitude M at which SSIM's terms stay finite: for a secret
+# within +-M (so peak <= 2M) and a recovered grid within +-1.34 M, each
+# second-moment factor of num and den is below (1 + 1.34^2 + 0.004) M^2 < 2.8 M^2
+# and their product below 8 M^4, which float64 holds up to
+# M = (float max / 8)^(1/4), about 6.9e76.
+SSIM_MAX_MAGNITUDE = float(np.finfo(np.float64).max / 8.0) ** 0.25
+
 
 def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64)

@@ -22,10 +22,12 @@ E2 runs the full keyed reveal with a wrong token (wrong mask, wrong
 reference); E3 runs the reveal with no token at all, skipping mask
 restoration and falling back to a stock reference seed.
 
-Every keyed object is a pure function of the config and its tokens, so a
-KeyedLink builds them once (schedule, predictor, each reveal row's conditions
-and mask, and the predictor's latent-free input terms) and hide, reveal and
-eavesdrop all read from it.
+Every keyed object is a pure function of the config and its tokens.  Two
+bounded process-wide caches hold the costly ones: ``_model`` the hiding and
+the reference model, ``build_conditions`` the condition sets of one link's
+three reference tokens.  No record depends on what they hold.  A KeyedLink
+builds the rest (schedule, masks and the predictor's latent-free input
+terms), and hide, reveal and eavesdrop all read from it.
 
 One batched reveal serves every receiver: the legit, E2 and E3 receivers and
 the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
@@ -38,6 +40,7 @@ legit row alone, with the biases swapped.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from dataclasses import dataclass, fields
@@ -46,7 +49,7 @@ import numpy as np
 
 from .channel import ChannelConfig, decode, encode, transmit
 from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
-from .metrics import MetricsReport, compare
+from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
 from .predictor import PREDICTOR_KINDS, ConditionSet, Predictor, RowBias, embed_text
 from .reference import embed_reference, generate_reference
 from .rng import RandomStream, Seed64, derive
@@ -164,38 +167,26 @@ class PipelineConfig:
 
 # -- the keyed link -----------------------------------------------------------
 
-def build_conditions(tokens: list[str], *, key_text: str, feature_text: str, embed_dim: int,
-                     kind: str, model_seed: int, steps: int, beta_start: float, beta_end: float,
-                     shape: tuple[int, int, int]) -> dict[str, ConditionSet]:
-    """Assemble the guided condition set of each reference token.
-
-    The two texts are embedded once for all tokens.  The reference model
-    lives only in this frame, so its weights are freed before the hiding
-    weights exist.
-    """
-    key_e = embed_text(key_text, embed_dim)
-    feat_e = embed_text(feature_text, embed_dim)
-    base = ConditionSet(key_e, feat_e, np.zeros(embed_dim))
-    ref_pred = Predictor(kind, Seed64(model_seed), embed_dim)
-    ref_sched = build_schedule(steps, beta_start, beta_end)
-    conditions = {}
-    for t in tokens:
-        ref = generate_reference(t, base, ref_sched, ref_pred, shape)
-        conditions[t] = ConditionSet(key_e, feat_e, embed_reference(ref, embed_dim))
-    return conditions
+@functools.lru_cache(maxsize=2)  # the hiding model and the reference model
+def _model(kind: str, seed: int, embed_dim: int) -> Predictor:
+    return Predictor(kind, Seed64(seed), embed_dim)
 
 
-def _condition_inputs(cfg: PipelineConfig) -> dict:
-    """Every value a condition set is built from, besides its token.
+@functools.lru_cache(maxsize=len(REVEAL_ROWS) - 1)  # the round-trip row reuses the legit token
+def build_conditions(token: str, *, key_text: str, feature_text: str, embed_dim: int, kind: str,
+                     model_seed: int, steps: int, beta_start: float, beta_end: float,
+                     shape: tuple[int, int, int]) -> ConditionSet:
+    """Assemble the guided condition set of one reference token.
 
     The reference generator is a different pretrained model than the hiding
     sampler, modeled here as a distinct weight seed.
     """
-    return {"key_text": cfg.public_key_text, "feature_text": cfg.feature_text,
-            "embed_dim": cfg.embed_dim, "kind": cfg.predictor_kind,
-            "model_seed": derive(Seed64(cfg.predictor_seed), "reference-model").value,
-            "steps": cfg.steps, "beta_start": cfg.beta_start, "beta_end": cfg.beta_end,
-            "shape": cfg.shape}
+    key_e = embed_text(key_text, embed_dim)
+    feat_e = embed_text(feature_text, embed_dim)
+    ref = generate_reference(token, ConditionSet(key_e, feat_e, np.zeros(embed_dim)),
+                             build_schedule(steps, beta_start, beta_end),
+                             _model(kind, model_seed, embed_dim), shape)
+    return ConditionSet(key_e, feat_e, embed_reference(ref, embed_dim))
 
 
 def sync_gain(mixing_p: float, steps: int) -> float:
@@ -222,30 +213,25 @@ class KeyedLink:
     unconditioned.  Hiding runs row 0 of the same terms, so its conditioned
     pass and the legit row's inverse add identical bias bits.
 
-    ``memo`` lets consecutive links share the hiding predictor and the
-    condition sets, each keyed by every value it is built from.  A link first
-    drops every entry it will not use, so the memo never holds more than one
-    link's objects.  None means a fresh dict: the link builds everything.
+    The predictor and condition sets come from the ``_model`` (2 entries)
+    and ``build_conditions`` (3) caches.  Each distinct token is looked up
+    once, in row order, so the shared eavesdropper and stock tokens stay the
+    most recently used and a fresh legit token evicts only the last one.
     """
 
-    def __init__(self, cfg: PipelineConfig, memo: dict | None = None):
-        memo = {} if memo is None else memo
+    def __init__(self, cfg: PipelineConfig):
         row_tokens = (cfg.token, cfg.eavesdropper_token, STOCK_REFERENCE_TOKEN, cfg.token)  # REVEAL_ROWS
-        inputs = _condition_inputs(cfg)
-        condition_keys = {t: ("conditions", t, *inputs.values()) for t in row_tokens}
-        model_key = ("model", cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
-        for stale in memo.keys() - {model_key, *condition_keys.values()}:
-            del memo[stale]
-        missing = [t for t, key in condition_keys.items() if key not in memo]
-        if missing:
-            memo.update((condition_keys[t], c) for t, c in build_conditions(missing, **inputs).items())
-        if model_key not in memo:
-            memo[model_key] = Predictor(cfg.predictor_kind, Seed64(cfg.predictor_seed), cfg.embed_dim)
+        model_seed = derive(Seed64(cfg.predictor_seed), "reference-model").value
+        conditions = {t: build_conditions(t, key_text=cfg.public_key_text, feature_text=cfg.feature_text,
+                                          embed_dim=cfg.embed_dim, kind=cfg.predictor_kind,
+                                          model_seed=model_seed, steps=cfg.steps, beta_start=cfg.beta_start,
+                                          beta_end=cfg.beta_end, shape=cfg.shape)
+                      for t in dict.fromkeys(row_tokens)}
 
         self.cfg = cfg
-        self.conditions = [memo[condition_keys[t]] for t in row_tokens]
+        self.conditions = [conditions[t] for t in row_tokens]
         self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-        self.pred = memo[model_key]
+        self.pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
         self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
         self.gain = sync_gain(cfg.mixing_p, self.params.window(cfg.steps))
 
@@ -392,24 +378,24 @@ class TrialRecord:
         }
 
 
-def run_trial(secret: np.ndarray, cfg: PipelineConfig, memo: dict | None = None) -> TrialRecord:
+def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     """Hide, transmit, and score every receiver against the secret.
 
     The E1 report scores the visible stego image against the secret; its
     "recovery" is by definition just the stego.  A channel-free reveal of
     the same stego is included as the sampler round-trip diagnostic.  The
     three keyed receivers and the round trip run as one batched reveal.
-    ``memo`` is passed to KeyedLink, so consecutive trials can share keyed
-    objects; the record is the same with or without it.
+    Models and condition sets come from the caches (see KeyedLink).  A
+    secret beyond SSIM_MAX_MAGNITUDE is rejected before any step runs.
     """
     secret = np.asarray(secret, dtype=np.float64)
     peak = float(secret.max()) - float(secret.min())  # Python floats: an overflow is inf, not a warning
     if peak <= 0.0:
         raise ValueError("secret must not be constant (needs a positive dynamic range)")
-    if peak == math.inf and np.isfinite(secret).all():
-        raise ValueError("secret range max - min overflows float64")
+    if SSIM_MAX_MAGNITUDE < float(np.abs(secret).max()) < math.inf:  # hide rejects a non-finite one
+        raise ValueError(f"secret magnitude exceeds {SSIM_MAX_MAGNITUDE:.3g}, past which SSIM overflows float64")
 
-    link = KeyedLink(cfg, memo)
+    link = KeyedLink(cfg)
     stego = hide(secret, link)
     frame = encode(stego)
     received = transmit(frame, cfg.channel)

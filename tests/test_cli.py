@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stegolink import acceptance
+from stegolink import acceptance, pipeline
 from stegolink.cli import main
 from stegolink.harness import parse_config, records_to_jsonl, run_sweep
 from stegolink.pipeline import make_secret
@@ -154,7 +154,8 @@ class TestRun:
         (np.full((1, 8, 8), "x"), "dtype <U1"),
         (make_secret(7, (1, 4, 4)), "shape (1, 4, 4)"),
         (b"not an array", "cannot load"),
-    ], ids=["nan", "overflowing-range", "constant", "object", "strings", "shape", "not-npy"])
+        (make_secret(11, (1, 8, 8)) * 1e80, "past which SSIM overflows float64"),
+    ], ids=["nan", "overflowing-range", "constant", "object", "strings", "shape", "not-npy", "ssim-overflow"])
     def test_bad_secret_npy_rc2_names_field(self, tmp_path, capsys, content, reason):
         path = tmp_path / "secret.npy"
         if isinstance(content, bytes):
@@ -228,6 +229,18 @@ class TestSweepAndExport:
         assert proc.stderr.splitlines()[-1].startswith("sweep: done 4/4 trials in ")
         records = (tmp_path / "out" / "records.jsonl").read_text()
         assert records == records_to_jsonl(run_sweep(parse_config(cfg)))
+
+    def test_summary_counts_what_the_sweep_built(self, tmp_path, capsys):
+        # one (config, token): the first run builds three references and two
+        # models, and the same sweep run again finds them all in the caches
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
+        pipeline._model.cache_clear()
+        pipeline.build_conditions.cache_clear()
+        for references, models in ((3, 2), (0, 0)):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            summary = capsys.readouterr().err.splitlines()[-1]
+            assert summary.startswith("sweep: done 4/4 trials in ")
+            assert summary.endswith(f", {references} references generated, {models} models built")
 
     @pytest.mark.parametrize("change,field", [
         ({"base_seed": None}, "base_seed"),

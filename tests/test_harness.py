@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from stegolink import pipeline
 from stegolink.harness import (
     ConfigError,
     SweepSpec,
@@ -225,6 +226,18 @@ def test_pinned_reference_sweep_digest():
     assert len(rows) == 12 and all(row["error"] is None for row in rows)
     digest = hashlib.sha256(records_to_jsonl(rows).encode("utf-8")).hexdigest()
     assert digest == PINNED_SWEEP_SHA256
+
+
+def test_warm_caches_leave_the_pinned_records_unchanged():
+    # between the two pinned runs, a sweep of another config leaves the
+    # zero-predictor objects of token "pin" in the caches for the second
+    pipeline._model.cache_clear()
+    pipeline.build_conditions.cache_clear()
+    cold = records_to_jsonl(run_sweep(PINNED_SPEC))
+    run_sweep(SweepSpec(base=PipelineConfig(steps=10, shape=(1, 8, 8), token="pin", predictor_kind="zero"),
+                        axes={"snr_db": [5.0, 20.0]}, base_seed="between"))
+    assert pipeline.build_conditions.cache_info().currsize == 3
+    assert records_to_jsonl(run_sweep(PINNED_SPEC)) == cold
 
 
 class TestAggregation:

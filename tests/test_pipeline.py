@@ -2,7 +2,6 @@
 
 import json
 import re
-import weakref
 
 from dataclasses import fields, replace
 from pathlib import Path
@@ -14,6 +13,7 @@ import stegolink.pipeline as pipeline
 from stegolink.channel import decode, encode, transmit
 from stegolink.edict import CoupledState, SamplerDivergenceError, edict_forward, edict_reverse
 from stegolink.harness import SweepSpec, run_sweep
+from stegolink.metrics import SSIM_MAX_MAGNITUDE
 from stegolink.pipeline import (
     EAVESDROPPER_MODELS,
     REVEAL_ROWS,
@@ -28,7 +28,7 @@ from stegolink.pipeline import (
     sync_gain,
 )
 from stegolink.predictor import Predictor
-from stegolink.rng import Seed64, hash_token
+from stegolink.rng import Seed64, derive, hash_token
 from stegolink.tokenkey import build_mask, restore
 
 
@@ -36,6 +36,14 @@ def fast_cfg(**kw):
     base = dict(steps=10, shape=(1, 8, 8), noiseless=True)
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def uncached_conditions(cfg, token):
+    """A token's condition set built afresh, past the build_conditions cache."""
+    return pipeline.build_conditions.__wrapped__(
+        token, key_text=cfg.public_key_text, feature_text=cfg.feature_text, embed_dim=cfg.embed_dim,
+        kind=cfg.predictor_kind, model_seed=derive(Seed64(cfg.predictor_seed), "reference-model").value,
+        steps=cfg.steps, beta_start=cfg.beta_start, beta_end=cfg.beta_end, shape=cfg.shape)
 
 
 class TestConfigValidation:
@@ -323,9 +331,8 @@ class TestBatchedReveal:
             assert np.array_equal(bits[1], build_mask(eavesdropper_token, cfg.shape, cfg.eta).bits)
             assert bits[1].any() and not bits[2].any()
             assert np.array_equal(bits[3], legit)
-            refs = pipeline.build_conditions([cfg.token, eavesdropper_token, STOCK_REFERENCE_TOKEN],
-                                             **pipeline._condition_inputs(cfg))
-            want = [refs[cfg.token], refs[eavesdropper_token], refs[STOCK_REFERENCE_TOKEN], refs[cfg.token]]
+            want = [uncached_conditions(cfg, t)
+                    for t in (cfg.token, eavesdropper_token, STOCK_REFERENCE_TOKEN, cfg.token)]
             for got, cond in zip(link.conditions, want):
                 assert np.array_equal(got.ref_embedding, cond.ref_embedding)
 
@@ -367,6 +374,8 @@ class TestKeyedLink:
         for name in ("Predictor", "generate_reference"):
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
         monkeypatch.setattr(Predictor, "predict", counting("predict", Predictor.predict))
+        pipeline._model.cache_clear()
+        pipeline.build_conditions.cache_clear()
         return counts
 
     @pytest.mark.parametrize("eavesdropper_token,references", [("856427", 3), ("9000", 2)])
@@ -390,10 +399,9 @@ class TestKeyedLink:
         # default window (T=50, edit_strength 0.5, lam 1): 25 steps x 2
         # chains x 2 passes to hide, and as many for all four reveals
         cfg = PipelineConfig(shape=(1, 8, 8))
-        memo = {}
-        run_trial(make_secret(Seed64(47), cfg.shape), cfg, memo)
+        run_trial(make_secret(Seed64(47), cfg.shape), cfg)
         counts.update(dict.fromkeys(counts, 0))
-        run_trial(make_secret(Seed64(48), cfg.shape), replace(cfg, snr_db=5.0), memo)
+        run_trial(make_secret(Seed64(48), cfg.shape), replace(cfg, snr_db=5.0))
         assert counts == {"Predictor": 0, "generate_reference": 0, "predict": 200}
 
     @pytest.mark.parametrize("guidance_weight", [1.0, 0.4])
@@ -403,28 +411,22 @@ class TestKeyedLink:
         KeyedLink(PipelineConfig(shape=(1, 8, 8), guidance_weight=guidance_weight))
         assert counts["predict"] == 150
 
-    def test_memo_holds_only_the_last_links_objects(self):
-        memo = {}
-        for token in ("9000", "76576", "6718"):
-            link = KeyedLink(fast_cfg(token=token), memo)
-        fresh = {}
-        KeyedLink(fast_cfg(token="6718"), fresh)
-        assert memo.keys() == fresh.keys() and len(memo) == 4
-        assert any(value is link.pred for value in memo.values())
+    def test_caches_hold_at_most_one_links_objects(self):
+        for token, kind in (("9000", "tiny-mlp"), ("76576", "zero"), ("6718", "linear")):
+            link = KeyedLink(fast_cfg(token=token, predictor_kind=kind))
+        assert pipeline._model.cache_info().currsize == 2
+        assert pipeline.build_conditions.cache_info().currsize == 3
+        assert pipeline._model("linear", link.cfg.predictor_seed, link.cfg.embed_dim) is link.pred
 
-    def test_reference_model_released_once_built(self, monkeypatch):
-        made = []
-        real = pipeline.Predictor
-
-        def tracking(*args, **kwargs):
-            pred = real(*args, **kwargs)
-            made.append(weakref.ref(pred))
-            return pred
-
-        monkeypatch.setattr(pipeline, "Predictor", tracking)
-        link = KeyedLink(fast_cfg())
-        assert len(made) == 2
-        assert [r() for r in made if r() is not None] == [link.pred]
+    def test_fresh_tokens_evict_only_the_previous_token(self, counts):
+        # each link looks up its token, then the shared eavesdropper and
+        # stock references, which so stay the most recently used; looking
+        # up the legit token again for the round-trip row would evict them
+        n = 5
+        for i in range(n):
+            KeyedLink(fast_cfg(token=f"fresh-{i}", eavesdropper_token="856427"))
+        assert counts["generate_reference"] == n + 2
+        assert counts["Predictor"] == 2  # the hiding and the reference model, once each
 
     def test_receiver_keys(self):
         # one condition set per distinct token, shared by every row it keys
@@ -438,7 +440,7 @@ class TestKeyedLink:
 
     def test_guidance_sweep_generates_each_reference_once(self, counts):
         # the guidance weight mixes the branches at sampling time, so the
-        # references do not depend on it and the memo keeps them across points
+        # references do not depend on it and the cache keeps them across points
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"guidance_weight": [0.0, 0.4, 1.0]},
                          trials_per_point=2, base_seed="lambda")
         assert all(row["error"] is None for row in run_sweep(spec))
@@ -488,12 +490,23 @@ class TestRunTrial:
         assert json.loads(line) == rec.to_dict()
 
     def test_overflowing_secret_range_rejected(self):
-        # every value is finite but max - min is not: a ValueError, and no
-        # RuntimeWarning on the way (which Tier-1 turns into a failure)
+        # every value is finite, but max - min overflows, or at 1e80 SSIM's
+        # terms do (it scored -1.0): a ValueError, and no RuntimeWarning on
+        # the way (which Tier-1 turns into a failure)
         cfg = fast_cfg()
-        secret = np.where(make_secret(Seed64(49), cfg.shape) > 0.0, 1e308, -1e308)
-        with pytest.raises(ValueError, match="secret range"):
-            run_trial(secret, cfg)
+        secret = make_secret(Seed64(49), cfg.shape)
+        for large in (np.where(secret > 0.0, 1e308, -1e308), secret * 1e80):
+            with pytest.raises(ValueError, match="secret magnitude"):
+                run_trial(large, cfg)
+
+    def test_secret_at_the_ssim_bound_scores_finite(self):
+        cfg = fast_cfg(noiseless=False, snr_db=10.0)
+        secret = make_secret(Seed64(11), cfg.shape)
+        secret = secret / np.abs(secret).max() * SSIM_MAX_MAGNITUDE
+        rec = run_trial(secret, cfg)
+        assert all(-1.0 < getattr(rec, name).ssim <= 1.0 for name in ("legit", "eaves1", "eaves2", "eaves3"))
+        with pytest.raises(ValueError, match="secret magnitude"):
+            run_trial(secret * (1.0 + 2.0 ** -52), cfg)
 
     def test_channel_noise_separates_legit_from_cap(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, steps=25)
