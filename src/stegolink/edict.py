@@ -30,6 +30,14 @@ A state may stack several rows along a leading axis, each with its own
 conditions in the predictor's RowBias: every update is elementwise, so the
 rows evolve independently through one predictor call per evaluation.
 
+Divergence: each step checks only its outputs (z and u, or x for DDIM) for
+finiteness and raises SamplerDivergenceError with the sampler's name and
+the step.  That is enough to catch every non-finite intermediate at its own
+step: each intermediate reaches an output within the step through x - y,
+gamma x, a x and p x with p > 0, none of which turns a non-finite value
+finite.  The predictor may meanwhile see a non-finite input; one errstate
+around the whole pass keeps that, and any overflow, free of warnings.
+
 Stability note: the unmixing layer expands the difference between the chains
 by 1/p^2 per forward step.  With p well below 1 and many steps the expansion
 outruns double precision and exactness is unrecoverable; parameter defaults
@@ -106,18 +114,16 @@ def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
     """Noise a coupled state across the window; exact inverse of edict_reverse."""
     hi = params.window(sched.T)
     p = params.mixing_p
+    q = 1.0 - p
+    b, gamma = sched.b.tolist(), sched.gamma.tolist()
     z, u = state.z.copy(), state.u.copy()
-    for t in range(1, hi + 1):
-        # intermediates are checked before feeding the predictor so an
-        # unmix overflow surfaces as a divergence at its step
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_inter = (u - (1.0 - p) * z) / p
-            z_inter = (z - (1.0 - p) * u_inter) / p
-        _check_finite("edict_forward", t, u_inter, z_inter)
-        u = sched.gamma[t] * (u_inter - sched.b[t] * pred.predict(z_inter, t, bias))
-        _check_finite("edict_forward", t, u)
-        z = sched.gamma[t] * (z_inter - sched.b[t] * pred.predict(u, t, bias))
-        _check_finite("edict_forward", t, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, hi + 1):
+            u_inter = (u - q * z) / p
+            z_inter = (z - q * u_inter) / p
+            u = gamma[t] * (u_inter - b[t] * pred.predict(z_inter, t, bias))
+            z = gamma[t] * (z_inter - b[t] * pred.predict(u, t, bias))
+            _check_finite("edict_forward", t, z, u)
     return CoupledState(z, u)
 
 
@@ -126,15 +132,16 @@ def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
     """Denoise a coupled state across the window; exact inverse of edict_forward."""
     hi = params.window(sched.T)
     p = params.mixing_p
+    q = 1.0 - p
+    a, b = sched.a.tolist(), sched.b.tolist()
     z, u = state.z.copy(), state.u.copy()
-    for t in range(hi, 0, -1):
-        z_inter = sched.a[t] * z + sched.b[t] * pred.predict(u, t, bias)
-        _check_finite("edict_reverse", t, z_inter)
-        u_inter = sched.a[t] * u + sched.b[t] * pred.predict(z_inter, t, bias)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = p * z_inter + (1.0 - p) * u_inter
-            u = p * u_inter + (1.0 - p) * z
-        _check_finite("edict_reverse", t, z, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(hi, 0, -1):
+            z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
+            u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
+            z = p * z_inter + q * u_inter
+            u = p * u_inter + q * z
+            _check_finite("edict_reverse", t, z, u)
     return CoupledState(z, u)
 
 
@@ -150,12 +157,15 @@ def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
         raise ValueError("direction must be 'noising' or 'denoising'")
     hi = params.window(sched.T)
     x = np.asarray(z, dtype=np.float64).copy()
-    if direction == "denoising":
-        for t in range(hi, 0, -1):
-            x = sched.a[t] * x + sched.b[t] * pred.predict(x, t, bias)
-            _check_finite("ddim_sample", t, x)
-    else:
-        for t in range(1, hi + 1):
-            x = sched.gamma[t] * x - sched.omega[t] * pred.predict(x, t, bias)
-            _check_finite("ddim_sample", t, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if direction == "denoising":
+            a, b = sched.a.tolist(), sched.b.tolist()
+            for t in range(hi, 0, -1):
+                x = a[t] * x + b[t] * pred.predict(x, t, bias)
+                _check_finite("ddim_sample", t, x)
+        else:
+            gamma, omega = sched.gamma.tolist(), sched.omega.tolist()
+            for t in range(1, hi + 1):
+                x = gamma[t] * x - omega[t] * pred.predict(x, t, bias)
+                _check_finite("ddim_sample", t, x)
     return x

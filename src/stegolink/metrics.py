@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +13,13 @@ PSNR_CAP_DB = 100.0
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 
-# Largest secret magnitude M at which SSIM's terms stay finite: for a secret
-# within +-M (so peak <= 2M) and a recovered grid within +-1.34 M, each
-# second-moment factor of num and den is below (1 + 1.34^2 + 0.004) M^2 < 2.8 M^2
-# and their product below 8 M^4, which float64 holds up to
-# M = (float max / 8)^(1/4), about 6.9e76.
+# Largest secret magnitude M at which SSIM's terms stay finite unscaled: for
+# a secret within +-M (so peak <= 2M) and a recovered grid within +-1.34 M,
+# each second-moment factor of num and den is below
+# (1 + 1.34^2 + 0.004) M^2 < 2.8 M^2 and their product below 8 M^4, which
+# float64 holds up to M = (float max / 8)^(1/4), about 6.9e76.  With both
+# grids and the peak within M each factor is below 2.01 M^2, so ssim rescales
+# only past M; secrets past M are still rejected where they enter.
 SSIM_MAX_MAGNITUDE = float(np.finfo(np.float64).max / 8.0) ** 0.25
 
 
@@ -34,23 +38,36 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
-    """10*log10(peak^2 / mse), capped at 100 dB (the cap is the mse=0 value)."""
+def _check_peak(peak: float) -> None:
     if peak <= 0.0:
         raise ValueError("peak must be positive")
-    err = mse(a, b)
+
+
+def _psnr_db(err: float, peak: float) -> float:
     if err == 0.0:
         return PSNR_CAP_DB
     return float(min(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / err)))
 
 
+def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
+    """10*log10(peak^2 / mse), capped at 100 dB (the cap is the mse=0 value)."""
+    _check_peak(peak)
+    return _psnr_db(mse(a, b), peak)
+
+
 def ssim(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     """Structural similarity over one global window."""
-    if peak <= 0.0:
-        raise ValueError("peak must be positive")
+    _check_peak(peak)
     a, b = _pair(a, b)
     a = a.ravel()
     b = b.ravel()
+    # scaling both grids and the peak by one power of two scales num and den
+    # alike and leaves the score's bits unchanged; past SSIM_MAX_MAGNITUDE it
+    # keeps their terms finite, however far a receiver amplified the secret
+    top = max(float(np.abs(a).max()), float(np.abs(b).max()), peak)
+    if top > SSIM_MAX_MAGNITUDE:
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        a, b, peak = a * scale, b * scale, peak * scale
     mu_a = a.mean()
     mu_b = b.mean()
     da = a - mu_a
@@ -77,7 +94,7 @@ class MetricsReport:
 
 
 def compare(recovered: np.ndarray, target: np.ndarray, peak: float) -> MetricsReport:
-    """Bundle all three metrics of a recovery against its target."""
-    return MetricsReport(mse=mse(recovered, target),
-                         psnr_db=psnr(recovered, target, peak),
-                         ssim=ssim(recovered, target, peak))
+    """Bundle all three metrics of a recovery against its target; the MSE is computed once."""
+    _check_peak(peak)
+    err = mse(recovered, target)
+    return MetricsReport(mse=err, psnr_db=_psnr_db(err, peak), ssim=ssim(recovered, target, peak))

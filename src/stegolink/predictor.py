@@ -245,7 +245,7 @@ class Predictor:
         every state they produce.
         """
         if self.kind == "zero":
-            return np.zeros_like(z)
+            return np.zeros(z.shape)
         n = bias.n
         flat = z.reshape(bias.rows, n)
         if self.kind == "linear":

@@ -10,6 +10,8 @@ image-feature adapter.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .edict import SamplerParams, ddim_sample
@@ -36,14 +38,30 @@ _POOL_SEGMENTS = 16
 
 
 def _pooled_stats(channel: np.ndarray) -> np.ndarray:
-    # mean and variance pooled over row-major segments; each family is
-    # centered so the component shared by every reference (moments of the
-    # common sampling distribution) drops out and only the grid's own
-    # layout survives into the embedding
-    segments = np.array_split(channel, min(_POOL_SEGMENTS, channel.size))
-    means = np.array([s.mean() for s in segments])
-    variances = np.array([s.var() for s in segments])
+    # mean and variance pooled over the row-major segments of
+    # np.array_split(channel, k): r segments of length m + 1, then k - r of
+    # length m, each family taken as one reshape.  Each family is centered
+    # so the component shared by every reference (moments of the common
+    # sampling distribution) drops out and only the grid's own layout
+    # survives into the embedding
+    k = min(_POOL_SEGMENTS, channel.size)
+    m, r = divmod(channel.size, k)
+    cut = r * (m + 1)
+    longer = channel[:cut].reshape(r, m + 1)
+    rest = channel[cut:].reshape(k - r, m)
+    means = np.concatenate([longer.mean(axis=1), rest.mean(axis=1)])
+    variances = np.concatenate([longer.var(axis=1), rest.var(axis=1)])
     return np.concatenate([means - means.mean(), variances - variances.mean()])
+
+
+@functools.lru_cache(maxsize=4)  # one entry per (embed_dim, shape) in use; a sweep has one
+def _projection(d: int, size: int) -> np.ndarray:
+    # the fixed seeded Gaussian map from size pooled statistics to R^d,
+    # drawn once per shape; read-only, since every caller shares it
+    proj = gaussian_stream(hash_token(b"reference-embedding", "proj"), d * size)
+    proj = proj.reshape(d, size) / np.sqrt(size)
+    proj.flags.writeable = False
+    return proj
 
 
 def embed_reference(grid: np.ndarray, d: int = 64) -> np.ndarray:
@@ -60,9 +78,7 @@ def embed_reference(grid: np.ndarray, d: int = 64) -> np.ndarray:
         raise ValueError("reference grid must have at least one axis")
     channels = grid.reshape(grid.shape[0], -1) if grid.ndim > 1 else grid.reshape(1, -1)
     stats = np.concatenate([_pooled_stats(c) for c in channels])
-    proj = gaussian_stream(hash_token(b"reference-embedding", "proj"), d * stats.size)
-    proj = proj.reshape(d, stats.size) / np.sqrt(stats.size)
-    v = proj @ stats
+    v = _projection(d, stats.size) @ stats
     n = float(np.linalg.norm(v))
     if n == 0.0:  # degenerate stats guard (constant reference grid)
         v = np.zeros(d)

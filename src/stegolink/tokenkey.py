@@ -39,7 +39,7 @@ class PerturbationMask:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
-        if not np.isin(self.bits, (0, 1)).all():
+        if (self.bits > 1).any():
             raise ValueError("mask bits must be 0 or 1")
 
 

@@ -1,5 +1,7 @@
 """Coupled-chain invertible sampler and the single-chain baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,55 @@ class TestDivergenceSignal:
         with pytest.raises(SamplerDivergenceError) as exc:
             edict_forward(state, sched, pred, plain(pred, huge, 50), params)
         assert "step" in str(exc.value)
+
+    # the steps below were measured on the sampler that checked every
+    # intermediate (four checks per forward step, three per reverse step);
+    # checking only each step's outputs must raise at the same step
+
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    def test_unmix_overflow_raises_at_its_step(self, kind):
+        # p = 0.01 stretches the chain gap by 10^4 per step; at step 77 the
+        # unmix of a finite state overflows before the predictor runs
+        sched = build_schedule(100)
+        pred = Predictor(kind, weight_seed=7)
+        st = seeded_state("edict-diverge", 0, (1, 8, 8))
+        bias = plain(pred, st.z, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplerDivergenceError) as exc:
+                edict_forward(st, sched, pred, bias, SamplerParams(mixing_p=0.01))
+            before = SamplerParams(mixing_p=0.01, edit_strength=0.76)
+            assert before.window(100) == 76
+            last = edict_forward(st, sched, pred, bias, before)
+        assert (exc.value.op, exc.value.step) == ("edict_forward", 77)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_inter = (last.u - 0.99 * last.z) / 0.01
+            z_inter = (last.z - 0.99 * u_inter) / 0.01
+        assert not np.isfinite(z_inter).all()
+
+    @pytest.mark.parametrize("kind, step", [("zero", 45), ("linear", 50), ("tiny-mlp", 45)])
+    def test_reverse_overflow_names_op_and_step(self, kind, step):
+        sched = build_schedule(50)
+        pred = Predictor(kind, weight_seed=7)
+        big = np.full((1, 8, 8), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplerDivergenceError) as exc:
+                edict_reverse(CoupledState(big, big), sched, pred, plain(pred, big, 50),
+                              SamplerParams(mixing_p=0.5))
+        assert (exc.value.op, exc.value.step) == ("edict_reverse", step)
+        assert str(exc.value) == f"edict_reverse produced a non-finite state at step {step}"
+
+    @pytest.mark.parametrize("kind, step", [("zero", 45), ("linear", 50), ("tiny-mlp", 45)])
+    def test_ddim_overflow_names_op_and_step(self, kind, step):
+        sched = build_schedule(50)
+        pred = Predictor(kind, weight_seed=7)
+        big = np.full((1, 8, 8), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplerDivergenceError) as exc:
+                ddim_sample(big, sched, pred, plain(pred, big, 50), "denoising", SamplerParams(mixing_p=1.0))
+        assert (exc.value.op, exc.value.step) == ("ddim_sample", step)
 
 
 class TestDDIM:

@@ -1,9 +1,11 @@
 """Reconstruction quality metrics and their algebraic identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from stegolink.metrics import MetricsReport, compare, mse, psnr, ssim
+from stegolink.metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare, mse, psnr, ssim
 from stegolink.rng import Seed64, gaussian_stream
 
 
@@ -105,6 +107,19 @@ class TestSsim:
         with pytest.raises(ValueError):
             ssim(np.zeros((2, 2)), np.zeros((3, 3)), 1.0)
 
+    @pytest.mark.parametrize("k", [300, 800, 1000])
+    def test_power_of_two_scale_leaves_the_bits(self, k):
+        # past SSIM_MAX_MAGNITUDE the terms would overflow unscaled; the
+        # rescale by a power of two gives the unit-scale score bit for bit
+        a, b = pair(15, (1, 16, 16))
+        b = 14.0 * b  # a receiver that amplifies far beyond its target
+        s = 2.0 ** k
+        assert max(np.abs(b).max() * s, 3.0 * s) > SSIM_MAX_MAGNITUDE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = ssim(a * s, b * s, 3.0 * s)
+        assert big == ssim(a, b, 3.0)
+
 
 class TestCompareAndReport:
     def test_compare_bundles_all_three(self):
@@ -113,6 +128,11 @@ class TestCompareAndReport:
         assert rep.mse == mse(a, b)
         assert rep.psnr_db == psnr(a, b, 2.0)
         assert rep.ssim == ssim(a, b, 2.0)
+
+    def test_compare_validates_peak(self):
+        a, b = pair(16)
+        with pytest.raises(ValueError, match="peak"):
+            compare(a, b, 0.0)
 
     def test_report_round_trips_through_dict(self):
         rep = MetricsReport(mse=0.25, psnr_db=12.5, ssim=0.75)

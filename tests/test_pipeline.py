@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 from dataclasses import fields, replace
 from pathlib import Path
@@ -507,6 +508,22 @@ class TestRunTrial:
         assert all(-1.0 < getattr(rec, name).ssim <= 1.0 for name in ("legit", "eaves1", "eaves2", "eaves3"))
         with pytest.raises(ValueError, match="secret magnitude"):
             run_trial(secret * (1.0 + 2.0 ** -52), cfg)
+
+    def test_amplifying_receiver_at_the_ssim_bound_scores_finite(self):
+        # the linear legit grid is ~14x the secret here, past the 1.34x the
+        # bound allows for; SSIM rescales instead of overflowing (E2 scored
+        # 0.0 after an overflow warning), and scores as at unit scale
+        cfg = fast_cfg(predictor_kind="linear", mixing_p=0.5, steps=20, eta=0.05,
+                       noiseless=False, snr_db=10.0)
+        unit = make_secret(Seed64(11), cfg.shape)
+        secret = unit / np.abs(unit).max() * SSIM_MAX_MAGNITUDE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run_trial(secret, cfg)
+        ref = run_trial(unit, cfg)
+        for name in ("legit", "eaves1", "eaves2", "eaves3"):
+            assert np.isfinite(getattr(rec, name).ssim)
+            assert getattr(rec, name).ssim == pytest.approx(getattr(ref, name).ssim, rel=0.05)
 
     def test_channel_noise_separates_legit_from_cap(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, steps=25)

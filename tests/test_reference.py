@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stegolink.predictor import ConditionSet, Predictor, embed_text
-from stegolink.reference import embed_reference, generate_reference
+from stegolink.reference import _POOL_SEGMENTS, _pooled_stats, embed_reference, generate_reference
 from stegolink.rng import gaussian_stream, hash_token
 from stegolink.schedule import build_schedule
 
@@ -94,3 +94,29 @@ class TestEmbedReference:
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             embed_reference(np.ones((1, 4, 4)), 0)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 5, 7)])
+    def test_equals_the_written_out_projection(self, shape):
+        # a fresh draw of the seeded map for every embedding; two shapes at
+        # one d catch a projection shared across stats sizes
+        grid = gaussian_stream(hash_token(f"embed|{shape}", "trial"), int(np.prod(shape))).reshape(shape)
+        stats = np.concatenate([_pooled_stats(c) for c in grid.reshape(shape[0], -1)])
+        proj = gaussian_stream(hash_token(b"reference-embedding", "proj"), 16 * stats.size)
+        v = (proj.reshape(16, stats.size) / np.sqrt(stats.size)) @ stats
+        assert np.array_equal(embed_reference(grid, 16), v / float(np.linalg.norm(v)))
+
+
+class TestPooledStats:
+    def test_equals_the_array_split_definition(self):
+        def written_out(channel):
+            segments = np.array_split(channel, min(_POOL_SEGMENTS, channel.size))
+            means = np.array([s.mean() for s in segments])
+            variances = np.array([s.var() for s in segments])
+            return np.concatenate([means - means.mean(), variances - variances.mean()])
+
+        differ = []
+        for size in list(range(1, 300)) + [1024, 3072, 65536]:
+            channel = gaussian_stream(hash_token(f"pool|{size}", "trial"), size)
+            if _pooled_stats(channel).tobytes() != written_out(channel).tobytes():
+                differ.append(size)
+        assert differ == []

@@ -80,6 +80,26 @@ class TestBuildMask:
         with pytest.raises(ValueError):
             PerturbationMask(bits=np.full((2, 2), 2, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bits, ok", [
+        (np.array([[True, False], [False, True]]), True),
+        (np.array([[0, 1], [1, 0]]), True),
+        (np.array([[0, 1], [1, 0]], dtype=np.uint8), True),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), True),
+        (np.zeros((2, 2), dtype=bool), True),
+        (np.array([[0, 2], [1, 0]]), False),
+        (np.array([[0, 1], [255, 0]]), False),
+        (np.full((2, 2), 255, dtype=np.uint8), False),
+        (np.array([[0, 1], [-1, 0]]), False),  # wraps to 255 as uint8
+    ])
+    def test_accepts_exactly_what_isin_accepted(self, bits, ok):
+        # the uint8 bits pass iff np.isin(bits, (0, 1)).all()
+        assert np.isin(np.asarray(bits, dtype=np.uint8), (0, 1)).all() == ok
+        if ok:
+            assert np.array_equal(PerturbationMask(bits=bits).bits, np.asarray(bits, dtype=np.uint8))
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                PerturbationMask(bits=bits)
+
 
 class TestPerturbRestore:
     def test_direct_evaluation(self):
