@@ -30,13 +30,20 @@ A state may stack several rows along a leading axis, each with its own
 conditions in the predictor's RowBias: every update is elementwise, so the
 rows evolve independently through one predictor call per evaluation.
 
-Divergence: each step checks only its outputs (z and u, or x for DDIM) for
-finiteness and raises SamplerDivergenceError with the sampler's name and
-the step.  That is enough to catch every non-finite intermediate at its own
-step: each intermediate reaches an output within the step through x - y,
-gamma x, a x and p x with p > 0, none of which turns a non-finite value
-finite.  The predictor may meanwhile see a non-finite input; one errstate
-around the whole pass keeps that, and any overflow, free of warnings.
+Divergence: each pass checks only its last state (z and u, or x for DDIM)
+for finiteness.  That is enough, because a non-finite value never turns
+finite again.  Within a step, each intermediate reaches an output through
+x - y, gamma x, a x and p x with p > 0, none of which turns a non-finite
+value finite.  Across steps, each chain's next value is a positive multiple
+of its own value plus a term (p a z + ..., gamma (z_inter - ...), and so on),
+so a non-finite element of z, u or x stays non-finite to the end of the pass.
+A pass whose last state is finite therefore never diverged.  When the last
+state is non-finite, the pass replays its steps from the same start, checking
+each step's outputs, and raises SamplerDivergenceError with the sampler's
+name and the first step that failed; the replay runs only on that path.
+Both runs are the same step generator, so they cannot disagree about what a
+step computes.  The predictor may meanwhile see a non-finite input; one
+errstate around both runs keeps that, and any overflow, free of warnings.
 
 Stability note: the unmixing layer expands the difference between the chains
 by 1/p^2 per forward step.  With p well below 1 and many steps the expansion
@@ -103,45 +110,81 @@ class SamplerParams:
         return math.ceil(self.edit_strength * T)
 
 
-def _check_finite(op: str, t: int, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise SamplerDivergenceError(op, t)
+def _finite(arrays: tuple[np.ndarray, ...]) -> bool:
+    return all(np.isfinite(arr).all() for arr in arrays)
+
+
+def _run_pass(op: str, steps, *args) -> tuple[np.ndarray, ...]:
+    """Run the pass steps(*args) and return its last state.
+
+    steps yields (t, state) after each step.  Only the last state is checked;
+    when it is non-finite, the pure steps run again from the start, checking
+    each one, and SamplerDivergenceError names the first step that failed.
+    A replay that stays finite (a predictor that is not a pure function of
+    its inputs) names the last step, where the first run was non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, state in steps(*args):
+            pass
+        if _finite(state):
+            return state
+        for t, state in steps(*args):
+            if not _finite(state):
+                break
+    raise SamplerDivergenceError(op, t)
+
+
+def _forward_steps(z, u, sched, pred, bias, params):
+    hi = params.window(sched.T)
+    p = params.mixing_p
+    q = 1.0 - p
+    b, gamma = sched.b.tolist(), sched.gamma.tolist()
+    for t in range(1, hi + 1):
+        u_inter = (u - q * z) / p
+        z_inter = (z - q * u_inter) / p
+        u = gamma[t] * (u_inter - b[t] * pred.predict(z_inter, t, bias))
+        z = gamma[t] * (z_inter - b[t] * pred.predict(u, t, bias))
+        yield t, (z, u)
+
+
+def _reverse_steps(z, u, sched, pred, bias, params):
+    hi = params.window(sched.T)
+    p = params.mixing_p
+    q = 1.0 - p
+    a, b = sched.a.tolist(), sched.b.tolist()
+    for t in range(hi, 0, -1):
+        z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
+        u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
+        z = p * z_inter + q * u_inter
+        u = p * u_inter + q * z
+        yield t, (z, u)
+
+
+def _ddim_steps(x, sched, pred, bias, direction, params):
+    hi = params.window(sched.T)
+    if direction == "denoising":
+        a, b = sched.a.tolist(), sched.b.tolist()
+        for t in range(hi, 0, -1):
+            x = a[t] * x + b[t] * pred.predict(x, t, bias)
+            yield t, (x,)
+    else:
+        gamma, omega = sched.gamma.tolist(), sched.omega.tolist()
+        for t in range(1, hi + 1):
+            x = gamma[t] * x - omega[t] * pred.predict(x, t, bias)
+            yield t, (x,)
 
 
 def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
                   bias: RowBias, params: SamplerParams) -> CoupledState:
     """Noise a coupled state across the window; exact inverse of edict_reverse."""
-    hi = params.window(sched.T)
-    p = params.mixing_p
-    q = 1.0 - p
-    b, gamma = sched.b.tolist(), sched.gamma.tolist()
-    z, u = state.z.copy(), state.u.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, hi + 1):
-            u_inter = (u - q * z) / p
-            z_inter = (z - q * u_inter) / p
-            u = gamma[t] * (u_inter - b[t] * pred.predict(z_inter, t, bias))
-            z = gamma[t] * (z_inter - b[t] * pred.predict(u, t, bias))
-            _check_finite("edict_forward", t, z, u)
+    z, u = _run_pass("edict_forward", _forward_steps, state.z, state.u, sched, pred, bias, params)
     return CoupledState(z, u)
 
 
 def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
                   bias: RowBias, params: SamplerParams) -> CoupledState:
     """Denoise a coupled state across the window; exact inverse of edict_forward."""
-    hi = params.window(sched.T)
-    p = params.mixing_p
-    q = 1.0 - p
-    a, b = sched.a.tolist(), sched.b.tolist()
-    z, u = state.z.copy(), state.u.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(hi, 0, -1):
-            z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
-            u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
-            z = p * z_inter + q * u_inter
-            u = p * u_inter + q * z
-            _check_finite("edict_reverse", t, z, u)
+    z, u = _run_pass("edict_reverse", _reverse_steps, state.z, state.u, sched, pred, bias, params)
     return CoupledState(z, u)
 
 
@@ -155,17 +198,6 @@ def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
     """
     if direction not in ("noising", "denoising"):
         raise ValueError("direction must be 'noising' or 'denoising'")
-    hi = params.window(sched.T)
-    x = np.asarray(z, dtype=np.float64).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if direction == "denoising":
-            a, b = sched.a.tolist(), sched.b.tolist()
-            for t in range(hi, 0, -1):
-                x = a[t] * x + b[t] * pred.predict(x, t, bias)
-                _check_finite("ddim_sample", t, x)
-        else:
-            gamma, omega = sched.gamma.tolist(), sched.omega.tolist()
-            for t in range(1, hi + 1):
-                x = gamma[t] * x - omega[t] * pred.predict(x, t, bias)
-                _check_finite("ddim_sample", t, x)
+    x = np.asarray(z, dtype=np.float64)
+    (x,) = _run_pass("ddim_sample", _ddim_steps, x, sched, pred, bias, direction, params)
     return x

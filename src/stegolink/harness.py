@@ -94,12 +94,11 @@ def parse_config(path: str):
 # -- sweep execution ----------------------------------------------------------
 
 def _trial_config(spec: SweepSpec, point: dict, point_index: int, trial_index: int) -> PipelineConfig:
-    cfg = replace(spec.base, **point)
     trial_seed = hash_token(f"{spec.base_seed}|{point_index}|{trial_index}", "trial")
-    noise_seed = derive(trial_seed, "noise").value
-    if "secret_seed" in point:  # an explicit seeds axis wins over derivation
-        return replace(cfg, noise_seed=noise_seed)
-    return replace(cfg, noise_seed=noise_seed, secret_seed=derive(trial_seed, "secret").value)
+    seeds = {"noise_seed": derive(trial_seed, "noise").value}
+    if "secret_seed" not in point:  # an explicit seeds axis wins over derivation
+        seeds["secret_seed"] = derive(trial_seed, "secret").value
+    return replace(spec.base, **point, **seeds)
 
 
 def iter_sweep(spec: SweepSpec):

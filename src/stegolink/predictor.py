@@ -241,8 +241,8 @@ class Predictor:
 
         z stacks one latent per row along its leading axis (a single latent
         is a one-row batch as it is); the result has z's shape.  Values are
-        checked where they enter the pipeline, not here: the samplers check
-        every state they produce.
+        checked where they enter the pipeline, not here: each sampler pass
+        checks the state it ends on (see the edict module).
         """
         if self.kind == "zero":
             return np.zeros(z.shape)

@@ -12,9 +12,14 @@ so the denoise update  z <- a[t] z + b[t] eps  and the noising update
 z <- gamma[t] z - omega[t] eps  are exact affine inverses of each other for
 a fixed eps.  Coefficient arrays are length T+1 with slot 0 holding the
 identity step so that index t addresses step t directly.
+
+build_schedule caches its schedules, so equal arguments share one object;
+its arrays are read-only.
 """
 
 from __future__ import annotations
+
+import functools
 
 from dataclasses import dataclass
 
@@ -32,6 +37,9 @@ class NoiseSchedule:
     omega: np.ndarray
 
 
+# typed, so that 50.0 is not served the schedule of 50; a sweep uses one
+# schedule per steps value
+@functools.lru_cache(maxsize=8, typed=True)
 def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> NoiseSchedule:
     """Build the schedule for T steps of linearly spaced beta values."""
     if not isinstance(T, (int, np.integer)) or T < 1:
@@ -56,5 +64,7 @@ def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> 
     b[1:] = np.sqrt(1.0 - alpha_bar[:-1]) - a[1:] * np.sqrt(1.0 - alpha_bar[1:])
     gamma = 1.0 / a
     omega = b / a
+    for arr in (beta, alpha_bar, a, b, gamma, omega):
+        arr.flags.writeable = False
     return NoiseSchedule(T=int(T), beta=beta, alpha_bar=alpha_bar, a=a, b=b, gamma=gamma, omega=omega)
 

@@ -273,6 +273,87 @@ class TestDivergenceSignal:
         assert (exc.value.op, exc.value.step) == ("ddim_sample", step)
 
 
+class SpikePredictor:
+    """A zero noise estimate, except one NaN value for a finite input at step ``at``.
+
+    On an EDICT forward step only u turns non-finite at that step, and on a
+    reverse step z first; counts calls.
+    """
+
+    def __init__(self, at, once=False):
+        self.at, self.once, self.calls = at, once, 0
+
+    def predict(self, z, t, bias):
+        self.calls += 1
+        eps = np.zeros(z.shape)
+        if t == self.at and np.isfinite(z).all():
+            eps.flat[5] = np.nan
+            if self.once:
+                self.at = None
+        return eps
+
+
+# T = 10 and edit strength 0.6 give a 6-step window; the first and the last
+# step of each pass, in the order it runs them
+WINDOW = SamplerParams(mixing_p=0.93, edit_strength=0.6)
+PASSES = {
+    "edict_forward": (lambda st, pred: edict_forward(st, build_schedule(10), pred, None, WINDOW), 2, [1, 6]),
+    "edict_reverse": (lambda st, pred: edict_reverse(st, build_schedule(10), pred, None, WINDOW), 2, [6, 1]),
+    "ddim_noising": (lambda st, pred: ddim_sample(st.z, build_schedule(10), pred, None, "noising", WINDOW),
+                     1, [1, 6]),
+    "ddim_denoising": (lambda st, pred: ddim_sample(st.z, build_schedule(10), pred, None, "denoising", WINDOW),
+                       1, [6, 1]),
+}
+
+
+class TestPassCheck:
+    # each pass checks its last state once and replays its steps, checking
+    # each, only when that state is non-finite
+
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    def test_finite_pass_predicts_once_per_evaluation(self, monkeypatch, kind):
+        sched = build_schedule(10)
+        pred = Predictor(kind, weight_seed=7)
+        st = seeded_state("pass-check", 0)
+        bias = plain(pred, st.z, 10)
+        calls = []
+        real = Predictor.predict
+        monkeypatch.setattr(Predictor, "predict", lambda *a, **k: calls.append(1) or real(*a, **k))
+        hi = WINDOW.window(10)
+        edict_forward(st, sched, pred, bias, WINDOW)
+        assert len(calls) == 2 * hi
+        edict_reverse(st, sched, pred, bias, WINDOW)
+        assert len(calls) == 4 * hi
+        ddim_sample(st.z, sched, pred, bias, "noising", WINDOW)
+        ddim_sample(st.z, sched, pred, bias, "denoising", WINDOW)
+        assert len(calls) == 6 * hi
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "last"])
+    def test_divergence_named_at_the_ends_of_the_window(self, name, position):
+        run, per_step, order = PASSES[name]
+        pred = SpikePredictor(at=order[position])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplerDivergenceError) as exc:
+                run(seeded_state("pass-check", 1), pred)
+        op = "ddim_sample" if name.startswith("ddim") else name
+        assert (exc.value.op, exc.value.step) == (op, order[position])
+        # one full pass, then a replay that stops at the failing step
+        replayed = 1 if position == 0 else WINDOW.window(10)
+        assert pred.calls == per_step * (WINDOW.window(10) + replayed)
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_unreproduced_divergence_names_the_last_step(self, name):
+        # a predictor that is not a pure function of its inputs: the replay
+        # stays finite, so the pass fails at its last step, where its first
+        # run was seen non-finite
+        run, _, order = PASSES[name]
+        with pytest.raises(SamplerDivergenceError) as exc:
+            run(seeded_state("pass-check", 2), SpikePredictor(at=order[0], once=True))
+        assert exc.value.step == order[1]
+
+
 class TestDDIM:
     def test_zero_predictor_denoise_closed_form(self):
         sched = build_schedule(10)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from stegolink.harness import (
     run_sweep,
 )
 from stegolink.pipeline import PipelineConfig, make_secret, run_trial
+from stegolink.rng import derive, hash_token
 
 
 def fast_base(**kw):
@@ -201,6 +204,20 @@ class TestRunSweep:
             except ValueError as e:
                 alone["trial"], alone["error"] = None, f"{type(e).__name__}: {e}"
             assert json.dumps(row, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+    @pytest.mark.parametrize("axes", [{"snr_db": [5.0, 10.0]}, {"secret_seed": [101, 202], "eta": [0.05, 0.5]}])
+    def test_trial_config_is_the_two_step_construction(self, axes):
+        # the base with the point applied, then the derived seeds; an
+        # explicit secret_seed axis keeps its value
+        spec = small_sweep(axes=axes)
+        for point_index, point in enumerate(spec.points()):
+            for trial_index in range(spec.trials_per_point):
+                trial_seed = hash_token(f"unit|{point_index}|{trial_index}", "trial")
+                cfg = replace(spec.base, **point)
+                cfg = replace(cfg, noise_seed=derive(trial_seed, "noise").value)
+                if "secret_seed" not in point:
+                    cfg = replace(cfg, secret_seed=derive(trial_seed, "secret").value)
+                assert _trial_config(spec, point, point_index, trial_index) == cfg
 
     def test_iter_matches_list(self):
         spec = small_sweep()

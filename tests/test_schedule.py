@@ -56,6 +56,25 @@ class TestBuildSchedule:
             build_schedule(10, 0.02, 1e-4)
 
 
+class TestScheduleCache:
+    def test_equal_arguments_share_one_schedule(self):
+        assert build_schedule(12, 1e-4, 2e-2) is build_schedule(12, 1e-4, 2e-2)
+        assert build_schedule(12, 1e-4, 2e-2) is not build_schedule(12, 1e-4, 3e-2)
+
+    def test_arrays_are_read_only(self):
+        s = build_schedule(12)
+        for name in ("beta", "alpha_bar", "a", "b", "gamma", "omega"):
+            arr = getattr(s, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
+
+    def test_cached_integer_does_not_admit_an_equal_float(self):
+        build_schedule(12, 1e-4, 2e-2)
+        with pytest.raises(ValueError):
+            build_schedule(12.0, 1e-4, 2e-2)
+
+
 class TestTelescopedGain:
     # the product of gamma over all T steps telescopes to sqrt(alpha_bar[T])
 
