@@ -26,6 +26,14 @@ denoise step's rounding and the round trip drifts less.
 The plain DDIM baseline reuses eps at the state it has when noising, which
 is only approximate; its round-trip error is the gap EDICT closes.
 
+Coefficients: every pass multiplies by 0-d float64 arrays, the schedule's
+prebuilt ``coef`` tuples and p and 1 - p boxed once per pass.  A ufunc
+converts a Python float or an np.float64 scalar operand into an array on
+each call, so neither is faster than the other; a 0-d array skips that and
+saves about 0.15 us on each of the ~900 products of a small trial.  The
+product is the same IEEE float64 operation, so the bits are those of the
+Python-float loop.
+
 A state may stack several rows along a leading axis, each with its own
 conditions in the predictor's RowBias: every update is elementwise, so the
 rows evolve independently through one predictor call per evaluation.
@@ -74,7 +82,12 @@ class SamplerDivergenceError(RuntimeError):
 
 @dataclass
 class CoupledState:
-    """The two coupled chains; shapes must match."""
+    """The two coupled chains; shapes must match.
+
+    Constructing one checks its chains, as a state from outside the sampler
+    needs; ``of_pass`` wraps chains already known to be finite float64
+    arrays of one shape, such as the state a pass ends on.
+    """
 
     z: np.ndarray
     u: np.ndarray
@@ -84,8 +97,15 @@ class CoupledState:
         self.u = np.asarray(self.u, dtype=np.float64)
         if self.z.shape != self.u.shape:
             raise ValueError("coupled chains must share one shape")
-        if not (np.isfinite(self.z).all() and np.isfinite(self.u).all()):
+        if not _finite((self.z, self.u)):
             raise ValueError("coupled chains must be finite")
+
+    @classmethod
+    def of_pass(cls, z: np.ndarray, u: np.ndarray) -> "CoupledState":
+        """Wrap checked chains without checking them again."""
+        state = object.__new__(cls)
+        state.z, state.u = z, u
+        return state
 
 
 @dataclass(frozen=True)
@@ -108,6 +128,12 @@ class SamplerParams:
     def window(self, T: int) -> int:
         """The number of steps traversed, counted from the clean end."""
         return math.ceil(self.edit_strength * T)
+
+
+def _mixing(params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
+    # p and 1 - p as 0-d float64 arrays, like the schedule's coefficients
+    p = params.mixing_p
+    return np.array(p, dtype=np.float64), np.array(1.0 - p, dtype=np.float64)
 
 
 def _finite(arrays: tuple[np.ndarray, ...]) -> bool:
@@ -136,9 +162,8 @@ def _run_pass(op: str, steps, *args) -> tuple[np.ndarray, ...]:
 
 def _forward_steps(z, u, sched, pred, bias, params):
     hi = params.window(sched.T)
-    p = params.mixing_p
-    q = 1.0 - p
-    b, gamma = sched.b.tolist(), sched.gamma.tolist()
+    p, q = _mixing(params)
+    b, gamma = sched.coef.b, sched.coef.gamma
     for t in range(1, hi + 1):
         u_inter = (u - q * z) / p
         z_inter = (z - q * u_inter) / p
@@ -149,9 +174,8 @@ def _forward_steps(z, u, sched, pred, bias, params):
 
 def _reverse_steps(z, u, sched, pred, bias, params):
     hi = params.window(sched.T)
-    p = params.mixing_p
-    q = 1.0 - p
-    a, b = sched.a.tolist(), sched.b.tolist()
+    p, q = _mixing(params)
+    a, b = sched.coef.a, sched.coef.b
     for t in range(hi, 0, -1):
         z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
         u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
@@ -163,12 +187,12 @@ def _reverse_steps(z, u, sched, pred, bias, params):
 def _ddim_steps(x, sched, pred, bias, direction, params):
     hi = params.window(sched.T)
     if direction == "denoising":
-        a, b = sched.a.tolist(), sched.b.tolist()
+        a, b = sched.coef.a, sched.coef.b
         for t in range(hi, 0, -1):
             x = a[t] * x + b[t] * pred.predict(x, t, bias)
             yield t, (x,)
     else:
-        gamma, omega = sched.gamma.tolist(), sched.omega.tolist()
+        gamma, omega = sched.coef.gamma, sched.coef.omega
         for t in range(1, hi + 1):
             x = gamma[t] * x - omega[t] * pred.predict(x, t, bias)
             yield t, (x,)
@@ -178,14 +202,14 @@ def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
                   bias: RowBias, params: SamplerParams) -> CoupledState:
     """Noise a coupled state across the window; exact inverse of edict_reverse."""
     z, u = _run_pass("edict_forward", _forward_steps, state.z, state.u, sched, pred, bias, params)
-    return CoupledState(z, u)
+    return CoupledState.of_pass(z, u)
 
 
 def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
                   bias: RowBias, params: SamplerParams) -> CoupledState:
     """Denoise a coupled state across the window; exact inverse of edict_forward."""
     z, u = _run_pass("edict_reverse", _reverse_steps, state.z, state.u, sched, pred, bias, params)
-    return CoupledState(z, u)
+    return CoupledState.of_pass(z, u)
 
 
 def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,

@@ -33,9 +33,20 @@ def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _mean(x: np.ndarray) -> np.float64:
+    # np.mean's own arithmetic (numpy's _methods._mean: an add.reduce over
+    # every axis, divided by the count) without its Python wrapper
+    return np.add.reduce(x, None) / x.size
+
+
 def mse(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared error; a result that is not finite raises ValueError."""
     a, b = _pair(a, b)
-    return float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore"):
+        err = float(_mean((a - b) ** 2))
+    if not math.isfinite(err):
+        raise ValueError("mean squared error overflows float64 (or a grid is not finite)")
+    return err
 
 
 def _check_peak(peak: float) -> None:
@@ -68,13 +79,13 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     if top > SSIM_MAX_MAGNITUDE:
         scale = math.ldexp(1.0, -math.frexp(top)[1])
         a, b, peak = a * scale, b * scale, peak * scale
-    mu_a = a.mean()
-    mu_b = b.mean()
+    mu_a = _mean(a)
+    mu_b = _mean(b)
     da = a - mu_a
     db = b - mu_b
-    var_a = np.mean(da * da)
-    var_b = np.mean(db * db)
-    cov = np.mean(da * db)
+    var_a = _mean(da * da)
+    var_b = _mean(db * db)
+    cov = _mean(da * db)
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)

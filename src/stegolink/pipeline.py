@@ -245,7 +245,13 @@ class KeyedLink:
 
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
-    return np.concatenate([state.z, gain * (state.z - state.u)], axis=0)
+    try:
+        with np.errstate(over="raise"):
+            panel = gain * (state.z - state.u)
+    except FloatingPointError:
+        raise ValueError(f"the difference panel overflows float64: pair gain {gain:.3g} "
+                         "times the hidden chains' gap") from None
+    return np.concatenate([state.z, panel], axis=0)
 
 
 def _unpack_pair(grid: np.ndarray, channels: int, gain: float) -> CoupledState:
@@ -264,7 +270,8 @@ def _coupled_pass(state: CoupledState, link: KeyedLink, noise_bias: RowBias, mas
     one; the reveal swaps the two, and its flip, an involution, undoes hiding's.
     """
     state = edict_forward(state, link.sched, link.pred, noise_bias, link.params)
-    state = CoupledState(perturb(state.z, mask), perturb(state.u, mask))
+    # a sign flip keeps the pass's checked chains finite
+    state = CoupledState.of_pass(perturb(state.z, mask), perturb(state.u, mask))
     return edict_reverse(state, link.sched, link.pred, denoise_bias, link.params)
 
 

@@ -18,6 +18,7 @@ which is affine in lam and hits each endpoint exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from dataclasses import dataclass, replace
@@ -70,16 +71,27 @@ class ConditionSet:
 
 
 def embed_text(text: str, d: int = 64) -> np.ndarray:
-    """Deterministic unit-norm stand-in for a text encoder."""
+    """Deterministic unit-norm stand-in for a text encoder.
+
+    Returns a read-only vector, shared by every call with the same (text, d).
+    """
     if d < 1:
         raise ValueError("embedding dimension must be positive")
+    return _text_embedding(text, d)
+
+
+# typed, as build_schedule's cache; a link embeds its key and feature texts
+@functools.lru_cache(maxsize=8, typed=True)
+def _text_embedding(text: str, d: int) -> np.ndarray:
     v = gaussian_stream(hash_token(text, "embed"), d)
     n = float(np.linalg.norm(v))
     if n == 0.0:  # measure-zero guard
         v = np.zeros(d)
         v[0] = 1.0
-        return v
-    return v / n
+    else:
+        v = v / n
+    v.flags.writeable = False
+    return v
 
 
 def _orthogonal(g: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import stegolink.edict as edict
+
 from stegolink.edict import (
     CoupledState,
     SamplerDivergenceError,
@@ -352,6 +354,93 @@ class TestPassCheck:
         with pytest.raises(SamplerDivergenceError) as exc:
             run(seeded_state("pass-check", 2), SpikePredictor(at=order[0], once=True))
         assert exc.value.step == order[1]
+
+
+def reference_pass(name, st, sched, pred, bias, params):
+    """Each pass written out with Python-float coefficients, one step at a time."""
+    hi = params.window(sched.T)
+    p, q = params.mixing_p, 1.0 - params.mixing_p
+    a, b = sched.a.tolist(), sched.b.tolist()
+    gamma, omega = sched.gamma.tolist(), sched.omega.tolist()
+    z, u = st.z, st.u
+    if name == "edict_forward":
+        for t in range(1, hi + 1):
+            u_inter = (u - q * z) / p
+            z_inter = (z - q * u_inter) / p
+            u = gamma[t] * (u_inter - b[t] * pred.predict(z_inter, t, bias))
+            z = gamma[t] * (z_inter - b[t] * pred.predict(u, t, bias))
+        return z, u
+    if name == "edict_reverse":
+        for t in range(hi, 0, -1):
+            z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
+            u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
+            z = p * z_inter + q * u_inter
+            u = p * u_inter + q * z
+        return z, u
+    if name == "ddim_denoising":
+        for t in range(hi, 0, -1):
+            z = a[t] * z + b[t] * pred.predict(z, t, bias)
+        return (z,)
+    for t in range(1, hi + 1):
+        z = gamma[t] * z - omega[t] * pred.predict(z, t, bias)
+    return (z,)
+
+
+def run_pass(name, st, sched, pred, bias, params):
+    if name.startswith("ddim"):
+        return (ddim_sample(st.z, sched, pred, bias, name[len("ddim_"):], params),)
+    out = (edict_forward if name == "edict_forward" else edict_reverse)(st, sched, pred, bias, params)
+    return out.z, out.u
+
+
+class TestBoxedCoefficients:
+    # the passes multiply by the schedule's 0-d arrays and p, 1 - p boxed
+    # the same way; the IEEE operations are those of Python floats
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("mixing_p", [0.9, 1])
+    def test_pass_equals_the_python_float_loop(self, name, kind, rows, mixing_p):
+        sched = build_schedule(20)
+        pred = Predictor(kind, weight_seed=7)
+        shape = (rows, 1, 8, 8) if rows > 1 else (1, 8, 8)
+        st = seeded_state(f"boxed|{rows}", 0, shape)
+        conds = [shared_conditions()] * rows if rows > 1 else [None]
+        bias = pred.bias(64, 20, conds, 0.5 if rows > 1 else 1.0)
+        params = SamplerParams(mixing_p=mixing_p, edit_strength=0.7)
+        got = run_pass(name, st, sched, pred, bias, params)
+        want = reference_pass(name, st, sched, pred, bias, params)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.float64 and g.shape == shape
+            assert g.tobytes() == w.tobytes()
+
+
+class TestEndStateCheck:
+    # a pass checks the state it ends on once; the CoupledState it returns
+    # does not check the same chains again
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+        real = edict._finite
+        monkeypatch.setattr(edict, "_finite", lambda arrays: seen.append(len(arrays)) or real(arrays))
+        return seen
+
+    @pytest.mark.parametrize("kind", ["zero", "tiny-mlp"])
+    def test_finite_pass_checks_its_end_state_once(self, checks, kind):
+        sched = build_schedule(10)
+        pred = Predictor(kind, weight_seed=7)
+        st = seeded_state("end-check", 0, (1, 8, 8))
+        bias = plain(pred, st.z, 10)
+        assert checks == [2]  # building st from outside checked it
+        checks.clear()
+        fwd = edict_forward(st, sched, pred, bias, WINDOW)
+        assert checks == [2]
+        edict_reverse(fwd, sched, pred, bias, WINDOW)
+        assert checks == [2, 2]
+        ddim_sample(st.z, sched, pred, bias, "noising", WINDOW)
+        assert checks == [2, 2, 1]
 
 
 class TestDDIM:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 from dataclasses import replace
 
@@ -184,6 +185,18 @@ class TestRunSweep:
         assert rows[0]["error"] is None
         assert rows[1]["error"] == "ValueError: grid power overflows float64"
         assert rows[1]["trial"] is None
+
+    def test_overflowing_mse_is_an_error_row(self):
+        # the receivers' grids reach ~1e154 here and their MSE overflows;
+        # the point once scored mse inf and psnr_db -inf with error None
+        spec = small_sweep(base=fast_base(predictor_kind="zero", steps=20, edit_strength=1.0),
+                           axes={"mixing_p": [0.01]}, trials_per_point=1, base_seed="div")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(spec)
+        assert [row["error"] for row in rows] == [
+            "ValueError: mean squared error overflows float64 (or a grid is not finite)"]
+        assert rows[0]["trial"] is None
 
     def test_shared_keyed_objects_leave_every_row_unchanged(self):
         # consecutive trials change each input of the shared keyed objects,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stegolink.metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare, mse, psnr, ssim
+from stegolink.metrics import SSIM_MAX_MAGNITUDE, MetricsReport, _mean, compare, mse, psnr, ssim
 from stegolink.rng import Seed64, gaussian_stream
 
 
@@ -37,6 +37,29 @@ class TestMse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mse(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+class TestMean:
+    # mse and ssim take their means without np.mean's wrapper; the sum and
+    # the division are np.mean's own, so every bit agrees
+
+    @pytest.mark.parametrize("sizes", [range(1, 301), [1024, 4096, 65536]], ids=["1-300", "large"])
+    def test_equals_np_mean_bit_for_bit(self, sizes):
+        for n in sizes:
+            x = gaussian_stream(Seed64(1000 + n), n) * 3.0 + 0.5
+            for grid in (x, x * x, x.reshape(1, 1, n)):
+                assert _mean(grid).tobytes() == np.mean(grid).tobytes(), n
+
+    def test_metrics_equal_their_np_mean_formulas(self):
+        for seed in range(20):
+            a, b = pair(500 + seed, (1, 16, 16))
+            assert mse(a, b) == float(np.mean((a - b) ** 2))
+            fa, fb = a.ravel(), b.ravel()
+            da, db = fa - fa.mean(), fb - fb.mean()
+            c1, c2 = (0.01 * 4.0) ** 2, (0.03 * 4.0) ** 2
+            num = (2.0 * fa.mean() * fb.mean() + c1) * (2.0 * np.mean(da * db) + c2)
+            den = (fa.mean() ** 2 + fb.mean() ** 2 + c1) * (np.mean(da * da) + np.mean(db * db) + c2)
+            assert ssim(a, b, 4.0) == float(min(1.0, max(-1.0, num / den)))
 
 
 class TestPsnr:
@@ -133,6 +156,19 @@ class TestCompareAndReport:
         a, b = pair(16)
         with pytest.raises(ValueError, match="peak"):
             compare(a, b, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    def test_overflowing_mse_raises_without_a_warning(self, scale):
+        # finite grids whose squared difference leaves float64: an error,
+        # never an inf MSE and a -inf PSNR in a report
+        a, b = pair(17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: mse(a * scale, -b * scale), lambda: psnr(a * scale, -b * scale, 2.0),
+                         lambda: compare(a * scale, -b * scale, 2.0)):
+                with pytest.raises(ValueError, match="overflows float64"):
+                    call()
+            assert np.isfinite(compare(a * 1e150, b * 1e150, 2.0).mse)
 
     def test_report_round_trips_through_dict(self):
         rep = MetricsReport(mse=0.25, psnr_db=12.5, ssim=0.75)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stegolink.edict as edict
 import stegolink.pipeline as pipeline
 from stegolink.channel import decode, encode, transmit
 from stegolink.edict import CoupledState, SamplerDivergenceError, edict_forward, edict_reverse
@@ -156,6 +157,31 @@ class TestHide:
         bad = np.full(cfg.shape, np.nan)
         with pytest.raises(ValueError):
             hide(bad, KeyedLink(cfg))
+
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    def test_overflowing_difference_panel_named(self, kind):
+        # mixing_p 1e-6 over 20 steps sets a pair gain of 2^797; times the
+        # hidden chains' gap that leaves float64 (a RuntimeWarning, then a
+        # "non-finite values" error from the channel encoder, before)
+        cfg = fast_cfg(predictor_kind=kind, mixing_p=1e-6, steps=20, edit_strength=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="difference panel overflows float64"):
+                run_trial(make_secret(Seed64(11), cfg.shape), cfg)
+            rows = run_sweep(SweepSpec(base=cfg, axes={"mixing_p": [1e-6]}, base_seed="pack"))
+        assert rows[0]["error"].startswith("ValueError: the difference panel overflows float64")
+
+    def test_coupled_pass_checks_each_pass_end_once(self, monkeypatch):
+        # the sign flip between the two passes keeps the chains finite, so
+        # neither it nor the passes' returned states are checked again
+        cfg = fast_cfg()
+        link = KeyedLink(cfg)
+        secret = make_secret(Seed64(11), cfg.shape)
+        seen = []
+        real = edict._finite
+        monkeypatch.setattr(edict, "_finite", lambda arrays: seen.append(len(arrays)) or real(arrays))
+        hide(secret, link)
+        assert seen == [2, 2, 2]  # the secret's start state, then each pass's end
 
     def test_stego_visible_half_not_secret(self):
         # the carrier must not leak the secret verbatim

@@ -69,6 +69,24 @@ class TestScheduleCache:
             with pytest.raises(ValueError):
                 arr[1] = 0.0
 
+    def test_boxed_coefficients_equal_the_arrays(self):
+        s = build_schedule(12)
+        for name in ("a", "b", "gamma", "omega"):
+            arr, boxed = getattr(s, name), getattr(s.coef, name)
+            assert len(boxed) == len(arr) == 13
+            for t, value in enumerate(boxed):
+                assert isinstance(value, np.ndarray) and value.shape == () and value.dtype == np.float64
+                assert value.tobytes() == arr[t].tobytes()
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[...] = 0.0
+
+    def test_cache_hits_share_the_boxed_coefficients(self):
+        first, second = build_schedule(14), build_schedule(14)
+        assert first.coef is second.coef
+        assert all(x is y for name in ("a", "b", "gamma", "omega")
+                   for x, y in zip(getattr(first.coef, name), getattr(second.coef, name)))
+
     def test_cached_integer_does_not_admit_an_equal_float(self):
         build_schedule(12, 1e-4, 2e-2)
         with pytest.raises(ValueError):
