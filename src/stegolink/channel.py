@@ -74,19 +74,35 @@ def encode(z: np.ndarray) -> SymbolFrame:
 
 
 def transmit(frame: SymbolFrame, cfg: ChannelConfig) -> SymbolFrame:
-    """Apply the gain and add seeded AWGN sized by measured signal power."""
+    """Apply the gain and add seeded AWGN sized by measured signal power.
+
+    A gain that carries the symbols out of float64 raises a ValueError
+    naming the overflow, with no RuntimeWarning.
+    """
     s = frame.symbols
-    if cfg.noiseless:
-        return replace(frame, symbols=cfg.h * s)
-    p_signal = float(np.mean(s ** 2))
-    sigma2 = p_signal / (10.0 ** (cfg.snr_db / 10.0))
-    noise = gaussian_stream(cfg.noise_seed, s.size)
-    return replace(frame, symbols=cfg.h * s + np.sqrt(sigma2) * noise)
+    if not cfg.noiseless:
+        p_signal = float(np.mean(s ** 2))
+        sigma2 = p_signal / (10.0 ** (cfg.snr_db / 10.0))
+        noise = gaussian_stream(cfg.noise_seed, s.size)
+    try:
+        with np.errstate(over="raise"):
+            received = cfg.h * s if cfg.noiseless else cfg.h * s + np.sqrt(sigma2) * noise
+    except FloatingPointError:
+        raise ValueError(f"the received symbols overflow float64: channel gain h {cfg.h:.3g}") from None
+    return replace(frame, symbols=received)
 
 
 def decode(frame: SymbolFrame, cfg: ChannelConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """Equalize by h and undo the encode affine map."""
+    """Equalize by h and undo the encode affine map.
+
+    Equalizing by a tiny gain can carry the grid out of float64; that
+    raises a ValueError naming the overflow, with no RuntimeWarning.
+    """
     if cfg.h == 0.0:
         raise ValueError("channel gain h must be nonzero to decode")
-    flat = frame.symbols / cfg.h * frame.scale + frame.offset
+    try:
+        with np.errstate(over="raise"):
+            flat = frame.symbols / cfg.h * frame.scale + frame.offset
+    except FloatingPointError:
+        raise ValueError(f"the equalized grid overflows float64: channel gain h {cfg.h:.3g}") from None
     return flat.reshape(shape)

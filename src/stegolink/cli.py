@@ -19,7 +19,7 @@ from . import acceptance
 from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data,
                       iter_sweep, load_records, parse_config, records_to_jsonl)
 from .metrics import SSIM_MAX_MAGNITUDE
-from .pipeline import PipelineConfig, _model, build_conditions, make_secret, run_trial
+from .pipeline import PipelineConfig, _link, _model, build_conditions, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
 
@@ -62,6 +62,8 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
         except ValueError as e:
             raise ConfigError(f"shape: expected C,H,W integers, got {args.shape!r}") from e
     if args.seed is not None:
+        if not 0 <= args.seed < 2 ** 64:
+            raise ConfigError("seed: must be an integer in [0, 2^64)")
         overrides["secret_seed"] = args.seed
         overrides["noise_seed"] = derive(Seed64(args.seed), "noise").value
     try:
@@ -122,7 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     aggregates_path = os.path.join(args.out, "aggregates.csv")
     records = []
     total = len(spec.points()) * spec.trials_per_point
-    references, models = build_conditions.cache_info().misses, _model.cache_info().misses
+    links, references, models = _link.misses, build_conditions.cache_info().misses, _model.cache_info().misses
     start = last_report = time.perf_counter()
     with open(records_path, "w", encoding="utf-8") as fh:
         for row in iter_sweep(spec):
@@ -138,11 +140,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"sweep: {len(records)}/{total} trials, {rate:.2f} trials/s, "
                       f"ETA {(total - len(records)) / rate:.0f} s", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
+    links = _link.misses - links
     references = build_conditions.cache_info().misses - references
     models = _model.cache_info().misses - models
     print(f"sweep: done {len(records)}/{total} trials in {elapsed:.1f} s "
-          f"({len(records) / elapsed:.2f} trials/s), {references} references generated, "
-          f"{models} models built", file=sys.stderr)
+          f"({len(records) / elapsed:.2f} trials/s), {links} links built, "
+          f"{references} references generated, {models} models built", file=sys.stderr)
     with open(aggregates_path, "w", encoding="utf-8") as fh:
         fh.write(aggregates_csv(records))
     failures = sum(1 for row in records if row["error"] is not None)

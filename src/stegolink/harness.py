@@ -105,8 +105,8 @@ def iter_sweep(spec: SweepSpec):
     """Yield one record dict per trial, in deterministic order.
 
     A failing trial yields an error row instead of aborting the sweep.
-    Trials share models and condition sets through the pipeline's caches
-    (see KeyedLink); no record depends on what they hold.
+    Trials share links, models and condition sets through the pipeline's
+    caches (see KeyedLink); no record depends on what they hold.
     """
     for point_index, point in enumerate(spec.points()):
         for trial_index in range(spec.trials_per_point):

@@ -22,12 +22,15 @@ E2 runs the full keyed reveal with a wrong token (wrong mask, wrong
 reference); E3 runs the reveal with no token at all, skipping mask
 restoration and falling back to a stock reference seed.
 
-Every keyed object is a pure function of the config and its tokens.  Two
-bounded process-wide caches hold the costly ones: ``_model`` the hiding and
-the reference model, ``build_conditions`` the condition sets of one link's
-three reference tokens.  No record depends on what they hold.  A KeyedLink
-builds the rest (schedule, masks and the predictor's latent-free input
-terms), and hide, reveal and eavesdrop all read from it.
+Every keyed object is a pure function of the config and its tokens.  Three
+bounded process-wide caches hold them: ``_model`` the hiding and the
+reference model, ``build_conditions`` the condition sets of one link's three
+reference tokens, and ``_link`` the last four KeyedLinks, which hold the rest
+(schedule, masks and the predictor's latent-free input terms).  hide, reveal
+and eavesdrop all read from a link.  A link is keyed by every config field
+except the channel's (snr_db, h, noiseless) and the trial's seeds
+(noise_seed, secret_seed), so the trials of one sweep point, or of an SNR
+sweep, share one link.  No record depends on what the caches hold.
 
 One batched reveal serves every receiver: the legit, E2 and E3 receivers and
 the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from dataclasses import dataclass, fields
 
@@ -198,20 +202,23 @@ def sync_gain(mixing_p: float, steps: int) -> float:
 class KeyedLink:
     """Every keyed object of one config, built once and shared by all ends.
 
-    Holds the hiding schedule, predictor, sampler params and pair gain, and
-    one row per REVEAL_ROWS entry: ``conditions`` holds each row's condition
-    set, regenerated from its reference token (cfg.token for the legit and
-    round-trip rows, cfg.eavesdropper_token for E2, the stock reference for
-    E3), and ``reveal_mask`` stacks each row's sign-flip mask.  E3's mask row
-    is all zeros by its position, whatever the tokens: the tokenless receiver
-    leaves the sign flips in place.  Each distinct token's reference is
-    generated once.
+    Holds the latent shape, the hiding schedule, predictor, sampler params
+    and pair gain, and one row per REVEAL_ROWS entry: ``conditions`` holds
+    each row's condition set, regenerated from its reference token
+    (cfg.token for the legit and round-trip rows, cfg.eavesdropper_token for
+    E2, the stock reference for E3), and ``reveal_mask`` stacks each row's
+    sign-flip mask.  E3's mask row is all zeros by its position, whatever
+    the tokens: the tokenless receiver leaves the sign flips in place.  Each
+    distinct token's reference is generated once.  A link keeps nothing of
+    the channel or the trial's seeds, so one link serves every trial whose
+    config differs only in those (see ``_link``).
 
     Two RowBias hold the predictor's latent-free terms for the rows:
     ``reveal_bias`` conditions each row by its condition set and mixes the
     guidance branches by cfg.guidance_weight, ``plain_bias`` leaves them
-    unconditioned.  Hiding runs row 0 of the same terms, so its conditioned
-    pass and the legit row's inverse add identical bias bits.
+    unconditioned.  Hiding runs row 0 of the same terms (``hide_plain_bias``,
+    ``hide_mask`` and ``hide_bias``), so its conditioned pass and the legit
+    row's inverse add identical bias bits.
 
     The predictor and condition sets come from the ``_model`` (2 entries)
     and ``build_conditions`` (3) caches.  Each distinct token is looked up
@@ -228,7 +235,7 @@ class KeyedLink:
                                           beta_end=cfg.beta_end, shape=cfg.shape)
                       for t in dict.fromkeys(row_tokens)}
 
-        self.cfg = cfg
+        self.shape = cfg.shape
         self.conditions = [conditions[t] for t in row_tokens]
         self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
         self.pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
@@ -242,6 +249,52 @@ class KeyedLink:
         no_flips = np.zeros(cfg.shape, dtype=np.uint8)
         self.reveal_mask = PerturbationMask(np.stack([no_flips if row == "E3" else masks[t]
                                                       for row, t in zip(REVEAL_ROWS, row_tokens)]))
+        self.hide_plain_bias = self.plain_bias.take([0])
+        self.hide_mask = PerturbationMask(self.reveal_mask.bits[0])
+        self.hide_bias = self.reveal_bias.take([0])
+
+
+# a link reads every PipelineConfig field but the channel's and the trial's
+# seeds, so its key leaves out only these; a field added later is keyed
+_TRIAL_FIELDS = ("snr_db", "h", "noiseless", "noise_seed", "secret_seed")
+_link_key = operator.attrgetter(*(f.name for f in fields(PipelineConfig) if f.name not in _TRIAL_FIELDS))
+
+
+class _LinkCache:
+    """The last few keyed links, each under the config fields it reads.
+
+    Bounded like ``_model`` and ``build_conditions``: an eta grid of three
+    points keeps its three links, and a fresh token misses and evicts the
+    least recently used.  A miss builds ``KeyedLink(cfg)`` from the trial's
+    own config; ``misses`` counts the links built.
+    """
+
+    maxsize = 4
+
+    def __init__(self):
+        self._links: dict[tuple, KeyedLink] = {}  # least recently used first
+        self.misses = 0
+
+    def __call__(self, cfg: PipelineConfig) -> KeyedLink:
+        key = _link_key(cfg)
+        link = self._links.pop(key, None)
+        if link is None:
+            link = KeyedLink(cfg)
+            self.misses += 1
+            if len(self._links) == self.maxsize:
+                del self._links[next(iter(self._links))]
+        self._links[key] = link
+        return link
+
+    def __len__(self) -> int:
+        return len(self._links)
+
+    def cache_clear(self) -> None:
+        self._links.clear()
+        self.misses = 0
+
+
+_link = _LinkCache()
 
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
@@ -277,14 +330,13 @@ def _coupled_pass(state: CoupledState, link: KeyedLink, noise_bias: RowBias, mas
 
 def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
     """Render the secret into a stego latent keyed by the link's token."""
-    cfg = link.cfg
     secret = np.asarray(secret, dtype=np.float64)
-    if secret.shape != cfg.shape:
-        raise ValueError(f"secret shape {secret.shape} does not match config shape {cfg.shape}")
+    if secret.shape != link.shape:
+        raise ValueError(f"secret shape {secret.shape} does not match config shape {link.shape}")
     if not np.isfinite(secret).all():
         raise ValueError("secret contains non-finite values")
-    state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link, link.plain_bias.take([0]),
-                          PerturbationMask(link.reveal_mask.bits[0]), link.reveal_bias.take([0]))
+    state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link, link.hide_plain_bias,
+                          link.hide_mask, link.hide_bias)
     return _pack_pair(state, link.gain)
 
 
@@ -294,9 +346,8 @@ def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> n
     The legit, E2 and E3 rows start from stego_hat and the round-trip row
     from stego.  A non-finite start is rejected here, before any step runs.
     """
-    cfg = link.cfg
-    channels = cfg.shape[0]
-    expected = (2 * channels,) + cfg.shape[1:]
+    channels = link.shape[0]
+    expected = (2 * channels,) + link.shape[1:]
     stego_hat = np.asarray(stego_hat, dtype=np.float64)
     stego = np.asarray(stego, dtype=np.float64)
     for grid in (stego_hat, stego):
@@ -327,7 +378,7 @@ def eavesdrop(stego_hat: np.ndarray, link: KeyedLink, model: str) -> np.ndarray:
     if model not in EAVESDROPPER_MODELS:
         raise ValueError(f"model must be one of {EAVESDROPPER_MODELS}")
     if model == "E1":
-        return np.asarray(stego_hat, dtype=np.float64)[:link.cfg.shape[0]].copy()
+        return np.asarray(stego_hat, dtype=np.float64)[:link.shape[0]].copy()
     return _reveal_rows(stego_hat, stego_hat, link)[REVEAL_ROWS.index(model)]
 
 
@@ -392,8 +443,9 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     "recovery" is by definition just the stego.  A channel-free reveal of
     the same stego is included as the sampler round-trip diagnostic.  The
     three keyed receivers and the round trip run as one batched reveal.
-    Models and condition sets come from the caches (see KeyedLink).  A
-    secret beyond SSIM_MAX_MAGNITUDE is rejected before any step runs.
+    The link comes from the ``_link`` cache, and its models and condition
+    sets from theirs (see KeyedLink).  A secret beyond SSIM_MAX_MAGNITUDE is
+    rejected before any step runs.
     """
     secret = np.asarray(secret, dtype=np.float64)
     peak = float(secret.max()) - float(secret.min())  # Python floats: an overflow is inf, not a warning
@@ -402,7 +454,7 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     if SSIM_MAX_MAGNITUDE < float(np.abs(secret).max()) < math.inf:  # hide rejects a non-finite one
         raise ValueError(f"secret magnitude exceeds {SSIM_MAX_MAGNITUDE:.3g}, past which SSIM overflows float64")
 
-    link = KeyedLink(cfg)
+    link = _link(cfg)
     stego = hide(secret, link)
     frame = encode(stego)
     received = transmit(frame, cfg.channel)

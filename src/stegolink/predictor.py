@@ -115,25 +115,29 @@ def _time_embeddings(steps: int) -> np.ndarray:
 class RowBias:
     """The latent-free part of a predictor's input for a batch of rows.
 
-    Each row's latent has n values.  ``step[t]`` is the step term at step t
-    (tiny-mlp only, else None), and ``cond[k, r]`` is row r's condition term
-    in guidance branch k.  There is one branch (full, key-only or, for
-    unconditioned rows, zero), or two, key only then full, mixed as
+    Each of the ``rows`` latents has n values.  ``step[t]`` is the step term
+    at step t (tiny-mlp only, else None), and ``cond[k, r]`` is row r's
+    condition term in guidance branch k.  Conditioned rows have one branch
+    (full or key-only) or two, key only then full, mixed as
     (1 - guidance_weight) * key_only + guidance_weight * full.
+    Unconditioned rows, like every row of the zero predictor, have no
+    condition term at all (``cond`` None, zero branches): an all-zero one
+    would add nothing.
     """
 
     n: int
+    rows: int
     step: np.ndarray | None
-    cond: np.ndarray
+    cond: np.ndarray | None
     guidance_weight: float
 
     @property
-    def rows(self) -> int:
-        return self.cond.shape[1]
+    def branches(self) -> int:
+        return 0 if self.cond is None else len(self.cond)
 
     def take(self, rows: list[int]) -> "RowBias":
         """The same terms for a subset of the rows; the step term is shared."""
-        return replace(self, cond=self.cond[:, rows])
+        return replace(self, rows=len(rows), cond=None if self.cond is None else self.cond[:, rows])
 
 
 class Predictor:
@@ -235,18 +239,17 @@ class Predictor:
             cvec = np.stack([[c.without_reference().stacked() for c in rows],
                              [c.stacked() for c in rows]])
 
-        step = None
-        if self.kind == "zero":
-            cond = np.zeros((1, len(rows), 0))
-        elif self.kind == "linear":
+        step = cond = None
+        if self.kind == "linear":
             _, _, w, direction = self.weights_for(n)
-            cond = (np.zeros((1, len(rows), n)) if cvec is None
-                    else (_BIAS_SCALE * (cvec @ w))[..., None] * direction)
-        else:
+            if cvec is not None:
+                cond = (_BIAS_SCALE * (cvec @ w))[..., None] * direction
+        elif self.kind == "tiny-mlp":
             w1, _ = self.weights_for(n)
             step = _time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T
-            cond = np.zeros((1, len(rows), w1.shape[0])) if cvec is None else cvec @ w1[:, n + _TIME_DIM:].T
-        return RowBias(n, step, cond, guidance_weight)
+            if cvec is not None:
+                cond = cvec @ w1[:, n + _TIME_DIM:].T
+        return RowBias(n, len(rows), step, cond, guidance_weight)
 
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
         """Noise estimate at step t for each of the bias's rows.
@@ -255,6 +258,12 @@ class Predictor:
         is a one-row batch as it is); the result has z's shape.  Values are
         checked where they enter the pipeline, not here: each sampler pass
         checks the state it ends on (see the edict module).
+
+        The condition term is added only when the bias holds one, and the
+        guidance mix runs only for a two-branch bias.  For unconditioned
+        rows this skips an x + 0.0, which can change only the sign of a
+        zero (x + 0.0 turns -0.0 into +0.0): no nonzero value, no
+        ``np.array_equal`` comparison and no record sees the difference.
         """
         if self.kind == "zero":
             return np.zeros(z.shape)
@@ -262,11 +271,16 @@ class Predictor:
         flat = z.reshape(bias.rows, n)
         if self.kind == "linear":
             qa, qb = self.weights_for(n)[:2]
-            out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape) + bias.cond
+            out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape)
+            if bias.cond is not None:
+                out = out + bias.cond
         else:
             w1, w2 = self.weights_for(n)
-            out = np.tanh(flat @ w1[:, :n].T + bias.step[t] + bias.cond) @ w2.T
-        if len(out) == 2:
+            pre = flat @ w1[:, :n].T + bias.step[t]
+            if bias.cond is not None:
+                pre = pre + bias.cond
+            out = np.tanh(pre) @ w2.T
+        if bias.branches == 2:
             lam = bias.guidance_weight
             out = (1.0 - lam) * out[0] + lam * out[1]
         return out.reshape(z.shape)

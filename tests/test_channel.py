@@ -80,6 +80,15 @@ class TestTransmit:
             ChannelConfig(h=np.nan)
 
 
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_overflowing_gain_rejected_without_warnings(self, noiseless):
+        f = encode(gaussian_stream(Seed64(3), 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the received symbols overflow float64: channel gain h 1e"):
+                transmit(f, ChannelConfig(h=1e308, noiseless=noiseless))
+
+
 class TestDecode:
     def test_noiseless_round_trip(self):
         z = gaussian_stream(Seed64(7), 64).reshape(1, 8, 8) * 3.0 + 1.5
@@ -103,6 +112,17 @@ class TestDecode:
         f = encode(np.arange(8.0))
         with pytest.raises(ValueError):
             decode(f, ChannelConfig(h=0.0), (8,))
+
+    def test_overflowing_equalization_rejected_without_warnings(self):
+        # a tiny nonzero gain under the noise: the received symbols are
+        # finite, their equalized values are not
+        f = encode(gaussian_stream(Seed64(3), 64))
+        cfg = ChannelConfig(h=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            received = transmit(f, cfg)
+            with pytest.raises(ValueError, match="the equalized grid overflows float64: channel gain h 1e-320"):
+                decode(received, cfg, (64,))
 
     def test_error_variance_propagation(self):
         # per-entry error variance tracks sigma^2 scale^2 / h^2 within 5%

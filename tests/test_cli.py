@@ -123,6 +123,26 @@ class TestRun:
         assert proc.stderr.startswith("config error:")
         assert field in proc.stderr
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_rc2_names_field(self, seed):
+        # it once exited 1 with Seed64's message, naming no field
+        proc = run_cli("run", *FAST, "--seed", seed)
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: seed: must be an integer in [0, 2^64)\n"
+
+    def test_largest_seed_accepted(self):
+        proc = run_cli("run", *FAST, "--seed", str(2 ** 64 - 1))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_overflowing_channel_gain_rc1_without_warnings(self, tmp_path):
+        # h 1e-320 once printed two RuntimeWarnings and failed on
+        # non-finite chains; the decoder now names its overflow
+        cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8], "h": 1e-320})
+        proc = run_cli("run", "--config", cfg)
+        assert proc.returncode == 1
+        assert proc.stderr == ("runtime error: ValueError: the equalized grid overflows float64: "
+                               "channel gain h 1e-320\n")
+
     def test_missing_config_rc2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")
         assert proc.returncode == 2
@@ -231,16 +251,19 @@ class TestSweepAndExport:
         assert records == records_to_jsonl(run_sweep(parse_config(cfg)))
 
     def test_summary_counts_what_the_sweep_built(self, tmp_path, capsys):
-        # one (config, token): the first run builds three references and two
-        # models, and the same sweep run again finds them all in the caches
+        # one (config, token) over an snr_db axis: the first run builds one
+        # link, three references and two models, and the same sweep run
+        # again finds them all in the caches
         cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
+        pipeline._link.cache_clear()
         pipeline._model.cache_clear()
         pipeline.build_conditions.cache_clear()
-        for references, models in ((3, 2), (0, 0)):
+        for links, references, models in ((1, 3, 2), (0, 0, 0)):
             assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
             summary = capsys.readouterr().err.splitlines()[-1]
             assert summary.startswith("sweep: done 4/4 trials in ")
-            assert summary.endswith(f", {references} references generated, {models} models built")
+            assert summary.endswith(f", {links} links built, {references} references generated, "
+                                    f"{models} models built")
 
     @pytest.mark.parametrize("change,field", [
         ({"base_seed": None}, "base_seed"),

@@ -401,6 +401,7 @@ class TestKeyedLink:
         for name in ("Predictor", "generate_reference"):
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
         monkeypatch.setattr(Predictor, "predict", counting("predict", Predictor.predict))
+        pipeline._link.cache_clear()
         pipeline._model.cache_clear()
         pipeline.build_conditions.cache_clear()
         return counts
@@ -440,10 +441,11 @@ class TestKeyedLink:
 
     def test_caches_hold_at_most_one_links_objects(self):
         for token, kind in (("9000", "tiny-mlp"), ("76576", "zero"), ("6718", "linear")):
-            link = KeyedLink(fast_cfg(token=token, predictor_kind=kind))
+            cfg = fast_cfg(token=token, predictor_kind=kind)
+            link = KeyedLink(cfg)
         assert pipeline._model.cache_info().currsize == 2
         assert pipeline.build_conditions.cache_info().currsize == 3
-        assert pipeline._model("linear", link.cfg.predictor_seed, link.cfg.embed_dim) is link.pred
+        assert pipeline._model("linear", cfg.predictor_seed, cfg.embed_dim) is link.pred
 
     def test_fresh_tokens_evict_only_the_previous_token(self, counts):
         # each link looks up its token, then the shared eavesdropper and
@@ -472,6 +474,96 @@ class TestKeyedLink:
                          trials_per_point=2, base_seed="lambda")
         assert all(row["error"] is None for row in run_sweep(spec))
         assert counts["generate_reference"] == 3
+
+
+class TestLinkCache:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        pipeline._link.cache_clear()
+
+    @staticmethod
+    def trial_configs(base):
+        # one link's trials: only the channel and the trial's seeds differ
+        return [replace(base, snr_db=snr_db, noise_seed=noise_seed, secret_seed=secret_seed, noiseless=False)
+                for snr_db, noise_seed, secret_seed in ((10.0, 1, 11), (5.0, 2, 12), (20.0, 3, 13))]
+
+    @staticmethod
+    def record(cfg):
+        return json.dumps(run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg).to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("guidance_weight", [0.4, 1.0])
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    def test_record_same_with_a_cold_and_a_warm_link(self, kind, guidance_weight):
+        cfgs = self.trial_configs(fast_cfg(predictor_kind=kind, guidance_weight=guidance_weight, eta=0.1))
+        cold = []
+        for cfg in cfgs:
+            pipeline._link.cache_clear()
+            cold.append(self.record(cfg))
+        warm = [self.record(cfg) for cfg in cfgs]
+        assert pipeline._link.misses == 1 and warm == cold
+
+    def test_eta_sweep_same_with_a_cold_and_a_warm_link_cache(self):
+        spec = SweepSpec(base=fast_cfg(predictor_kind="tiny-mlp", guidance_weight=0.4, noiseless=False),
+                         axes={"eta": [0.01, 0.05, 0.5]}, trials_per_point=2, base_seed="eta-links")
+        warm = run_sweep(spec)
+        cold = []
+        for row in warm:
+            pipeline._link.cache_clear()
+            cold.append(self.record(PipelineConfig.from_dict(row["trial"]["config"])))
+        assert [json.dumps(row["trial"], sort_keys=True) for row in warm] == cold
+
+    def test_snr_sweep_builds_one_link(self):
+        spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0, 15.0]},
+                         trials_per_point=2, base_seed="one-link")
+        assert all(row["error"] is None for row in run_sweep(spec))
+        assert pipeline._link.misses == 1 and len(pipeline._link) == 1
+
+    def test_eta_grid_keeps_its_three_links_across_passes(self):
+        for index in range(3):
+            spec = SweepSpec(base=fast_cfg(predictor_kind="linear", noiseless=False),
+                             axes={"eta": [0.01, 0.05, 0.5]}, base_seed=f"pass/{index}")
+            assert all(row["error"] is None for row in run_sweep(spec))
+        assert pipeline._link.misses == 3 and len(pipeline._link) == 3
+
+    def test_fresh_tokens_never_hold_more_than_the_bound(self):
+        sizes = []
+        for i in range(2 * pipeline._LinkCache.maxsize + 1):
+            cfg = fast_cfg(predictor_kind="zero", token=f"churn-{i}")
+            run_trial(make_secret(Seed64(i), cfg.shape), cfg)
+            sizes.append(len(pipeline._link))
+        assert sizes == [1, 2, 3, 4, 4, 4, 4, 4, 4]
+        assert pipeline._link.misses == len(sizes)
+
+    def test_least_recently_used_link_is_evicted(self):
+        cfgs = [fast_cfg(predictor_kind="zero", token=f"lru-{i}") for i in range(5)]
+        links = [pipeline._link(cfg) for cfg in cfgs[:4]]
+        assert pipeline._link(cfgs[0]) is links[0]  # now the most recently used
+        pipeline._link(cfgs[4])  # evicts lru-1
+        assert pipeline._link(cfgs[0]) is links[0] and pipeline._link(cfgs[2]) is links[2]
+        assert pipeline._link.misses == 5
+        assert pipeline._link(cfgs[1]) is not links[1] and pipeline._link.misses == 6
+
+    def test_key_is_every_field_but_the_channel_and_the_seeds(self):
+        cfg = fast_cfg()
+        link_fields = [f.name for f in fields(PipelineConfig) if f.name not in
+                       ("snr_db", "h", "noiseless", "noise_seed", "secret_seed")]
+        assert pipeline._link_key(cfg) == tuple(getattr(cfg, name) for name in link_fields)
+        link = pipeline._link(cfg)
+        trial = replace(cfg, snr_db=3.0, h=0.5, noiseless=False, noise_seed=99, secret_seed=98)
+        assert pipeline._link(trial) is link
+        for name, value in (("eta", 0.2), ("token", "other"), ("guidance_weight", 0.5), ("steps", 12)):
+            assert pipeline._link(replace(cfg, **{name: value})) is not link, name
+
+    def test_link_keeps_no_trial_config(self):
+        link = KeyedLink(fast_cfg())
+        assert not hasattr(link, "cfg") and link.shape == (1, 8, 8)
+
+    def test_hide_runs_the_legit_row_of_the_reveal_terms(self):
+        link = KeyedLink(fast_cfg(predictor_kind="tiny-mlp", guidance_weight=0.4, eta=0.5))
+        assert link.hide_bias.rows == link.hide_plain_bias.rows == 1
+        assert np.array_equal(link.hide_bias.cond, link.reveal_bias.cond[:, [0]])
+        assert link.hide_plain_bias.cond is None and link.hide_plain_bias.step is link.plain_bias.step
+        assert np.array_equal(link.hide_mask.bits, link.reveal_mask.bits[0])
 
 
 class TestMakeSecret:
@@ -550,6 +642,20 @@ class TestRunTrial:
         for name in ("legit", "eaves1", "eaves2", "eaves3"):
             assert np.isfinite(getattr(rec, name).ssim)
             assert getattr(rec, name).ssim == pytest.approx(getattr(ref, name).ssim, rel=0.05)
+
+    @pytest.mark.parametrize("h,message", [(1e-320, "the equalized grid overflows float64"),
+                                           (1e308, "the received symbols overflow float64")])
+    def test_overflowing_channel_gain_named(self, h, message):
+        # a nonzero h of 1e-320 once overflowed in decode's division, and
+        # the reveal then failed on non-finite chains after two warnings
+        cfg = fast_cfg(noiseless=False, h=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                run_trial(make_secret(Seed64(11), cfg.shape), cfg)
+            rows = run_sweep(SweepSpec(base=fast_cfg(noiseless=False), axes={"h": [1.0, h]}, base_seed="gain"))
+        assert rows[0]["error"] is None
+        assert rows[1]["error"].startswith(f"ValueError: {message}: channel gain h ")
 
     def test_channel_noise_separates_legit_from_cap(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, steps=25)

@@ -189,6 +189,46 @@ class TestPredict:
                 p.bias(64, 10, [conditions()], lam)
 
 
+class TestUnconditionedRows:
+    # an unconditioned bias holds no condition term; predict used to add an
+    # all-zero one, np.zeros((1, rows, n or hidden)), and mixed two branches
+    # whenever its output had two leading rows
+
+    @staticmethod
+    def zeros_added(p, z, t, bias):
+        n = bias.n
+        flat = z.reshape(bias.rows, n)
+        if p.kind == "linear":
+            qa, qb = p.weights_for(n)[:2]
+            out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape) + np.zeros((1, bias.rows, n))
+        else:
+            w1, w2 = p.weights_for(n)
+            out = np.tanh(flat @ w1[:, :n].T + bias.step[t] + np.zeros((1, bias.rows, w1.shape[0]))) @ w2.T
+        return out.reshape(z.shape)
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    @pytest.mark.parametrize("latent", ["gaussian", "zero"])
+    def test_equal_the_zeros_added_formula(self, kind, rows, latent):
+        # 2 rows is the case a leading-axis length test would mistake for
+        # two guidance branches
+        p = Predictor(kind, weight_seed=7)
+        n = 64
+        z = (gaussian_stream(Seed64(21), rows * n) if latent == "gaussian" else np.zeros(rows * n))
+        z = z.reshape(rows, 1, 8, 8)
+        bias = p.bias(n, 10, [None] * rows)
+        assert bias.cond is None and bias.branches == 0 and bias.rows == rows
+        for t in (1, 5, 10):
+            assert np.array_equal(p.predict(z, t, bias), self.zeros_added(p, z, t, bias))
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    def test_take_keeps_no_condition_term(self, kind):
+        p = Predictor(kind, weight_seed=7)
+        bias = p.bias(64, 10, [None] * 4)
+        row = bias.take([2])
+        assert row.rows == 1 and row.cond is None and row.step is bias.step
+
+
 class TestLinearMap:
     # the linear mixing is qa (x) qb, applied without forming the n x n matrix
 
