@@ -18,8 +18,7 @@ import numpy as np
 from . import acceptance
 from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data,
                       iter_sweep, load_records, parse_config, records_to_jsonl)
-from .metrics import SSIM_MAX_MAGNITUDE
-from .pipeline import PipelineConfig, _link, _model, build_conditions, make_secret, run_trial
+from .pipeline import PipelineConfig, _keyed_link, _model, build_conditions, check_secret, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
 
@@ -81,16 +80,10 @@ def _load_secret(path: str, shape: tuple[int, ...]) -> np.ndarray:
         raise ConfigError(f"secret_npy: cannot load {path!r} as a .npy array: {e}") from e
     if secret.dtype.kind not in "iuf":
         raise ConfigError(f"secret_npy: dtype {secret.dtype} is not a real number type")
-    if secret.shape != shape:
-        raise ConfigError(f"secret_npy: shape {secret.shape} does not match config shape {shape}")
-    secret = secret.astype(np.float64)
-    if not np.isfinite(secret).all():
-        raise ConfigError("secret_npy: grid holds non-finite values")
-    if secret.min() == secret.max():
-        raise ConfigError("secret_npy: grid is constant (needs a positive dynamic range)")
-    if np.abs(secret).max() > SSIM_MAX_MAGNITUDE:
-        raise ConfigError(f"secret_npy: grid magnitude exceeds {SSIM_MAX_MAGNITUDE:.3g}, "
-                          "past which SSIM overflows float64")
+    try:
+        secret, _ = check_secret(secret, shape)
+    except ValueError as e:
+        raise ConfigError(f"secret_npy: {e}") from e
     return secret
 
 
@@ -124,7 +117,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     aggregates_path = os.path.join(args.out, "aggregates.csv")
     records = []
     total = len(spec.points()) * spec.trials_per_point
-    links, references, models = _link.misses, build_conditions.cache_info().misses, _model.cache_info().misses
+    caches = (_keyed_link, build_conditions, _model)
+    before = [cache.cache_info().misses for cache in caches]
     start = last_report = time.perf_counter()
     with open(records_path, "w", encoding="utf-8") as fh:
         for row in iter_sweep(spec):
@@ -140,9 +134,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"sweep: {len(records)}/{total} trials, {rate:.2f} trials/s, "
                       f"ETA {(total - len(records)) / rate:.0f} s", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
-    links = _link.misses - links
-    references = build_conditions.cache_info().misses - references
-    models = _model.cache_info().misses - models
+    links, references, models = (cache.cache_info().misses - n for cache, n in zip(caches, before))
     print(f"sweep: done {len(records)}/{total} trials in {elapsed:.1f} s "
           f"({len(records) / elapsed:.2f} trials/s), {links} links built, "
           f"{references} references generated, {models} models built", file=sys.stderr)

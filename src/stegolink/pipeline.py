@@ -23,14 +23,15 @@ reference); E3 runs the reveal with no token at all, skipping mask
 restoration and falling back to a stock reference seed.
 
 Every keyed object is a pure function of the config and its tokens.  Three
-bounded process-wide caches hold them: ``_model`` the hiding and the
-reference model, ``build_conditions`` the condition sets of one link's three
-reference tokens, and ``_link`` the last four KeyedLinks, which hold the rest
-(schedule, masks and the predictor's latent-free input terms).  hide, reveal
-and eavesdrop all read from a link.  A link is keyed by every config field
-except the channel's (snr_db, h, noiseless) and the trial's seeds
-(noise_seed, secret_seed), so the trials of one sweep point, or of an SNR
-sweep, share one link.  No record depends on what the caches hold.
+``functools.lru_cache`` functions hold them: ``_model`` the hiding and the
+reference model (2 entries), ``build_conditions`` the condition sets of one
+link's three reference tokens (3), and ``_keyed_link`` the last four
+KeyedLinks (4), which hold the rest (schedule, masks and the predictor's
+latent-free input terms).  hide, reveal and eavesdrop all read from a link.
+A link is keyed by every config field except the channel's (snr_db, h,
+noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
+those fields alone, so the trials of one sweep point, or of an SNR sweep,
+share one link.  No record depends on what the caches hold.
 
 One batched reveal serves every receiver: the legit, E2 and E3 receivers and
 the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
@@ -43,9 +44,11 @@ legit row alone, with the biases swapped.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
+import sys
 
 from dataclasses import dataclass, fields
 
@@ -145,8 +148,10 @@ class PipelineConfig:
             snr_ratio = math.inf
         if not 0.0 < snr_ratio < math.inf:
             raise ValueError("snr_db: 10^(snr_db/10) must be a positive finite number")
-        if self.h == 0.0 or not math.isfinite(self.h):
-            raise ValueError("h: channel gain must be nonzero and finite")
+        # a subnormal gain keeps too few bits of h * symbols to decode
+        if not sys.float_info.min <= abs(self.h) <= sys.float_info.max:
+            raise ValueError(f"h: channel gain must be finite with magnitude at least {sys.float_info.min!r}"
+                             " (the smallest normal float64)")
 
     @property
     def channel(self) -> ChannelConfig:
@@ -209,9 +214,10 @@ class KeyedLink:
     E2, the stock reference for E3), and ``reveal_mask`` stacks each row's
     sign-flip mask.  E3's mask row is all zeros by its position, whatever
     the tokens: the tokenless receiver leaves the sign flips in place.  Each
-    distinct token's reference is generated once.  A link keeps nothing of
-    the channel or the trial's seeds, so one link serves every trial whose
-    config differs only in those (see ``_link``).
+    distinct token's reference is generated once.  A link reads nothing of
+    the channel or the trial's seeds: cfg may be a PipelineConfig or the
+    ``_LinkConfig`` of its other fields, which is what ``_link`` builds
+    from, so one link serves every trial whose config differs only in those.
 
     Two RowBias hold the predictor's latent-free terms for the rows:
     ``reveal_bias`` conditions each row by its condition set and mixes the
@@ -257,44 +263,20 @@ class KeyedLink:
 # a link reads every PipelineConfig field but the channel's and the trial's
 # seeds, so its key leaves out only these; a field added later is keyed
 _TRIAL_FIELDS = ("snr_db", "h", "noiseless", "noise_seed", "secret_seed")
-_link_key = operator.attrgetter(*(f.name for f in fields(PipelineConfig) if f.name not in _TRIAL_FIELDS))
+_LINK_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name not in _TRIAL_FIELDS)
+_link_key = operator.attrgetter(*_LINK_FIELDS)
+_LinkConfig = collections.namedtuple("_LinkConfig", _LINK_FIELDS)
 
 
-class _LinkCache:
-    """The last few keyed links, each under the config fields it reads.
-
-    Bounded like ``_model`` and ``build_conditions``: an eta grid of three
-    points keeps its three links, and a fresh token misses and evicts the
-    least recently used.  A miss builds ``KeyedLink(cfg)`` from the trial's
-    own config; ``misses`` counts the links built.
-    """
-
-    maxsize = 4
-
-    def __init__(self):
-        self._links: dict[tuple, KeyedLink] = {}  # least recently used first
-        self.misses = 0
-
-    def __call__(self, cfg: PipelineConfig) -> KeyedLink:
-        key = _link_key(cfg)
-        link = self._links.pop(key, None)
-        if link is None:
-            link = KeyedLink(cfg)
-            self.misses += 1
-            if len(self._links) == self.maxsize:
-                del self._links[next(iter(self._links))]
-        self._links[key] = link
-        return link
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def cache_clear(self) -> None:
-        self._links.clear()
-        self.misses = 0
+@functools.lru_cache(maxsize=4)  # an eta grid of three points keeps its three links
+def _keyed_link(key: tuple) -> KeyedLink:
+    # the link sees the key's fields alone, so reading a trial field fails
+    return KeyedLink(_LinkConfig._make(key))
 
 
-_link = _LinkCache()
+def _link(cfg: PipelineConfig) -> KeyedLink:
+    """The keyed link of cfg, from the ``_keyed_link`` cache."""
+    return _keyed_link(_link_key(cfg))
 
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
@@ -329,12 +311,11 @@ def _coupled_pass(state: CoupledState, link: KeyedLink, noise_bias: RowBias, mas
 
 
 def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
-    """Render the secret into a stego latent keyed by the link's token."""
-    secret = np.asarray(secret, dtype=np.float64)
-    if secret.shape != link.shape:
-        raise ValueError(f"secret shape {secret.shape} does not match config shape {link.shape}")
-    if not np.isfinite(secret).all():
-        raise ValueError("secret contains non-finite values")
+    """Render the secret into a stego latent keyed by the link's token.
+
+    The secret must pass ``check_secret``.
+    """
+    secret, _ = check_secret(secret, link.shape)
     state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link, link.hide_plain_bias,
                           link.hide_mask, link.hide_bias)
     return _pack_pair(state, link.gain)
@@ -412,6 +393,26 @@ def make_secret(seed: Seed64 | int, shape: tuple[int, int, int]) -> np.ndarray:
 
 # -- trial runner -------------------------------------------------------------
 
+def check_secret(secret: np.ndarray, shape: tuple[int, int, int]) -> tuple[np.ndarray, float]:
+    """Check a secret grid for a trial; returns it as float64 and its peak.
+
+    The grid must have the config's shape, hold only finite values, not be
+    constant (its range, max - min, is the PSNR peak) and stay within
+    SSIM_MAX_MAGNITUDE, past which SSIM overflows float64.
+    """
+    secret = np.asarray(secret, dtype=np.float64)
+    if secret.shape != shape:
+        raise ValueError(f"secret shape {secret.shape} does not match config shape {shape}")
+    if not np.isfinite(secret).all():
+        raise ValueError("secret holds non-finite values")
+    peak = float(secret.max()) - float(secret.min())  # Python floats: an overflow is inf, not a warning
+    if peak <= 0.0:
+        raise ValueError("secret is constant (needs a positive dynamic range)")
+    if float(np.abs(secret).max()) > SSIM_MAX_MAGNITUDE:
+        raise ValueError(f"secret magnitude exceeds {SSIM_MAX_MAGNITUDE:.3g}, past which SSIM overflows float64")
+    return secret, peak
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One hide/transmit/recover cycle with all four receivers scored."""
@@ -443,17 +444,11 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     "recovery" is by definition just the stego.  A channel-free reveal of
     the same stego is included as the sampler round-trip diagnostic.  The
     three keyed receivers and the round trip run as one batched reveal.
-    The link comes from the ``_link`` cache, and its models and condition
-    sets from theirs (see KeyedLink).  A secret beyond SSIM_MAX_MAGNITUDE is
-    rejected before any step runs.
+    The link comes from the ``_keyed_link`` cache, and its models and
+    condition sets from theirs (see KeyedLink).  A secret that
+    ``check_secret`` rejects fails before any step runs.
     """
-    secret = np.asarray(secret, dtype=np.float64)
-    peak = float(secret.max()) - float(secret.min())  # Python floats: an overflow is inf, not a warning
-    if peak <= 0.0:
-        raise ValueError("secret must not be constant (needs a positive dynamic range)")
-    if SSIM_MAX_MAGNITUDE < float(np.abs(secret).max()) < math.inf:  # hide rejects a non-finite one
-        raise ValueError(f"secret magnitude exceeds {SSIM_MAX_MAGNITUDE:.3g}, past which SSIM overflows float64")
-
+    secret, peak = check_secret(secret, cfg.shape)
     link = _link(cfg)
     stego = hide(secret, link)
     frame = encode(stego)

@@ -136,12 +136,28 @@ class TestRun:
 
     def test_overflowing_channel_gain_rc1_without_warnings(self, tmp_path):
         # h 1e-320 once printed two RuntimeWarnings and failed on
-        # non-finite chains; the decoder now names its overflow
-        cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8], "h": 1e-320})
+        # non-finite chains; the decoder now names its overflow, which the
+        # smallest normal gain still reaches under strong noise
+        cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8], "h": sys.float_info.min,
+                                                 "snr_db": -10.0})
         proc = run_cli("run", "--config", cfg)
         assert proc.returncode == 1
         assert proc.stderr == ("runtime error: ValueError: the equalized grid overflows float64: "
-                               "channel gain h 1e-320\n")
+                               "channel gain h 2.23e-308\n")
+
+    @pytest.mark.parametrize("h", [1e-320, -1e-320, 5e-324])
+    def test_subnormal_channel_gain_rc2_names_field(self, tmp_path, capsys, h):
+        # a noiseless subnormal gain once exited 0 with bits lost: 91.37 dB
+        # at 1e-320 and 25.4 dB at 5e-324, in place of the 100 dB cap
+        cfg = write_json(tmp_path / "cfg.json", {"h": h, "noiseless": True, "steps": 10, "shape": [1, 8, 8]})
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: h: ")
+
+    def test_smallest_normal_channel_gain_recovers_to_the_cap(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"h": sys.float_info.min, "noiseless": True, "steps": 10,
+                                                 "shape": [1, 8, 8]})
+        assert main(["run", "--config", cfg, "--scenario", "legit"]) == 0
+        assert capsys.readouterr().out.startswith("legit: psnr  100.000 dB")
 
     def test_missing_config_rc2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")
@@ -255,7 +271,7 @@ class TestSweepAndExport:
         # link, three references and two models, and the same sweep run
         # again finds them all in the caches
         cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
-        pipeline._link.cache_clear()
+        pipeline._keyed_link.cache_clear()
         pipeline._model.cache_clear()
         pipeline.build_conditions.cache_clear()
         for links, references, models in ((1, 3, 2), (0, 0, 0)):

@@ -261,7 +261,7 @@ def test_pinned_reference_sweep_digest():
 def test_warm_caches_leave_the_pinned_records_unchanged():
     # between the two pinned runs, a sweep of another config leaves the
     # zero-predictor objects of token "pin" in the caches for the second
-    pipeline._link.cache_clear()
+    pipeline._keyed_link.cache_clear()
     pipeline._model.cache_clear()
     pipeline.build_conditions.cache_clear()
     cold = records_to_jsonl(run_sweep(PINNED_SPEC))

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import warnings
 
 from dataclasses import fields, replace
@@ -88,6 +89,10 @@ class TestConfigValidation:
         ("h", None),
         ("snr_db", -6000.0),
         ("snr_db", 4000),
+        ("h", 1e-320),
+        ("h", -5e-324),
+        ("h", float("nan")),
+        pytest.param("h", 10 ** 400, id="h-int-past-float64"),
     ])
     def test_invalid_field_named_in_error(self, field, value):
         with pytest.raises(ValueError) as exc:
@@ -401,7 +406,7 @@ class TestKeyedLink:
         for name in ("Predictor", "generate_reference"):
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
         monkeypatch.setattr(Predictor, "predict", counting("predict", Predictor.predict))
-        pipeline._link.cache_clear()
+        pipeline._keyed_link.cache_clear()
         pipeline._model.cache_clear()
         pipeline.build_conditions.cache_clear()
         return counts
@@ -479,7 +484,7 @@ class TestKeyedLink:
 class TestLinkCache:
     @pytest.fixture(autouse=True)
     def cold(self):
-        pipeline._link.cache_clear()
+        pipeline._keyed_link.cache_clear()
 
     @staticmethod
     def trial_configs(base):
@@ -497,10 +502,10 @@ class TestLinkCache:
         cfgs = self.trial_configs(fast_cfg(predictor_kind=kind, guidance_weight=guidance_weight, eta=0.1))
         cold = []
         for cfg in cfgs:
-            pipeline._link.cache_clear()
+            pipeline._keyed_link.cache_clear()
             cold.append(self.record(cfg))
         warm = [self.record(cfg) for cfg in cfgs]
-        assert pipeline._link.misses == 1 and warm == cold
+        assert pipeline._keyed_link.cache_info().misses == 1 and warm == cold
 
     def test_eta_sweep_same_with_a_cold_and_a_warm_link_cache(self):
         spec = SweepSpec(base=fast_cfg(predictor_kind="tiny-mlp", guidance_weight=0.4, noiseless=False),
@@ -508,7 +513,7 @@ class TestLinkCache:
         warm = run_sweep(spec)
         cold = []
         for row in warm:
-            pipeline._link.cache_clear()
+            pipeline._keyed_link.cache_clear()
             cold.append(self.record(PipelineConfig.from_dict(row["trial"]["config"])))
         assert [json.dumps(row["trial"], sort_keys=True) for row in warm] == cold
 
@@ -516,23 +521,23 @@ class TestLinkCache:
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0, 15.0]},
                          trials_per_point=2, base_seed="one-link")
         assert all(row["error"] is None for row in run_sweep(spec))
-        assert pipeline._link.misses == 1 and len(pipeline._link) == 1
+        assert pipeline._keyed_link.cache_info().misses == 1 and pipeline._keyed_link.cache_info().currsize == 1
 
     def test_eta_grid_keeps_its_three_links_across_passes(self):
         for index in range(3):
             spec = SweepSpec(base=fast_cfg(predictor_kind="linear", noiseless=False),
                              axes={"eta": [0.01, 0.05, 0.5]}, base_seed=f"pass/{index}")
             assert all(row["error"] is None for row in run_sweep(spec))
-        assert pipeline._link.misses == 3 and len(pipeline._link) == 3
+        assert pipeline._keyed_link.cache_info().misses == 3 and pipeline._keyed_link.cache_info().currsize == 3
 
     def test_fresh_tokens_never_hold_more_than_the_bound(self):
         sizes = []
-        for i in range(2 * pipeline._LinkCache.maxsize + 1):
+        for i in range(2 * pipeline._keyed_link.cache_info().maxsize + 1):
             cfg = fast_cfg(predictor_kind="zero", token=f"churn-{i}")
             run_trial(make_secret(Seed64(i), cfg.shape), cfg)
-            sizes.append(len(pipeline._link))
+            sizes.append(pipeline._keyed_link.cache_info().currsize)
         assert sizes == [1, 2, 3, 4, 4, 4, 4, 4, 4]
-        assert pipeline._link.misses == len(sizes)
+        assert pipeline._keyed_link.cache_info().misses == len(sizes)
 
     def test_least_recently_used_link_is_evicted(self):
         cfgs = [fast_cfg(predictor_kind="zero", token=f"lru-{i}") for i in range(5)]
@@ -540,8 +545,8 @@ class TestLinkCache:
         assert pipeline._link(cfgs[0]) is links[0]  # now the most recently used
         pipeline._link(cfgs[4])  # evicts lru-1
         assert pipeline._link(cfgs[0]) is links[0] and pipeline._link(cfgs[2]) is links[2]
-        assert pipeline._link.misses == 5
-        assert pipeline._link(cfgs[1]) is not links[1] and pipeline._link.misses == 6
+        assert pipeline._keyed_link.cache_info().misses == 5
+        assert pipeline._link(cfgs[1]) is not links[1] and pipeline._keyed_link.cache_info().misses == 6
 
     def test_key_is_every_field_but_the_channel_and_the_seeds(self):
         cfg = fast_cfg()
@@ -553,6 +558,19 @@ class TestLinkCache:
         assert pipeline._link(trial) is link
         for name, value in (("eta", 0.2), ("token", "other"), ("guidance_weight", 0.5), ("steps", 12)):
             assert pipeline._link(replace(cfg, **{name: value})) is not link, name
+
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    def test_link_of_the_link_fields_gives_the_records_of_the_full_config(self, kind, monkeypatch):
+        cfgs = self.trial_configs(fast_cfg(predictor_kind=kind, guidance_weight=0.4, eta=0.1))
+        cached = [self.record(cfg) for cfg in cfgs]
+        monkeypatch.setattr(pipeline, "_link", KeyedLink)  # built from each trial's PipelineConfig
+        assert [self.record(cfg) for cfg in cfgs] == cached
+        assert pipeline._keyed_link.cache_info().misses == 1
+
+    def test_link_config_holds_no_trial_field(self):
+        link_cfg = pipeline._LinkConfig._make(pipeline._link_key(fast_cfg()))
+        assert len(link_cfg) + len(pipeline._TRIAL_FIELDS) == len(fields(PipelineConfig))
+        assert not any(hasattr(link_cfg, name) for name in pipeline._TRIAL_FIELDS)
 
     def test_link_keeps_no_trial_config(self):
         link = KeyedLink(fast_cfg())
@@ -643,17 +661,19 @@ class TestRunTrial:
             assert np.isfinite(getattr(rec, name).ssim)
             assert getattr(rec, name).ssim == pytest.approx(getattr(ref, name).ssim, rel=0.05)
 
-    @pytest.mark.parametrize("h,message", [(1e-320, "the equalized grid overflows float64"),
+    @pytest.mark.parametrize("h,message", [(sys.float_info.min, "the equalized grid overflows float64"),
                                            (1e308, "the received symbols overflow float64")])
     def test_overflowing_channel_gain_named(self, h, message):
         # a nonzero h of 1e-320 once overflowed in decode's division, and
-        # the reveal then failed on non-finite chains after two warnings
-        cfg = fast_cfg(noiseless=False, h=h)
+        # the reveal then failed on non-finite chains after two warnings;
+        # the smallest normal gain still overflows there under -10 dB noise
+        cfg = fast_cfg(noiseless=False, snr_db=-10.0, h=h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 run_trial(make_secret(Seed64(11), cfg.shape), cfg)
-            rows = run_sweep(SweepSpec(base=fast_cfg(noiseless=False), axes={"h": [1.0, h]}, base_seed="gain"))
+            rows = run_sweep(SweepSpec(base=fast_cfg(noiseless=False, snr_db=-10.0), axes={"h": [1.0, h]},
+                                       base_seed="gain"))
         assert rows[0]["error"] is None
         assert rows[1]["error"].startswith(f"ValueError: {message}: channel gain h ")
 
