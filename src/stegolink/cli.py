@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or flags.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import sys
@@ -71,11 +73,15 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(str(e)) from e
 
 
-def _load_secret(path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a secret grid from a .npy file; bad content names the secret_npy field."""
+def _load_secret(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, str]:
+    """Read a secret grid from a .npy file; returns it and the file's SHA-256.
+
+    Bad content names the secret_npy field.
+    """
     try:
         with open(path, "rb") as fh:
-            secret = np.lib.format.read_array(fh, allow_pickle=False)
+            data = fh.read()
+        secret = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
     except (OSError, ValueError) as e:
         raise ConfigError(f"secret_npy: cannot load {path!r} as a .npy array: {e}") from e
     if secret.dtype.kind not in "iuf":
@@ -84,17 +90,20 @@ def _load_secret(path: str, shape: tuple[int, ...]) -> np.ndarray:
         secret, _ = check_secret(secret, shape)
     except ValueError as e:
         raise ConfigError(f"secret_npy: {e}") from e
-    return secret
+    return secret, hashlib.sha256(data).hexdigest()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     if args.secret_npy:
-        secret = _load_secret(args.secret_npy, cfg.shape)
+        secret, sha256 = _load_secret(args.secret_npy, cfg.shape)
+        source = {"npy": args.secret_npy, "sha256": sha256}
     else:
         secret = make_secret(cfg.secret_seed, cfg.shape)
+        source = {"make_secret": cfg.secret_seed}
     record = run_trial(secret, cfg)
-    payload = json.dumps(record.to_dict(), sort_keys=True, indent=2)
+    # the record plus where its secret came from, so it can be replayed
+    payload = json.dumps({**record.to_dict(), "secret": source}, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

@@ -27,8 +27,12 @@ Every keyed object is a pure function of the config and its tokens.  Three
 reference model (2 entries), ``build_conditions`` the condition sets of one
 link's three reference tokens (3), and ``_keyed_link`` the last four
 KeyedLinks (4), which hold the rest (schedule, masks and the predictor's
-latent-free input terms).  hide, reveal and eavesdrop all read from a link.
-A link is keyed by every config field except the channel's (snr_db, h,
+latent-free input terms).  Two smaller caches spare a fresh-token link
+rebuilding what it shares with the last one: ``_mask_bits`` the mask bits
+of a link's legit and eavesdropper tokens (2 entries), and
+``_key_only_conditions`` the key-only condition set every reference
+generation starts from (1).  hide, reveal and eavesdrop all read from a
+link.  A link is keyed by every config field except the channel's (snr_db, h,
 noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
 those fields alone, so the trials of one sweep point, or of an SNR sweep,
 share one link.  No record depends on what the caches hold.
@@ -50,7 +54,7 @@ import math
 import operator
 import sys
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -181,6 +185,15 @@ def _model(kind: str, seed: int, embed_dim: int) -> Predictor:
     return Predictor(kind, Seed64(seed), embed_dim)
 
 
+@functools.lru_cache(maxsize=1)  # a sweep has one key text, feature text and dim
+def _key_only_conditions(key_text: str, feature_text: str, embed_dim: int) -> ConditionSet:
+    # the key and feature embeddings with a zeroed reference slot, shared
+    # by every reference generation of one link's texts
+    zero = np.zeros(embed_dim)
+    zero.flags.writeable = False
+    return ConditionSet(embed_text(key_text, embed_dim), embed_text(feature_text, embed_dim), zero)
+
+
 @functools.lru_cache(maxsize=len(REVEAL_ROWS) - 1)  # the round-trip row reuses the legit token
 def build_conditions(token: str, *, key_text: str, feature_text: str, embed_dim: int, kind: str,
                      model_seed: int, steps: int, beta_start: float, beta_end: float,
@@ -190,12 +203,18 @@ def build_conditions(token: str, *, key_text: str, feature_text: str, embed_dim:
     The reference generator is a different pretrained model than the hiding
     sampler, modeled here as a distinct weight seed.
     """
-    key_e = embed_text(key_text, embed_dim)
-    feat_e = embed_text(feature_text, embed_dim)
-    ref = generate_reference(token, ConditionSet(key_e, feat_e, np.zeros(embed_dim)),
-                             build_schedule(steps, beta_start, beta_end),
+    key_only = _key_only_conditions(key_text, feature_text, embed_dim)
+    ref = generate_reference(token, key_only, build_schedule(steps, beta_start, beta_end),
                              _model(kind, model_seed, embed_dim), shape)
-    return ConditionSet(key_e, feat_e, embed_reference(ref, embed_dim))
+    return replace(key_only, ref_embedding=embed_reference(ref, embed_dim))
+
+
+@functools.lru_cache(maxsize=2)  # one link's legit and eavesdropper tokens
+def _mask_bits(token: str, shape: tuple[int, int, int], eta: float) -> np.ndarray:
+    # one token's read-only sign-flip bits, shared by the links that use them
+    bits = build_mask(token, shape, eta).bits
+    bits.flags.writeable = False
+    return bits
 
 
 def sync_gain(mixing_p: float, steps: int) -> float:
@@ -226,10 +245,11 @@ class KeyedLink:
     ``hide_mask`` and ``hide_bias``), so its conditioned pass and the legit
     row's inverse add identical bias bits.
 
-    The predictor and condition sets come from the ``_model`` (2 entries)
-    and ``build_conditions`` (3) caches.  Each distinct token is looked up
-    once, in row order, so the shared eavesdropper and stock tokens stay the
-    most recently used and a fresh legit token evicts only the last one.
+    The predictor, condition sets and mask bits come from the ``_model``
+    (2 entries), ``build_conditions`` (3) and ``_mask_bits`` (2) caches.
+    Each distinct token is looked up once, in row order, so the shared
+    eavesdropper and stock tokens stay the most recently used and a fresh
+    legit token evicts only the last one.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -251,7 +271,7 @@ class KeyedLink:
         n = int(np.prod(cfg.shape))
         self.reveal_bias = self.pred.bias(n, cfg.steps, self.conditions, cfg.guidance_weight)
         self.plain_bias = self.pred.bias(n, cfg.steps, [None] * len(REVEAL_ROWS))
-        masks = {t: build_mask(t, cfg.shape, cfg.eta).bits for t in dict.fromkeys(row_tokens[:2])}
+        masks = {t: _mask_bits(t, cfg.shape, cfg.eta) for t in dict.fromkeys(row_tokens[:2])}
         no_flips = np.zeros(cfg.shape, dtype=np.uint8)
         self.reveal_mask = PerturbationMask(np.stack([no_flips if row == "E3" else masks[t]
                                                       for row, t in zip(REVEAL_ROWS, row_tokens)]))
@@ -365,6 +385,15 @@ def eavesdrop(stego_hat: np.ndarray, link: KeyedLink, model: str) -> np.ndarray:
 
 # -- synthetic secrets --------------------------------------------------------
 
+@functools.lru_cache(maxsize=2)  # a sweep has one shape
+def _secret_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    # the read-only (y, x) cell centres of make_secret's waves, per grid size
+    yy, xx = np.meshgrid((np.arange(height) + 0.5) / height,
+                         (np.arange(width) + 0.5) / width, indexing="ij")
+    yy.flags.writeable = xx.flags.writeable = False
+    return yy, xx
+
+
 def make_secret(seed: Seed64 | int, shape: tuple[int, int, int]) -> np.ndarray:
     """Structured synthetic secret: smooth seeded waves plus one step edge.
 
@@ -373,11 +402,10 @@ def make_secret(seed: Seed64 | int, shape: tuple[int, int, int]) -> np.ndarray:
     """
     channels, height, width = (int(s) for s in shape)
     stream = RandomStream(derive(seed if isinstance(seed, Seed64) else Seed64(int(seed)), "secret-field"))
-    yy, xx = np.meshgrid((np.arange(height) + 0.5) / height,
-                         (np.arange(width) + 0.5) / width, indexing="ij")
+    yy, xx = _secret_grid(height, width)
     grids = []
     for _ in range(channels):
-        u = stream.take(12)
+        u = stream.take(12).tolist()  # Python floats round each product as np.float64 does
         plane = np.zeros((height, width))
         for k in range(3):
             fy = 0.5 + 2.5 * u[3 * k]

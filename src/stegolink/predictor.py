@@ -8,6 +8,22 @@ inputs and its weight seed.  It runs over a batch of rows, each with its own
 latent and conditions; the part of the input that does not depend on the
 latent is precomputed once per batch (RowBias).
 
+Each call is one kernel over a (rows, n) batch.  Its operands are views of
+the weights, bound once per (predictor, n), and every step after the first
+product adds into that product's fresh array or takes its tanh in place.
+This keeps the bits of the plain formula, which added into new arrays and
+broadcast a one-branch (1, rows, h) condition term to 3-D:
+- x += y rounds each element exactly as x + y does, and tanh writes the
+  same values in place as into a new array;
+- adding the term's (rows, h) row adds the same operands elementwise as the
+  broadcast did;
+- a stacked product over a batch of one makes the same BLAS call as the
+  2-D product.
+So the same IEEE operations run in the same order, and only allocations, a
+weight lookup, transposed views and the 3-D detour are saved per call.  The
+weights and the precomputed terms are read-only, so no call can change a
+later one.
+
 Guidance follows the usual two-prediction mixture: the conditional estimate
 is pulled toward the reference-conditioned prediction by weight lam,
 
@@ -63,7 +79,13 @@ class ConditionSet:
         return self.key_embedding.shape[0]
 
     def without_reference(self) -> "ConditionSet":
-        """Key-only variant: reference embedding zeroed."""
+        """Key-only variant: reference embedding zeroed.
+
+        A set whose reference is already all zero is its own key-only
+        variant and is returned as it is.
+        """
+        if not self.ref_embedding.any():
+            return self
         return replace(self, ref_embedding=np.zeros(self.dim))
 
     def stacked(self) -> np.ndarray:
@@ -116,13 +138,14 @@ class RowBias:
     """The latent-free part of a predictor's input for a batch of rows.
 
     Each of the ``rows`` latents has n values.  ``step[t]`` is the step term
-    at step t (tiny-mlp only, else None), and ``cond[k, r]`` is row r's
-    condition term in guidance branch k.  Conditioned rows have one branch
+    at step t as a (1, h) row (tiny-mlp only, else None), and ``cond[k, r]``
+    is row r's condition term in guidance branch k.  Conditioned rows have one branch
     (full or key-only) or two, key only then full, mixed as
     (1 - guidance_weight) * key_only + guidance_weight * full.
     Unconditioned rows, like every row of the zero predictor, have no
     condition term at all (``cond`` None, zero branches): an all-zero one
-    would add nothing.
+    would add nothing.  ``operands`` holds the predictor's kernel operands
+    for n-value rows, shared by every bias of that predictor and n.
     """
 
     n: int
@@ -130,6 +153,7 @@ class RowBias:
     step: np.ndarray | None
     cond: np.ndarray | None
     guidance_weight: float
+    operands: tuple
 
     @property
     def branches(self) -> int:
@@ -137,7 +161,12 @@ class RowBias:
 
     def take(self, rows: list[int]) -> "RowBias":
         """The same terms for a subset of the rows; the step term is shared."""
-        return replace(self, rows=len(rows), cond=None if self.cond is None else self.cond[:, rows])
+        return replace(self, rows=len(rows), cond=None if self.cond is None else _read_only(self.cond[:, rows]))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class Predictor:
@@ -170,6 +199,7 @@ class Predictor:
         self.weight_seed = weight_seed if isinstance(weight_seed, Seed64) else Seed64(int(weight_seed))
         self.embed_dim = int(embed_dim)
         self._weights: dict[int, tuple] = {}
+        self._operands: dict[int, tuple] = {}
 
     # -- weight construction ------------------------------------------------
 
@@ -184,7 +214,7 @@ class Predictor:
         w = raw[m:m + 3 * self.embed_dim]
         direction = raw[m + 3 * self.embed_dim:]
         direction = direction / np.linalg.norm(direction)
-        return qa, qb, w, direction
+        return tuple(_read_only(arr) for arr in (qa, qb, w, direction))
 
     def _mlp_weights(self, n: int) -> tuple:
         hidden = 4 * self.embed_dim
@@ -193,14 +223,22 @@ class Predictor:
         raw = gaussian_stream(seed, hidden * m + n * hidden)
         w1 = raw[:hidden * m].reshape(hidden, m) / np.sqrt(m)
         w2 = raw[hidden * m:].reshape(n, hidden) / np.sqrt(hidden)
-        return w1, w2
+        return _read_only(w1), _read_only(w2)
 
     def weights_for(self, n: int) -> tuple:
+        """The read-only weights for n-value latents, built on first use.
+
+        Binds the kernel's operands for n beside them: views, never copies,
+        of (qa, qb.T) for linear, with qa's and qb's sizes, and
+        (w1[:, :n].T, w2.T) for tiny-mlp.  The zero predictor has none.
+        """
         if n not in self._weights:
             if self.kind == "linear":
-                self._weights[n] = self._linear_weights(n)
+                qa, qb, _, _ = self._weights[n] = self._linear_weights(n)
+                self._operands[n] = (qa, qb.T, len(qa), len(qb))
             elif self.kind == "tiny-mlp":
-                self._weights[n] = self._mlp_weights(n)
+                w1, w2 = self._weights[n] = self._mlp_weights(n)
+                self._operands[n] = (w1[:, :n].T, w2.T)
             else:
                 self._weights[n] = ()
         return self._weights[n]
@@ -243,44 +281,54 @@ class Predictor:
         if self.kind == "linear":
             _, _, w, direction = self.weights_for(n)
             if cvec is not None:
-                cond = (_BIAS_SCALE * (cvec @ w))[..., None] * direction
+                cond = _read_only((_BIAS_SCALE * (cvec @ w))[..., None] * direction)
         elif self.kind == "tiny-mlp":
             w1, _ = self.weights_for(n)
-            step = _time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T
+            # (steps + 1, 1, h): a one-row batch adds step[t] without broadcasting
+            step = _read_only(_time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T)[:, None]
             if cvec is not None:
-                cond = cvec @ w1[:, n + _TIME_DIM:].T
-        return RowBias(n, len(rows), step, cond, guidance_weight)
+                cond = _read_only(cvec @ w1[:, n + _TIME_DIM:].T)
+        return RowBias(n, len(rows), step, cond, guidance_weight, self._operands.get(n, ()))
 
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
         """Noise estimate at step t for each of the bias's rows.
 
         z stacks one latent per row along its leading axis (a single latent
-        is a one-row batch as it is); the result has z's shape.  Values are
-        checked where they enter the pipeline, not here: each sampler pass
-        checks the state it ends on (see the edict module).
+        is a one-row batch as it is); the result has z's shape and is a new
+        array, and neither z nor the bias is written.  Values are checked
+        where they enter the pipeline, not here: each sampler pass checks
+        the state it ends on (see the edict module).
 
-        The condition term is added only when the bias holds one, and the
-        guidance mix runs only for a two-branch bias.  For unconditioned
-        rows this skips an x + 0.0, which can change only the sign of a
-        zero (x + 0.0 turns -0.0 into +0.0): no nonzero value, no
+        tiny-mlp runs one product, adds the step term and a one-branch
+        condition term into it, takes tanh in place and runs one product;
+        linear maps each row as qa @ row @ qb.T and adds a one-branch term
+        in place.  These are the operations of the broadcast formula, in its
+        order, so the bits are its bits (see the module docstring).  A
+        two-branch bias stacks both branches, (2, rows, h), and mixes them.
+
+        The condition term is added only when the bias holds one.  For
+        unconditioned rows this skips an x + 0.0, which can change only the
+        sign of a zero (x + 0.0 turns -0.0 into +0.0): no nonzero value, no
         ``np.array_equal`` comparison and no record sees the difference.
         """
         if self.kind == "zero":
             return np.zeros(z.shape)
-        n = bias.n
-        flat = z.reshape(bias.rows, n)
+        cond = bias.cond
+        branches = bias.branches
         if self.kind == "linear":
-            qa, qb = self.weights_for(n)[:2]
-            out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape)
-            if bias.cond is not None:
-                out = out + bias.cond
+            qa, qb_t, a, b = bias.operands
+            out = (qa @ z.reshape(bias.rows, a, b) @ qb_t).reshape(bias.rows, bias.n)
         else:
-            w1, w2 = self.weights_for(n)
-            pre = flat @ w1[:, :n].T + bias.step[t]
-            if bias.cond is not None:
-                pre = pre + bias.cond
-            out = np.tanh(pre) @ w2.T
-        if bias.branches == 2:
+            w1_t, w2_t = bias.operands
+            out = z.reshape(bias.rows, bias.n) @ w1_t
+            out += bias.step[t]
+        if branches == 1:
+            out += cond[0]
+        elif branches == 2:
+            out = out + cond
+        if self.kind == "tiny-mlp":
+            out = np.tanh(out, out=out) @ w2_t
+        if branches == 2:
             lam = bias.guidance_weight
             out = (1.0 - lam) * out[0] + lam * out[1]
         return out.reshape(z.shape)

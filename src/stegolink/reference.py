@@ -43,15 +43,25 @@ def _pooled_stats(channel: np.ndarray) -> np.ndarray:
     # length m, each family taken as one reshape.  Each family is centered
     # so the component shared by every reference (moments of the common
     # sampling distribution) drops out and only the grid's own layout
-    # survives into the embedding
+    # survives into the embedding.  The sums, divisions and squares are
+    # those of ndarray.mean and ndarray.var, in their order, written into
+    # one output
     k = min(_POOL_SEGMENTS, channel.size)
     m, r = divmod(channel.size, k)
     cut = r * (m + 1)
-    longer = channel[:cut].reshape(r, m + 1)
-    rest = channel[cut:].reshape(k - r, m)
-    means = np.concatenate([longer.mean(axis=1), rest.mean(axis=1)])
-    variances = np.concatenate([longer.var(axis=1), rest.var(axis=1)])
-    return np.concatenate([means - means.mean(), variances - variances.mean()])
+    stats = np.empty(2 * k)
+    means, variances = stats[:k], stats[k:]
+    for rows, segments in ((slice(0, r), channel[:cut].reshape(r, m + 1)),
+                           (slice(r, k), channel[cut:].reshape(k - r, m))):
+        mean = np.add.reduce(segments, axis=1, out=means[rows])
+        mean /= segments.shape[1]
+        dev = segments - mean[:, None]
+        np.square(dev, out=dev)
+        var = np.add.reduce(dev, axis=1, out=variances[rows])
+        var /= segments.shape[1]
+    means -= np.add.reduce(means) / k
+    variances -= np.add.reduce(variances) / k
+    return stats
 
 
 @functools.lru_cache(maxsize=4)  # one entry per (embed_dim, shape) in use; a sweep has one

@@ -1,5 +1,6 @@
 """End-to-end smoke tests for the command-line interface."""
 
+import hashlib
 import importlib.metadata
 import json
 import shutil
@@ -13,7 +14,7 @@ import pytest
 from stegolink import acceptance, pipeline
 from stegolink.cli import main
 from stegolink.harness import parse_config, records_to_jsonl, run_sweep
-from stegolink.pipeline import make_secret
+from stegolink.pipeline import PipelineConfig, make_secret, run_trial
 
 CLI = [sys.executable, "-m", "stegolink"]
 
@@ -180,7 +181,26 @@ class TestRun:
         from_file, seeded = tmp_path / "file.json", tmp_path / "seeded.json"
         assert main(["run", *FAST, "--seed", "7", "--secret-npy", str(path), "--out", str(from_file)]) == 0
         assert main(["run", *FAST, "--seed", "7", "--out", str(seeded)]) == 0
-        assert from_file.read_text() == seeded.read_text()
+        from_file, seeded = json.loads(from_file.read_text()), json.loads(seeded.read_text())
+        assert from_file.pop("secret") != seeded.pop("secret")
+        assert from_file == seeded
+
+    def test_record_names_its_secret_source(self, tmp_path):
+        # a record can be replayed: from make_secret's seed, or from the
+        # file it names, checked by its SHA-256
+        path = tmp_path / "secret.npy"
+        np.save(path, make_secret(3, (1, 8, 8)))
+        from_file, seeded = tmp_path / "file.json", tmp_path / "seeded.json"
+        assert main(["run", *FAST, "--seed", "7", "--secret-npy", str(path), "--out", str(from_file)]) == 0
+        assert main(["run", *FAST, "--seed", "7", "--out", str(seeded)]) == 0
+        from_file, seeded = json.loads(from_file.read_text()), json.loads(seeded.read_text())
+        assert from_file["secret"] == {"npy": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert seeded["secret"] == {"make_secret": 7} == {"make_secret": seeded["config"]["secret_seed"]}
+        for record in (from_file, seeded):
+            source = record.pop("secret")
+            secret = np.load(source["npy"]) if "npy" in source else make_secret(source["make_secret"], (1, 8, 8))
+            replayed = run_trial(secret, PipelineConfig.from_dict(record["config"])).to_dict()
+            assert json.loads(json.dumps(replayed)) == record
 
     @pytest.mark.parametrize("content,reason", [
         (_nan_grid(), "non-finite"),

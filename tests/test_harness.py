@@ -258,6 +258,34 @@ def test_pinned_reference_sweep_digest():
     assert digest == PINNED_SWEEP_SHA256
 
 
+# SHA-256 of the records of BENCH_SHAPE_SPECS, run in order and joined. The
+# pinned sweep covers 1x8x8 only; these short sweeps run the predictor
+# kernels at the benchmark's shapes: tiny-mlp over 256 values, linear over
+# 1024 (both at one and two guidance branches), and the zero predictor over
+# fresh tokens. Like PINNED_SWEEP_SHA256, the digest pins the records as
+# computed with this numpy/BLAS build, so it can differ on another one. Only
+# a change that alters records on purpose may re-pin it, and it records
+# which records changed, and why, in CHANGES.md.
+BENCH_SHAPES_SHA256 = "8a99f14862b04a1446868bf92307fc2a72d35eda59aba639efb68e48bbd5b184"
+
+BENCH_SHAPE_SPECS = (
+    SweepSpec(base=PipelineConfig(steps=10, token="pin"),
+              axes={"guidance_weight": [0.4, 1.0], "snr_db": [5.0, 20.0]}, base_seed="bench-shapes"),
+    SweepSpec(base=PipelineConfig(steps=10, predictor_kind="linear", shape=(1, 32, 32), token="pin"),
+              axes={"eta": [0.01, 0.05, 0.5], "guidance_weight": [0.4, 1.0]}, base_seed="bench-shapes"),
+    SweepSpec(base=PipelineConfig(steps=10, predictor_kind="zero", shape=(1, 8, 8)),
+              axes={"token": [f"fresh-{i}" for i in range(4)]}, base_seed="bench-shapes"),
+)
+
+
+def test_benchmark_shape_digest():
+    rows = [run_sweep(spec) for spec in BENCH_SHAPE_SPECS]
+    assert [len(r) for r in rows] == [4, 6, 4]
+    assert all(row["error"] is None for r in rows for row in r)
+    digest = hashlib.sha256("".join(records_to_jsonl(r) for r in rows).encode("utf-8")).hexdigest()
+    assert digest == BENCH_SHAPES_SHA256
+
+
 def test_warm_caches_leave_the_pinned_records_unchanged():
     # between the two pinned runs, a sweep of another config leaves the
     # zero-predictor objects of token "pin" in the caches for the second

@@ -31,7 +31,7 @@ from stegolink.pipeline import (
     sync_gain,
 )
 from stegolink.predictor import Predictor
-from stegolink.rng import Seed64, derive, hash_token
+from stegolink.rng import RandomStream, Seed64, derive, hash_token
 from stegolink.tokenkey import build_mask, restore
 
 
@@ -472,6 +472,38 @@ class TestKeyedLink:
         assert not np.array_equal(e2.ref_embedding, e3.ref_embedding)
         assert not np.array_equal(link.reveal_mask.bits[0], link.reveal_mask.bits[1])
 
+    def test_fresh_token_link_builds_only_its_own_mask(self, monkeypatch):
+        # each (token, shape, eta) mask is built once, as its reference is;
+        # the shared eavesdropper token's stays the most recently used
+        built = []
+        real = pipeline.build_mask
+        monkeypatch.setattr(pipeline, "build_mask", lambda *args: built.append(args[0]) or real(*args))
+        pipeline._mask_bits.cache_clear()
+        links = [KeyedLink(fast_cfg(predictor_kind="zero", token=f"mask-{i}")) for i in range(3)]
+        assert built == ["mask-0", "856427", "mask-1", "mask-2"]
+        for i, link in enumerate(links):
+            assert np.array_equal(link.reveal_mask.bits[0], real(f"mask-{i}", (1, 8, 8), 0.05).bits)
+            assert np.array_equal(link.reveal_mask.bits[1], real("856427", (1, 8, 8), 0.05).bits)
+        assert not pipeline._mask_bits("856427", (1, 8, 8), 0.05).flags.writeable
+
+    def test_references_share_one_key_only_condition_set(self, monkeypatch):
+        # one key-only set per (key text, feature text, dim), passed to every
+        # reference generation without a copy
+        seen = []
+        real = pipeline.generate_reference
+        monkeypatch.setattr(pipeline, "generate_reference",
+                            lambda token, conditions, *args: seen.append(conditions) or real(token, conditions, *args))
+        pipeline._key_only_conditions.cache_clear()
+        pipeline.build_conditions.cache_clear()
+        link = KeyedLink(fast_cfg(eta=0.5))
+        key_only = seen[0]
+        assert len(seen) == 3 and all(c is key_only for c in seen)
+        assert key_only.without_reference() is key_only
+        assert not key_only.ref_embedding.any() and not key_only.ref_embedding.flags.writeable
+        for c in link.conditions:
+            assert c.key_embedding is key_only.key_embedding and c.feature_embedding is key_only.feature_embedding
+            assert c.ref_embedding.any()
+
     def test_guidance_sweep_generates_each_reference_once(self, counts):
         # the guidance weight mixes the branches at sampling time, so the
         # references do not depend on it and the cache keeps them across points
@@ -596,6 +628,37 @@ class TestMakeSecret:
 
     def test_int_seed_accepted(self):
         assert np.array_equal(make_secret(9, (1, 4, 4)), make_secret(Seed64(9), (1, 4, 4)))
+
+    @staticmethod
+    def written_out(seed, shape):
+        # a fresh meshgrid per call and np.float64 wave parameters
+        channels, height, width = shape
+        stream = RandomStream(derive(Seed64(seed), "secret-field"))
+        yy, xx = np.meshgrid((np.arange(height) + 0.5) / height,
+                             (np.arange(width) + 0.5) / width, indexing="ij")
+        grids = []
+        for _ in range(channels):
+            u = stream.take(12)
+            plane = np.zeros((height, width))
+            for k in range(3):
+                fy, fx, phase = 0.5 + 2.5 * u[3 * k], 0.5 + 2.5 * u[3 * k + 1], 2.0 * np.pi * u[3 * k + 2]
+                plane += (1.0 / (k + 1)) * np.cos(2.0 * np.pi * (fy * yy + fx * xx) + phase)
+            angle = 2.0 * np.pi * u[9]
+            cy, cx = 0.3 + 0.4 * u[10], 0.3 + 0.4 * u[11]
+            grids.append(plane + 0.8 * np.sign((yy - cy) * np.cos(angle) + (xx - cx) * np.sin(angle)))
+        return np.stack(grids, axis=0)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (2, 16, 16), (1, 32, 32), (3, 5, 7)])
+    def test_equals_the_written_out_waves(self, shape):
+        # Python-float wave parameters and a shared grid give the same bits
+        for seed in (5, 11, 2 ** 64 - 1):
+            assert make_secret(seed, shape).tobytes() == self.written_out(seed, shape).tobytes()
+
+    def test_grid_is_shared_and_read_only(self):
+        yy, xx = pipeline._secret_grid(8, 8)
+        make_secret(1, (2, 8, 8))
+        assert pipeline._secret_grid(8, 8)[0] is yy
+        assert not yy.flags.writeable and not xx.flags.writeable
 
 
 class TestRunTrial:

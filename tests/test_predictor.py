@@ -189,22 +189,35 @@ class TestPredict:
                 p.bias(64, 10, [conditions()], lam)
 
 
+def broadcast_formula(p, z, t, bias):
+    """predict's arithmetic before it bound its operands.
+
+    Each call looked up the weights and transposed them, added the step and
+    condition terms into new arrays, and a one-branch (1, rows, h) condition
+    term broadcast the sum to 3-D, so tanh and the second product ran on a
+    stacked batch.  An unconditioned row adds an all-zero term of that shape.
+    """
+    n = bias.n
+    flat = z.reshape(bias.rows, n)
+    if p.kind == "linear":
+        qa, qb = p.weights_for(n)[:2]
+        out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape)
+        out = out + (np.zeros((1, bias.rows, n)) if bias.cond is None else bias.cond)
+    else:
+        w1, w2 = p.weights_for(n)
+        pre = flat @ w1[:, :n].T + bias.step[t]
+        pre = pre + (np.zeros((1, bias.rows, w1.shape[0])) if bias.cond is None else bias.cond)
+        out = np.tanh(pre) @ w2.T
+    if bias.branches == 2:
+        lam = bias.guidance_weight
+        out = (1.0 - lam) * out[0] + lam * out[1]
+    return out.reshape(z.shape)
+
+
 class TestUnconditionedRows:
     # an unconditioned bias holds no condition term; predict used to add an
     # all-zero one, np.zeros((1, rows, n or hidden)), and mixed two branches
     # whenever its output had two leading rows
-
-    @staticmethod
-    def zeros_added(p, z, t, bias):
-        n = bias.n
-        flat = z.reshape(bias.rows, n)
-        if p.kind == "linear":
-            qa, qb = p.weights_for(n)[:2]
-            out = (qa @ flat.reshape(-1, len(qa), len(qb)) @ qb.T).reshape(flat.shape) + np.zeros((1, bias.rows, n))
-        else:
-            w1, w2 = p.weights_for(n)
-            out = np.tanh(flat @ w1[:, :n].T + bias.step[t] + np.zeros((1, bias.rows, w1.shape[0]))) @ w2.T
-        return out.reshape(z.shape)
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     @pytest.mark.parametrize("rows", [1, 2, 4])
@@ -219,7 +232,7 @@ class TestUnconditionedRows:
         bias = p.bias(n, 10, [None] * rows)
         assert bias.cond is None and bias.branches == 0 and bias.rows == rows
         for t in (1, 5, 10):
-            assert np.array_equal(p.predict(z, t, bias), self.zeros_added(p, z, t, bias))
+            assert np.array_equal(p.predict(z, t, bias), broadcast_formula(p, z, t, bias))
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_take_keeps_no_condition_term(self, kind):
@@ -227,6 +240,68 @@ class TestUnconditionedRows:
         bias = p.bias(64, 10, [None] * 4)
         row = bias.take([2])
         assert row.rows == 1 and row.cond is None and row.step is bias.step
+
+
+class TestKernel:
+    # predict runs one 2-D kernel over operands bound once per (predictor,
+    # n), in place after its first product; the bits are the broadcast
+    # formula's
+
+    @staticmethod
+    def batch(n, rows, lam):
+        z = gaussian_stream(Seed64(31), rows * n).reshape(rows, 1, -1)
+        return z, ([None] * rows if lam is None else rows_of(lam)[:rows])
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("lam", [None, 1.0, 0.0, 0.4])
+    def test_equals_the_broadcast_formula(self, kind, rows, n, lam):
+        p = Predictor(kind, weight_seed=7)
+        z, conds = self.batch(n, rows, lam)
+        bias = p.bias(n, 10, conds, 1.0 if lam is None else lam)
+        assert bias.branches == (0 if lam is None else 2 if lam == 0.4 else 1)
+        for t in (1, 5, 10):
+            assert np.array_equal(p.predict(z, t, bias), broadcast_formula(p, z, t, bias))
+
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    @pytest.mark.parametrize("lam", [None, 1.0, 0.4])
+    def test_leaves_its_inputs_untouched_and_returns_a_new_array(self, kind, lam):
+        p = Predictor(kind, weight_seed=7)
+        z, conds = self.batch(256, 4, lam)
+        bias = p.bias(256, 10, conds, 1.0 if lam is None else lam)
+        inputs = [z, *(a for a in (bias.step, bias.cond) if a is not None), *p.weights_for(256)]
+        before = [a.copy() for a in inputs]
+        out = p.predict(z, 3, bias)
+        assert out.shape == z.shape
+        assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
+        assert not any(np.shares_memory(out, a) for a in inputs)
+        assert np.array_equal(p.predict(z, 3, bias), out)
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    def test_weights_and_terms_are_read_only(self, kind):
+        p = Predictor(kind, weight_seed=7)
+        bias = p.bias(64, 10, rows_of(0.4), 0.4)
+        arrays = [*p.weights_for(64), bias.cond, bias.take([1, 3]).cond]
+        arrays += [a for a in bias.operands if isinstance(a, np.ndarray)]
+        if kind == "tiny-mlp":
+            arrays.append(bias.step)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
+    def test_operands_are_bound_once_per_size_as_views(self, kind):
+        p = Predictor(kind, weight_seed=7)
+        first = p.bias(64, 10, [None])
+        assert p.bias(64, 20, rows_of(1.0), 1.0).operands is first.operands
+        assert first.take([0]).operands is first.operands
+        assert p.bias(256, 10, [None]).operands is not first.operands
+        weights = p.weights_for(64)
+        for op in first.operands:
+            if isinstance(op, np.ndarray):  # a weight or a view of one, never a copy
+                assert any(op is w or op.base is w for w in weights)
 
 
 class TestLinearMap:
