@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import time
 
@@ -17,10 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import acceptance
-from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data,
-                      iter_sweep, load_records, parse_config, records_to_jsonl)
-from .pipeline import PipelineConfig, _keyed_link, _model, build_conditions, check_secret, make_secret, run_trial
+from . import __version__, acceptance
+from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, _cpus, aggregates_csv, export_plot_data,
+                      iter_sweep, load_records, parse_config, records_to_jsonl, sweep_work)
+from .pipeline import PipelineConfig, check_secret, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
 
@@ -117,17 +118,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _environment(helper: bool) -> dict:
+    """The software and CPU a sweep ran on; none of it enters records.jsonl."""
+    numpy_config = np.show_config(mode="dicts")
+    return {
+        "stegolink": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": numpy_config["Build Dependencies"]["blas"].get("name"),
+        "cpu_features": {k: numpy_config["SIMD Extensions"].get(k) for k in ("baseline", "found")},
+        "cpus": _cpus(),
+        "helper": helper,
+    }
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = parse_config(args.config)
     if isinstance(spec, PipelineConfig):
         raise ConfigError("'sweep' expects a sweep config with an 'axes' object")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out: cannot use {args.out!r} as the output directory: {e.strerror or e}") from e
     records_path = os.path.join(args.out, "records.jsonl")
     aggregates_path = os.path.join(args.out, "aggregates.csv")
+    environment_path = os.path.join(args.out, "environment.json")
     records = []
     total = len(spec.points()) * spec.trials_per_point
-    caches = (_keyed_link, build_conditions, _model)
-    before = [cache.cache_info().misses for cache in caches]
+    before = sweep_work()
     start = last_report = time.perf_counter()
     with open(records_path, "w", encoding="utf-8") as fh:
         for row in iter_sweep(spec):
@@ -143,14 +161,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"sweep: {len(records)}/{total} trials, {rate:.2f} trials/s, "
                       f"ETA {(total - len(records)) / rate:.0f} s", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
-    links, references, models = (cache.cache_info().misses - n for cache, n in zip(caches, before))
+    work = {k: n - before[k] for k, n in sweep_work().items()}
     print(f"sweep: done {len(records)}/{total} trials in {elapsed:.1f} s "
-          f"({len(records) / elapsed:.2f} trials/s), {links} links built, "
-          f"{references} references generated, {models} models built", file=sys.stderr)
+          f"({len(records) / elapsed:.2f} trials/s), {work['links']} links built, "
+          f"{work['references']} references generated, {work['models']} models built", file=sys.stderr)
     with open(aggregates_path, "w", encoding="utf-8") as fh:
         fh.write(aggregates_csv(records))
+    with open(environment_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_environment(work["helper_rows"] > 0), indent=2, sort_keys=True) + "\n")
     failures = sum(1 for row in records if row["error"] is not None)
-    print(f"{len(records)} trials ({failures} failed) -> {records_path}, {aggregates_path}")
+    print(f"{len(records)} trials ({failures} failed) -> {records_path}, {aggregates_path}, {environment_path}")
     return 0
 
 

@@ -5,20 +5,46 @@ base config with named axis lists and a trial count.  Every trial seeds its
 secret and its channel noise from a hash of (base_seed, point index, trial
 index), so a sweep is a pure function of its spec: running it twice yields
 byte-identical records and exported tables.
+
+A sweep runs on two processes.  Every other trial goes to one persistent
+helper process, forked from the caller when the first sweep reaches its
+second trial, so the helper starts with the caller's warm keyed-object
+caches.  The caller runs trial k while the helper runs trial k + 1, and rows
+are yielded in order.  Both run the same row function (``_sweep_row``), and
+each row is a pure function of its spec, point and indices, so no record
+depends on where it ran.  The helper is used only where the process may run
+on at least two CPUs, ``os.fork`` exists, the caller is not a daemonic
+``multiprocessing`` process and has no other Python thread; elsewhere, or
+once a fork fails, the sweep runs in-process.  ``taskset -c 0 ...`` runs a
+sweep in-process.
+
+The helper reads pickled jobs from one pipe and writes pickled rows to
+another; at most one job is in flight.  It ignores SIGINT, exits on end of
+file, and holds no copy of the caller's job pipe, so it exits when the
+caller does, however the caller ends.  A helper that dies loses only its
+job in flight, which the caller then runs itself.  ``close_helper`` (also
+run at exit) kills and reaps it.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
+import gc
 import io
 import itertools
 import json
+import os
+import pickle
+import signal
+import sys
+import threading
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pipeline import PipelineConfig, _is_int, make_secret, run_trial
+from .pipeline import PipelineConfig, _is_int, _keyed_link, _model, build_conditions, make_secret, run_trial
 from .rng import derive, hash_token
 
 SWEEP_AXES = ("snr_db", "eta", "token", "secret_seed", "mixing_p", "edit_strength",
@@ -101,30 +127,209 @@ def _trial_config(spec: SweepSpec, point: dict, point_index: int, trial_index: i
     return replace(spec.base, **point, **seeds)
 
 
+def _sweep_row(spec: SweepSpec, point: dict, point_index: int, trial_index: int) -> dict:
+    """One sweep row: the trial's record, or an error row naming the failure."""
+    row = {"point_index": point_index, "trial_index": trial_index, "axes": dict(point)}
+    try:
+        cfg = _trial_config(spec, point, point_index, trial_index)
+        secret = make_secret(cfg.secret_seed, cfg.shape)
+        record = run_trial(secret, cfg)
+        row["trial"] = record.to_dict()
+        row["error"] = None
+    except Exception as e:  # noqa: BLE001 - error rows are part of the contract
+        row["trial"] = None
+        row["error"] = f"{type(e).__name__}: {e}"
+    return row
+
+
 def iter_sweep(spec: SweepSpec):
     """Yield one record dict per trial, in deterministic order.
 
     A failing trial yields an error row instead of aborting the sweep.
     Trials share links, models and condition sets through the pipeline's
-    caches (see KeyedLink); no record depends on what they hold.
+    caches (see KeyedLink); no record depends on what they hold.  Every other
+    trial runs in the helper process (see the module docstring); a sweep
+    abandoned part-way leaves at most one job there, which the next job
+    sent discards.
     """
-    for point_index, point in enumerate(spec.points()):
-        for trial_index in range(spec.trials_per_point):
-            row = {"point_index": point_index, "trial_index": trial_index, "axes": dict(point)}
-            try:
-                cfg = _trial_config(spec, point, point_index, trial_index)
-                secret = make_secret(cfg.secret_seed, cfg.shape)
-                record = run_trial(secret, cfg)
-                row["trial"] = record.to_dict()
-                row["error"] = None
-            except Exception as e:  # noqa: BLE001 - error rows are part of the contract
-                row["trial"] = None
-                row["error"] = f"{type(e).__name__}: {e}"
-            yield row
+    jobs = [(point, point_index, trial_index) for point_index, point in enumerate(spec.points())
+            for trial_index in range(spec.trials_per_point)]
+    away = None  # (job index, helper, ticket) of the job the helper runs
+    for k, job in enumerate(jobs):
+        row = None
+        if away is not None and away[0] == k:
+            row = away[1].result(away[2])
+            away, ahead = None, k + 2  # the caller runs k + 1 itself
+        else:
+            ahead = k + 1
+        if away is None and ahead < len(jobs) and (k > 0 or _live is not None):
+            helper = _helper()
+            ticket = helper.submit((spec, *jobs[ahead])) if helper is not None else None
+            if ticket is not None:
+                away = ahead, helper, ticket
+        yield row if row is not None else _sweep_row(spec, *job)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     return list(iter_sweep(spec))
+
+
+# -- the helper process -------------------------------------------------------
+
+_CACHES = (_keyed_link, build_conditions, _model)  # links, references, models
+
+_live = None  # this process's helper, or None
+_helper_work = {"links": 0, "references": 0, "models": 0, "helper_rows": 0}  # of all its helpers so far
+
+
+def _misses() -> tuple[int, ...]:
+    return tuple(cache.cache_info().misses for cache in _CACHES)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(jobs, rows_fd: int) -> None:
+    """The helper's loop: run each job's row, reply with it and what it built."""
+    while True:
+        try:
+            job = pickle.load(jobs)
+        except EOFError:  # the caller closed its end or exited
+            return
+        before = _misses()
+        row = _sweep_row(*job)
+        built = tuple(after - b for after, b in zip(_misses(), before))
+        _write_all(rows_fd, pickle.dumps((row, built), pickle.HIGHEST_PROTOCOL))
+
+
+class _Helper:
+    """A forked process that runs the sweep rows sent to it, one at a time."""
+
+    def __init__(self):
+        job_r, job_w = os.pipe()
+        row_r, row_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (job_r, job_w, row_r, row_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                os.close(job_w)  # so the caller's exit ends the helper's input
+                os.close(row_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
+                gc.freeze()  # never finalize the caller's objects here
+                _serve(os.fdopen(job_r, "rb"), row_w)
+            finally:
+                os._exit(0)  # no atexit handlers, no flush of the caller's buffers
+        os.close(job_r)
+        os.close(row_w)
+        self.pid = pid
+        self.jobs = job_w
+        self.rows = os.fdopen(row_r, "rb")
+        self.ticket = 0  # of the last job sent
+        self.pending = False  # whether its row is still to be read
+        self.closed = False
+
+    def submit(self, job: tuple) -> int | None:
+        """Send a job; returns its ticket, or None if the helper has died.
+
+        A job still in flight is discarded first.
+        """
+        if self.pending:
+            self._read()
+        if self.closed:
+            return None
+        self.ticket += 1
+        try:
+            _write_all(self.jobs, pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
+        except BrokenPipeError:  # the helper has exited; result() reads its end of file
+            pass
+        self.pending = True
+        return self.ticket
+
+    def result(self, ticket: int) -> dict | None:
+        """The row of the job with this ticket; None if it was lost or discarded."""
+        if not (self.pending and ticket == self.ticket):
+            return None
+        return self._read()
+
+    def _read(self) -> dict | None:
+        self.pending = False
+        try:
+            row, built = pickle.load(self.rows)
+        except (EOFError, OSError, pickle.UnpicklingError):  # the helper died
+            close_helper()  # only the live helper has a row pending
+            return None
+        for name, n in zip(_helper_work, (*built, 1)):
+            _helper_work[name] += n
+        return row
+
+    def close(self, wait: bool) -> None:
+        self.closed, self.pending = True, False
+        os.close(self.jobs)
+        self.rows.close()
+        if wait:  # a job in flight is of no use to anyone now
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _helper() -> _Helper | None:
+    """The live helper, forked now if this process may run one."""
+    global _live
+    if _live is None and _may_fork():
+        try:
+            _live = _Helper()
+        except OSError:  # no process or pipe to spare: run in-process
+            return None
+    return _live
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    mp = sys.modules.get("multiprocessing")  # a daemonic caller has imported it
+    daemonic = mp is not None and mp.current_process().daemon
+    return _cpus() >= 2 and hasattr(os, "fork") and not daemonic and threading.active_count() == 1
+
+
+def close_helper() -> None:
+    """Kill this process's helper and reap it; the next sweep forks another."""
+    global _live
+    helper, _live = _live, None
+    if helper is not None:
+        helper.close(wait=True)
+
+
+def _forget_helper() -> None:
+    # a forked child holds copies of the parent's helper pipes: close them,
+    # so the helper still sees end of file when its caller exits
+    global _live
+    helper, _live = _live, None
+    if helper is not None:
+        helper.close(wait=False)
+
+
+def sweep_work() -> dict:
+    """What the sweeps of this process and its helpers have built and run so far.
+
+    ``links``, ``references`` and ``models`` count the keyed-link,
+    condition-set and model cache misses of both processes; ``helper_rows``
+    counts the rows the helper returned.
+    """
+    return {name: mine + _helper_work[name] for name, mine in zip(_helper_work, (*_misses(), 0))}
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+atexit.register(close_helper)
 
 
 # -- aggregation and export ---------------------------------------------------
@@ -226,12 +431,41 @@ def records_to_jsonl(records: list[dict]) -> str:
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in records)
 
 
-def load_records(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def _check_row(row) -> None:
+    """Raise ValueError unless a record row has what the exports read."""
+    if not isinstance(row, dict):
+        raise ValueError(f"not a JSON object but {type(row).__name__}")
+    for key in ("point_index", "axes", "error"):
+        if key not in row:
+            raise ValueError(f"missing '{key}'")
+    if not isinstance(row["axes"], dict):
+        raise ValueError("'axes' is not an object")
+    if row["error"] is not None:
+        if not isinstance(row["error"], str):
+            raise ValueError("'error' is neither null nor a string")
+        return
+    trial = row.get("trial")
+    if not isinstance(trial, dict):
+        raise ValueError("'trial' is not an object")
+    for receiver in RECEIVERS:
+        report = trial.get(receiver)
+        for metric in METRIC_NAMES:
+            value = report.get(metric) if isinstance(report, dict) else None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"'trial.{receiver}.{metric}' is not a number")
 
+
+def load_records(path: str) -> list[dict]:
+    """Read records.jsonl; a malformed line raises ConfigError naming it."""
+    records = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                _check_row(row)
+            except ValueError as e:  # JSONDecodeError and UnicodeDecodeError too
+                raise ConfigError(f"records line {number}: {e}") from e
+            records.append(row)
+    return records

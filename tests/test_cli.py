@@ -3,6 +3,8 @@
 import hashlib
 import importlib.metadata
 import json
+import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stegolink import acceptance, pipeline
+from stegolink import __version__, acceptance, harness, pipeline
 from stegolink.cli import main
 from stegolink.harness import parse_config, records_to_jsonl, run_sweep
 from stegolink.pipeline import PipelineConfig, make_secret, run_trial
@@ -300,6 +302,62 @@ class TestSweepAndExport:
             assert summary.startswith("sweep: done 4/4 trials in ")
             assert summary.endswith(f", {links} links built, {references} references generated, "
                                     f"{models} models built")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_summary_counts_what_the_helper_built(self, tmp_path, capsys, monkeypatch, cpus):
+        # a cold 3-point eta grid: the caller builds the first two links and,
+        # with two CPUs, the helper the third, from the caller's references
+        # and models; the summary counts the same either way
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, axes={"eta": [0.01, 0.05, 0.5]},
+                                                       trials_per_point=1))
+        for cache in (pipeline._keyed_link, pipeline._model, pipeline.build_conditions):
+            cache.cache_clear()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.endswith(", 3 links built, 3 references generated, 2 models built")
+        assert pipeline._keyed_link.cache_info().misses == (3 if cpus == 1 else 2)
+        environment = json.loads((tmp_path / "out" / "environment.json").read_text())
+        assert environment["helper"] is (cpus == 2) and environment["cpus"] == cpus
+        records = (tmp_path / "out" / "records.jsonl").read_text()
+        assert records == records_to_jsonl(harness.run_sweep(parse_config(cfg)))
+
+    def test_environment_names_the_software_and_cpu(self, sweep_dir):
+        environment = json.loads((sweep_dir / "environment.json").read_text())
+        assert sorted(environment) == ["blas", "cpu_features", "cpus", "helper", "numpy", "python", "stegolink"]
+        assert environment["stegolink"] == __version__ and environment["numpy"] == np.__version__
+        assert environment["python"] == platform.python_version()
+        assert environment["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert sorted(environment["cpu_features"]) == ["baseline", "found"]
+        assert all(isinstance(f, str) for fs in environment["cpu_features"].values() for f in fs)
+        assert isinstance(environment["helper"], bool) and environment["cpus"] >= 1
+
+    def test_out_naming_a_file_rc2_names_out(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: out: cannot use {str(out)!r}")
+        assert out.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("kind,line,reason", [
+        ("snr_curves", "not json", "Expecting value"),
+        ("snr_curves", '{"a": 1}', "missing 'point_index'"),
+        ("scenario_bars", "[1, 2]", "not a JSON object but list"),
+        ("snr_curves", '{"point_index": 0, "axes": [], "error": null}', "'axes' is not an object"),
+        ("snr_curves", '{"point_index": 0, "axes": {}, "error": 5}', "'error' is neither null nor a string"),
+        ("snr_curves", '{"point_index": 0, "axes": {}, "error": null}', "'trial' is not an object"),
+        ("scenario_bars", '{"point_index": 0, "axes": {}, "error": null, "trial": {"legit": {}}}',
+         "'trial.legit.psnr_db' is not a number"),
+        ("snr_curves", b'{"a": "\x80"}', "can't decode byte 0x80"),
+    ])
+    def test_export_malformed_record_rc2_names_the_line(self, sweep_dir, tmp_path, capsys, kind, line, reason):
+        good = (sweep_dir / "records.jsonl").read_bytes().splitlines(keepends=True)
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"".join(good[:2]) + b"\n" + (line if isinstance(line, bytes) else line.encode()) + b"\n")
+        assert main(["export", "--records", str(path), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: records line 4: ") and reason in err
 
     @pytest.mark.parametrize("change,field", [
         ({"base_seed": None}, "base_seed"),

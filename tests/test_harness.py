@@ -2,17 +2,27 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stegolink import pipeline
+from stegolink import harness, pipeline
 from stegolink.harness import (
     ConfigError,
     SweepSpec,
+    _sweep_row,
     _trial_config,
     aggregate_records,
     aggregates_csv,
@@ -22,6 +32,7 @@ from stegolink.harness import (
     parse_config,
     records_to_jsonl,
     run_sweep,
+    sweep_work,
 )
 from stegolink.pipeline import PipelineConfig, make_secret, run_trial
 from stegolink.rng import derive, hash_token
@@ -415,3 +426,189 @@ class TestExports:
         path.write_text(records_to_jsonl(rows))
         assert load_records(str(path)) == rows
 
+
+
+# -- the helper process -------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def in_process(spec):
+    # the rows a sweep must yield, each run here by the shared row function
+    return [_sweep_row(spec, point, point_index, trial_index)
+            for point_index, point in enumerate(spec.points()) for trial_index in range(spec.trials_per_point)]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    # the CPUs the sweep may use, whatever the host has
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return set_cpus
+
+
+def wait_for_eof(stream, seconds):
+    # read a pipe until every process holding its write end has closed it
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([stream], [], [], 0.1)
+        if ready and not os.read(stream.fileno(), 65536):
+            return True
+    return False
+
+
+def gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"  # exited, not yet reaped
+    except FileNotFoundError:
+        return True
+
+
+CALLER = """import sys
+from stegolink import harness
+from stegolink.harness import SweepSpec, iter_sweep
+from stegolink.pipeline import PipelineConfig
+spec = SweepSpec(base=PipelineConfig(steps=10, shape=(1, 8, 8), predictor_kind="zero"),
+                 axes={"snr_db": [5.0]}, trials_per_point=int(sys.argv[1]), base_seed="caller")
+rows = iter_sweep(spec)
+next(rows), next(rows)
+print(harness._live.pid, flush=True)
+for row in rows:
+    assert row["error"] is None
+"""
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self") or not hasattr(os, "fork"),
+                                reason="needs os.fork and /proc")
+
+
+class TestHelper:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("make", [small_sweep, diverging_sweep])
+    def test_rows_are_the_in_process_rows_on_any_cpu_count(self, cpus, make, n):
+        cpus(n)
+        spec = make()
+        expected = records_to_jsonl(in_process(spec))
+        before = sweep_work()["helper_rows"]
+        assert records_to_jsonl(run_sweep(spec)) == expected  # the first sweep forks at its second trial
+        assert records_to_jsonl(run_sweep(spec)) == expected
+        helper_rows = sweep_work()["helper_rows"] - before
+        trials = len(spec.points()) * spec.trials_per_point
+        first = (trials - 1) // 2  # a live helper from the first sweep takes the second from its start
+        assert helper_rows == (0 if n == 1 else first + (trials // 2 if first else first))
+
+    def test_rows_alternate_between_the_processes(self, cpus, monkeypatch):
+        cpus(2)
+        spec = small_sweep(axes={"snr_db": [5.0, 10.0, 15.0]})
+        ran_here = []  # the helper appends to its own copy
+        real = harness._sweep_row
+
+        def here(*args):
+            ran_here.append(args[3] + 2 * args[2])  # the trial's position in the sweep
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_sweep_row", here)
+        run_sweep(spec)  # the helper forks at the second trial and takes the third
+        run_sweep(spec)  # a live helper takes every odd trial
+        assert ran_here == [0, 1, 3, 5] + [0, 2, 4]
+
+    def test_killed_helper_loses_no_row(self, cpus):
+        cpus(2)
+        spec = small_sweep(trials_per_point=4)
+        expected = in_process(spec)
+        rows = iter_sweep(spec)
+        got = [next(rows), next(rows)]  # the helper runs the third trial
+        first = harness._live.pid
+        os.kill(first, signal.SIGKILL)
+        got += list(rows)
+        assert got == expected
+        assert harness._live is not None and harness._live.pid != first and gone(first)
+
+    def test_abandoned_sweep_leaves_no_stale_row(self, cpus):
+        cpus(2)
+        a, b = small_sweep(base_seed="a"), small_sweep(base_seed="b")
+        run_sweep(a)  # a live helper
+        rows = iter_sweep(a)
+        next(rows)  # a's second trial is in flight
+        del rows
+        assert run_sweep(b) == in_process(b)
+        assert [row for pair in zip(iter_sweep(a), iter_sweep(b)) for row in pair] == [
+            row for pair in zip(in_process(a), in_process(b)) for row in pair]
+
+    @needs_proc
+    def test_sigkilled_caller_leaves_no_helper(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-c", CALLER, "100000"], env=env, stdout=subprocess.PIPE)
+        pid = None
+        try:
+            pid = int(proc.stdout.readline())
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL
+            assert wait_for_eof(proc.stdout, 30)  # the helper no longer holds the caller's stdout
+            deadline = time.monotonic() + 30
+            while not gone(pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert gone(pid)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.wait(timeout=30)
+            if pid is not None and not gone(pid):  # leave no helper behind when the test fails
+                os.kill(pid, signal.SIGKILL)
+
+    @needs_proc
+    def test_normal_exit_leaves_no_process(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", CALLER, "6"], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert not os.path.exists(f"/proc/{int(proc.stdout)}")  # exited and reaped
+
+    def test_single_cpu_or_threaded_caller_runs_in_process(self, cpus):
+        spec = small_sweep()
+        cpus(1)
+        before = sweep_work()["helper_rows"]
+        assert run_sweep(spec) == in_process(spec) and harness._live is None
+        cpus(2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert run_sweep(spec) == in_process(spec) and harness._live is None
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive() and sweep_work()["helper_rows"] == before
+
+    @needs_proc
+    def test_daemonic_caller_runs_in_process(self, cpus):
+        cpus(2)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        spec = small_sweep()
+
+        def sweep():
+            before = sweep_work()["helper_rows"]
+            rows = run_sweep(spec)
+            writer.send((rows, harness._live is None, sweep_work()["helper_rows"] - before))
+
+        child = context.Process(target=sweep, daemon=True)
+        child.start()
+        try:
+            assert reader.poll(60)
+            rows, no_helper, helper_rows = reader.recv()
+        finally:
+            child.join(timeout=30)
+        assert not child.is_alive() and child.exitcode == 0
+        assert rows == in_process(spec) and no_helper and helper_rows == 0
+
+    def test_forked_child_drops_the_parents_helper(self, cpus):
+        cpus(2)
+        run_sweep(small_sweep())
+        parent_helper = harness._live
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if harness._live is None and parent_helper.closed else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert harness._live is parent_helper and not parent_helper.closed
+        assert run_sweep(small_sweep()) == in_process(small_sweep())

@@ -15,7 +15,7 @@ import stegolink.edict as edict
 import stegolink.pipeline as pipeline
 from stegolink.channel import decode, encode, transmit
 from stegolink.edict import CoupledState, SamplerDivergenceError, edict_forward, edict_reverse
-from stegolink.harness import SweepSpec, run_sweep
+from stegolink.harness import SweepSpec, _trial_config, run_sweep, sweep_work
 from stegolink.metrics import SSIM_MAX_MAGNITUDE
 from stegolink.pipeline import (
     EAVESDROPPER_MODELS,
@@ -39,6 +39,11 @@ def fast_cfg(**kw):
     base = dict(steps=10, shape=(1, 8, 8), noiseless=True)
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def sweep_configs(spec):
+    return [_trial_config(spec, point, point_index, trial_index)
+            for point_index, point in enumerate(spec.points()) for trial_index in range(spec.trials_per_point)]
 
 
 def uncached_conditions(cfg, token):
@@ -425,7 +430,8 @@ class TestKeyedLink:
         # three trials of the same (config, token) build nothing keyed
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0]},
                          trials_per_point=2, base_seed="shared")
-        assert all(row["error"] is None for row in run_sweep(spec))
+        for cfg in sweep_configs(spec):  # in-process: a sweep's helper counts in its own process
+            run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg)
         assert counts == {"Predictor": 2, "generate_reference": 3, "predict": 30 + 4 * 40}
 
     def test_warm_trial_predicts_200_times(self, counts):
@@ -509,8 +515,10 @@ class TestKeyedLink:
         # references do not depend on it and the cache keeps them across points
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"guidance_weight": [0.0, 0.4, 1.0]},
                          trials_per_point=2, base_seed="lambda")
+        before = sweep_work()["references"]
         assert all(row["error"] is None for row in run_sweep(spec))
         assert counts["generate_reference"] == 3
+        assert sweep_work()["references"] - before == 3  # the helper's builds too
 
 
 class TestLinkCache:
@@ -559,7 +567,8 @@ class TestLinkCache:
         for index in range(3):
             spec = SweepSpec(base=fast_cfg(predictor_kind="linear", noiseless=False),
                              axes={"eta": [0.01, 0.05, 0.5]}, base_seed=f"pass/{index}")
-            assert all(row["error"] is None for row in run_sweep(spec))
+            for cfg in sweep_configs(spec):  # in-process, as in test_sweep_shares_the_model_and_references
+                run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg)
         assert pipeline._keyed_link.cache_info().misses == 3 and pipeline._keyed_link.cache_info().currsize == 3
 
     def test_fresh_tokens_never_hold_more_than_the_bound(self):
