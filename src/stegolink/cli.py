@@ -14,7 +14,7 @@ import platform
 import sys
 import time
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -24,6 +24,13 @@ from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, _cpus, aggregates_cs
 from .pipeline import PipelineConfig, check_secret, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
+
+
+def _shape(text: str) -> tuple[int, ...]:
+    try:  # argparse names --shape in the error; PipelineConfig checks the values
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected C,H,W integers, got {text!r}") from None
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -37,7 +44,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda", type=float, dest="guidance_weight", help="guidance weight in [0, 1]")
     sub.add_argument("--predictor", choices=PREDICTOR_KINDS, dest="predictor_kind")
     sub.add_argument("--seed", type=int, help="trial seed (drives secret and channel noise)")
-    sub.add_argument("--shape", help="latent shape as C,H,W")
+    sub.add_argument("--shape", type=_shape, help="latent shape as C,H,W")
     sub.add_argument("--noiseless", action="store_true", default=None)
     sub.add_argument("--scenario", choices=("all", "legit", "E1", "E2", "E3"), default="all",
                      help="which receiver to report on stdout")
@@ -52,17 +59,9 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError("'run' expects a single-trial config, not a sweep file")
     else:
         cfg = PipelineConfig()
-    overrides = {}
-    for name in ("token", "snr_db", "eta", "steps", "mixing_p", "edit_strength",
-                 "guidance_weight", "predictor_kind", "noiseless"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.shape is not None:
-        try:
-            overrides["shape"] = tuple(int(s) for s in args.shape.split(","))
-        except ValueError as e:
-            raise ConfigError(f"shape: expected C,H,W integers, got {args.shape!r}") from e
+    # each field's flag has the field's name as its dest
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.seed is not None:
         if not 0 <= args.seed < 2 ** 64:
             raise ConfigError("seed: must be an integer in [0, 2^64)")
@@ -94,8 +93,27 @@ def _load_secret(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, str]:
     return secret, hashlib.sha256(data).hexdigest()
 
 
+def _check_out_file(path: str) -> None:
+    """Reject an --out file path that cannot be written, before any work runs."""
+    if os.path.isdir(path):
+        raise ConfigError(f"out: {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"out: directory {parent!r} does not exist")
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"out: cannot write {path!r}: {e.strerror or e}") from e
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    if args.out:
+        _check_out_file(args.out)
     if args.secret_npy:
         secret, sha256 = _load_secret(args.secret_npy, cfg.shape)
         source = {"npy": args.secret_npy, "sha256": sha256}
@@ -106,8 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # the record plus where its secret came from, so it can be replayed
     payload = json.dumps({**record.to_dict(), "secret": source}, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_out(args.out, payload + "\n")
     reports = {"legit": record.legit, "E1": record.eaves1, "E2": record.eaves2, "E3": record.eaves3}
     wanted = reports if args.scenario == "all" else {args.scenario: reports[args.scenario]}
     for name, report in wanted.items():
@@ -175,11 +192,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_out_file(args.out)
     records = load_records(args.records)
     table = export_plot_data(records, args.kind)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
+        _write_out(args.out, table)
         print(f"{args.kind} table written to {args.out}")
     else:
         sys.stdout.write(table)
@@ -226,9 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - single CLI boundary

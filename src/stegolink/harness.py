@@ -44,16 +44,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pipeline import PipelineConfig, _is_int, _keyed_link, _model, build_conditions, make_secret, run_trial
-from .rng import derive, hash_token
+from .pipeline import BUILD_CACHES, PipelineConfig, make_secret, run_trial
+from .rng import _is_int, derive, hash_token
 
 SWEEP_AXES = ("snr_db", "eta", "token", "secret_seed", "mixing_p", "edit_strength",
               "guidance_weight", "steps", "predictor_kind", "h")
 
 RECEIVERS = ("legit", "eaves1", "eaves2", "eaves3")
 METRIC_NAMES = ("psnr_db", "mse", "ssim")
-
-EXPORT_KINDS = ("snr_curves", "eta_curves", "scenario_bars")
 
 
 class ConfigError(ValueError):
@@ -91,12 +89,19 @@ class SweepSpec:
 
 
 def parse_config(path: str):
-    """Load a JSON config file into a PipelineConfig or a SweepSpec."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Load a JSON config file into a PipelineConfig or a SweepSpec.
+
+    A file that cannot be read as UTF-8 text raises ConfigError naming config.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"not valid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"config: cannot read {path!r}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config: {path!r} is not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
     if "axes" in data or "base" in data:
@@ -176,14 +181,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 # -- the helper process -------------------------------------------------------
 
-_CACHES = (_keyed_link, build_conditions, _model)  # links, references, models
-
 _live = None  # this process's helper, or None
-_helper_work = {"links": 0, "references": 0, "models": 0, "helper_rows": 0}  # of all its helpers so far
+_helper_work = dict.fromkeys([*BUILD_CACHES, "helper_rows"], 0)  # of all its helpers so far
 
 
 def _misses() -> tuple[int, ...]:
-    return tuple(cache.cache_info().misses for cache in _CACHES)
+    return tuple(cache.cache_info().misses for cache in BUILD_CACHES.values())
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -265,8 +268,9 @@ class _Helper:
         except (EOFError, OSError, pickle.UnpicklingError):  # the helper died
             close_helper()  # only the live helper has a row pending
             return None
-        for name, n in zip(_helper_work, (*built, 1)):
+        for name, n in zip(BUILD_CACHES, built):
             _helper_work[name] += n
+        _helper_work["helper_rows"] += 1
         return row
 
     def close(self, wait: bool) -> None:
@@ -320,11 +324,12 @@ def _forget_helper() -> None:
 def sweep_work() -> dict:
     """What the sweeps of this process and its helpers have built and run so far.
 
-    ``links``, ``references`` and ``models`` count the keyed-link,
-    condition-set and model cache misses of both processes; ``helper_rows``
-    counts the rows the helper returned.
+    Each of ``pipeline.BUILD_CACHES`` (``links``, ``references`` and
+    ``models``) counts that cache's misses in both processes;
+    ``helper_rows`` counts the rows the helper returned.
     """
-    return {name: mine + _helper_work[name] for name, mine in zip(_helper_work, (*_misses(), 0))}
+    mine = dict(zip(BUILD_CACHES, _misses()))
+    return {name: n + mine.get(name, 0) for name, n in _helper_work.items()}
 
 
 if hasattr(os, "register_at_fork"):
@@ -391,6 +396,10 @@ def aggregates_csv(records: list[dict]) -> str:
     return _write_csv(aggregate_records(records), header)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _curve_csv(records: list[dict], axis: str) -> str:
     groups: dict = {}
     for row in records:
@@ -398,7 +407,10 @@ def _curve_csv(records: list[dict], axis: str) -> str:
             continue
         if axis not in row["axes"]:
             raise ConfigError(f"records carry no '{axis}' axis; cannot export this kind")
-        groups.setdefault(row["axes"][axis], []).append(row)
+        value = row["axes"][axis]
+        if not _is_number(value):
+            raise ConfigError(f"axes.{axis}: {value!r} is not a number; cannot export this kind")
+        groups.setdefault(value, []).append(row)
     rows = [{axis: value, "n": len(groups[value]), **_summary_cells(groups[value])}
             for value in sorted(groups)]
     return _write_csv(rows, [axis, "n", *_SUMMARY_COLUMNS])
@@ -414,17 +426,19 @@ def _scenario_csv(records: list[dict]) -> str:
     return _write_csv(rows, ["scenario", "n", *columns])
 
 
+_EXPORTS = {"snr_curves": lambda records: _curve_csv(records, "snr_db"),
+            "eta_curves": lambda records: _curve_csv(records, "eta"),
+            "scenario_bars": _scenario_csv}
+EXPORT_KINDS = tuple(_EXPORTS)
+
+
 def export_plot_data(records: list[dict], kind: str) -> str:
-    """Render records into one of the fixed CSV table layouts."""
+    """Render records into one of the fixed CSV table layouts (EXPORT_KINDS)."""
     if not records:
         raise ConfigError("records: nothing to export")
-    if kind == "snr_curves":
-        return _curve_csv(records, "snr_db")
-    if kind == "eta_curves":
-        return _curve_csv(records, "eta")
-    if kind == "scenario_bars":
-        return _scenario_csv(records)
-    raise ConfigError(f"kind: must be one of {', '.join(EXPORT_KINDS)}")
+    if kind not in _EXPORTS:
+        raise ConfigError(f"kind: must be one of {', '.join(EXPORT_KINDS)}")
+    return _EXPORTS[kind](records)
 
 
 def records_to_jsonl(records: list[dict]) -> str:
@@ -440,6 +454,9 @@ def _check_row(row) -> None:
             raise ValueError(f"missing '{key}'")
     if not isinstance(row["axes"], dict):
         raise ValueError("'axes' is not an object")
+    for name, value in row["axes"].items():
+        if isinstance(value, (dict, list)):
+            raise ValueError(f"'axes.{name}' is not a scalar")
     if row["error"] is not None:
         if not isinstance(row["error"], str):
             raise ValueError("'error' is neither null nor a string")
@@ -451,14 +468,21 @@ def _check_row(row) -> None:
         report = trial.get(receiver)
         for metric in METRIC_NAMES:
             value = report.get(metric) if isinstance(report, dict) else None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ValueError(f"'trial.{receiver}.{metric}' is not a number")
 
 
 def load_records(path: str) -> list[dict]:
-    """Read records.jsonl; a malformed line raises ConfigError naming it."""
+    """Read records.jsonl; a malformed line raises ConfigError naming it.
+
+    A file that cannot be read raises ConfigError naming records.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise ConfigError(f"records: cannot read {path!r}: {e.strerror or e}") from e
     records = []
-    with open(path, "rb") as fh:
+    with fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue

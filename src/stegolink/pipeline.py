@@ -63,7 +63,7 @@ from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
 from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
 from .predictor import PREDICTOR_KINDS, ConditionSet, Predictor, RowBias, embed_text
 from .reference import embed_reference, generate_reference
-from .rng import RandomStream, Seed64, derive
+from .rng import RandomStream, Seed64, _is_int, derive
 from .schedule import build_schedule
 from .tokenkey import PerturbationMask, build_mask, perturb
 
@@ -76,9 +76,12 @@ EAVESDROPPER_MODELS = ("E1", "E2", "E3")
 REVEAL_ROWS = ("legit", "E2", "E3", "roundtrip")
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but never a valid count or seed
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check_shape(shape) -> tuple[int, int, int]:
+    """shape as a tuple; anything but three positive integers raises a ValueError naming shape."""
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 3
+            and all(_is_int(s) and s >= 1 for s in shape)):
+        raise ValueError("shape: must be three positive integers (channels, height, width)")
+    return tuple(shape)
 
 
 # one type check per declared field kind (the annotation string); values are
@@ -120,10 +123,7 @@ class PipelineConfig:
             check = _KIND_CHECKS.get(f.type)
             if check is not None and not check[0](getattr(self, f.name)):
                 raise ValueError(f"{f.name}: {check[1]}")
-        if not (isinstance(self.shape, (list, tuple)) and len(self.shape) == 3
-                and all(_is_int(s) and s >= 1 for s in self.shape)):
-            raise ValueError("shape: must be three positive integers (channels, height, width)")
-        object.__setattr__(self, "shape", tuple(self.shape))
+        object.__setattr__(self, "shape", _check_shape(self.shape))
         if not 0.0 <= self.guidance_weight <= 1.0:
             raise ValueError("guidance_weight: must lie in [0, 1]")
         for name in ("steps", "embed_dim"):
@@ -282,7 +282,7 @@ class KeyedLink:
 
 # a link reads every PipelineConfig field but the channel's and the trial's
 # seeds, so its key leaves out only these; a field added later is keyed
-_TRIAL_FIELDS = ("snr_db", "h", "noiseless", "noise_seed", "secret_seed")
+_TRIAL_FIELDS = (*(f.name for f in fields(ChannelConfig)), "secret_seed")
 _LINK_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name not in _TRIAL_FIELDS)
 _link_key = operator.attrgetter(*_LINK_FIELDS)
 _LinkConfig = collections.namedtuple("_LinkConfig", _LINK_FIELDS)
@@ -297,6 +297,10 @@ def _keyed_link(key: tuple) -> KeyedLink:
 def _link(cfg: PipelineConfig) -> KeyedLink:
     """The keyed link of cfg, from the ``_keyed_link`` cache."""
     return _keyed_link(_link_key(cfg))
+
+
+# the caches whose misses count as builds, named by what a miss builds
+BUILD_CACHES = {"links": _keyed_link, "references": build_conditions, "models": _model}
 
 
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
@@ -398,10 +402,12 @@ def make_secret(seed: Seed64 | int, shape: tuple[int, int, int]) -> np.ndarray:
     """Structured synthetic secret: smooth seeded waves plus one step edge.
 
     Stands in for natural-image latents; never constant, so its dynamic
-    range is always a valid PSNR peak.
+    range is always a valid PSNR peak.  seed must be a Seed64 or an integer
+    in [0, 2^64), and shape three positive integers; values are checked,
+    never converted, and a bad one raises a ValueError naming its argument.
     """
-    channels, height, width = (int(s) for s in shape)
-    stream = RandomStream(derive(seed if isinstance(seed, Seed64) else Seed64(int(seed)), "secret-field"))
+    channels, height, width = _check_shape(shape)
+    stream = RandomStream(derive(seed, "secret-field"))  # derive checks the seed
     yy, xx = _secret_grid(height, width)
     grids = []
     for _ in range(channels):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, derive, gaussian_stream, hash_token
+from .rng import Seed64, _as_seed, _is_int, derive, gaussian_stream, hash_token
 
 PREDICTOR_KINDS = ("zero", "linear", "tiny-mlp")
 
@@ -193,13 +193,12 @@ class Predictor:
     def __init__(self, kind: str, weight_seed: Seed64 | int = 7, embed_dim: int = 64):
         if kind not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor kind {kind!r}; expected one of {PREDICTOR_KINDS}")
-        if embed_dim < 1:
-            raise ValueError("embed_dim must be positive")
+        if not (_is_int(embed_dim) and embed_dim >= 1):
+            raise ValueError("embed_dim: must be a positive integer")
         self.kind = kind
-        self.weight_seed = weight_seed if isinstance(weight_seed, Seed64) else Seed64(int(weight_seed))
-        self.embed_dim = int(embed_dim)
-        self._weights: dict[int, tuple] = {}
-        self._operands: dict[int, tuple] = {}
+        self.weight_seed = _as_seed(weight_seed, "weight_seed")
+        self.embed_dim = embed_dim
+        self._sizes: dict[int, tuple[tuple, tuple]] = {}  # n -> (weights, kernel operands)
 
     # -- weight construction ------------------------------------------------
 
@@ -232,16 +231,17 @@ class Predictor:
         of (qa, qb.T) for linear, with qa's and qb's sizes, and
         (w1[:, :n].T, w2.T) for tiny-mlp.  The zero predictor has none.
         """
-        if n not in self._weights:
+        if n not in self._sizes:
             if self.kind == "linear":
-                qa, qb, _, _ = self._weights[n] = self._linear_weights(n)
-                self._operands[n] = (qa, qb.T, len(qa), len(qb))
+                weights = qa, qb, _, _ = self._linear_weights(n)
+                operands = (qa, qb.T, len(qa), len(qb))
             elif self.kind == "tiny-mlp":
-                w1, w2 = self._weights[n] = self._mlp_weights(n)
-                self._operands[n] = (w1[:, :n].T, w2.T)
+                weights = w1, w2 = self._mlp_weights(n)
+                operands = (w1[:, :n].T, w2.T)
             else:
-                self._weights[n] = ()
-        return self._weights[n]
+                weights = operands = ()
+            self._sizes[n] = weights, operands
+        return self._sizes[n][0]
 
     # -- prediction ----------------------------------------------------------
 
@@ -288,7 +288,7 @@ class Predictor:
             step = _read_only(_time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T)[:, None]
             if cvec is not None:
                 cond = _read_only(cvec @ w1[:, n + _TIME_DIM:].T)
-        return RowBias(n, len(rows), step, cond, guidance_weight, self._operands.get(n, ()))
+        return RowBias(n, len(rows), step, cond, guidance_weight, self._sizes.get(n, ((), ()))[1])
 
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
         """Noise estimate at step t for each of the bias's rows.

@@ -33,6 +33,11 @@ _DOMAIN_SEPARATOR = b"\x1f"
 _INV_2_53 = 2.0 ** -53
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but never a valid count or seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Seed64:
     """A 64-bit unsigned seed, normally produced by hash_token."""
@@ -40,15 +45,21 @@ class Seed64:
     value: int
 
     def __post_init__(self):
-        if not isinstance(self.value, int) or not 0 <= self.value <= _U64_MAX:
+        if not (_is_int(self.value) and 0 <= self.value <= _U64_MAX):
             raise ValueError("Seed64 value must be an integer in [0, 2^64)")
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(8, "big")
 
 
-def _as_seed(seed: Seed64 | int) -> Seed64:
-    return seed if isinstance(seed, Seed64) else Seed64(seed)
+def _as_seed(seed: Seed64 | int, name: str = "seed") -> Seed64:
+    # checked, never converted: anything else raises a ValueError naming name
+    if isinstance(seed, Seed64):
+        return seed
+    try:
+        return Seed64(seed)
+    except ValueError:
+        raise ValueError(f"{name}: must be a Seed64 or an integer in [0, 2^64)") from None
 
 
 def hash_token(token: bytes | str, domain: bytes | str = b"") -> Seed64:

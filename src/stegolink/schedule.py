@@ -65,10 +65,7 @@ def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> 
         raise ValueError("beta_start and beta_end must lie in (0, 1)")
     if beta_start > beta_end:
         raise ValueError("beta_start must not exceed beta_end")
-    if T == 1:
-        betas = np.array([beta_start], dtype=np.float64)
-    else:
-        betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)  # [beta_start] when T is 1
 
     beta = np.zeros(T + 1, dtype=np.float64)
     beta[1:] = betas

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stegolink import __version__, acceptance, harness, pipeline
+from stegolink import __version__, acceptance, cli, harness, pipeline
 from stegolink.cli import main
 from stegolink.harness import parse_config, records_to_jsonl, run_sweep
 from stegolink.pipeline import PipelineConfig, make_secret, run_trial
@@ -293,9 +293,8 @@ class TestSweepAndExport:
         # link, three references and two models, and the same sweep run
         # again finds them all in the caches
         cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
-        pipeline._keyed_link.cache_clear()
-        pipeline._model.cache_clear()
-        pipeline.build_conditions.cache_clear()
+        for cache in pipeline.BUILD_CACHES.values():
+            cache.cache_clear()
         for links, references, models in ((1, 3, 2), (0, 0, 0)):
             assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
             summary = capsys.readouterr().err.splitlines()[-1]
@@ -311,7 +310,7 @@ class TestSweepAndExport:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, axes={"eta": [0.01, 0.05, 0.5]},
                                                        trials_per_point=1))
-        for cache in (pipeline._keyed_link, pipeline._model, pipeline.build_conditions):
+        for cache in pipeline.BUILD_CACHES.values():
             cache.cache_clear()
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = capsys.readouterr().err.splitlines()[-1]
@@ -350,6 +349,8 @@ class TestSweepAndExport:
         ("scenario_bars", '{"point_index": 0, "axes": {}, "error": null, "trial": {"legit": {}}}',
          "'trial.legit.psnr_db' is not a number"),
         ("snr_curves", b'{"a": "\x80"}', "can't decode byte 0x80"),
+        ("snr_curves", '{"point_index": 0, "axes": {"snr_db": [1, 2]}, "error": null}',
+         "'axes.snr_db' is not a scalar"),
     ])
     def test_export_malformed_record_rc2_names_the_line(self, sweep_dir, tmp_path, capsys, kind, line, reason):
         good = (sweep_dir / "records.jsonl").read_bytes().splitlines(keepends=True)
@@ -358,6 +359,41 @@ class TestSweepAndExport:
         assert main(["export", "--records", str(path), "--kind", kind]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: records line 4: ") and reason in err
+
+    def test_export_non_numeric_axis_rc2_names_the_axis(self, sweep_dir, tmp_path, capsys):
+        # a string beside numbers once failed sorting the values, exit 1
+        rows = [json.loads(line) for line in (sweep_dir / "records.jsonl").read_text().splitlines()]
+        rows[-1]["axes"]["snr_db"] = "ten"
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl(rows))
+        assert main(["export", "--records", str(path), "--kind", "snr_curves"]) == 2
+        assert capsys.readouterr().err == ("config error: axes.snr_db: 'ten' is not a number; "
+                                           "cannot export this kind\n")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--config", "{dir}"], "config"),
+        (["run", "--config", "{latin1}"], "config"),
+        (["sweep", "--config", "{dir}", "--out", "{dir}/out"], "config"),
+        (["export", "--records", "{dir}", "--kind", "snr_curves"], "records"),
+        (["export", "--records", "{records}", "--kind", "snr_curves", "--out", "{dir}"], "out"),
+        (["run", *FAST, "--out", "{dir}"], "out"),
+        (["run", *FAST, "--out", "{dir}/missing/record.json"], "out"),
+    ])
+    def test_unusable_path_rc2_names_its_flag_before_any_work(self, sweep_dir, tmp_path, capsys, monkeypatch,
+                                                               argv, flag):
+        # these once exited 1 naming IsADirectoryError or UnicodeDecodeError,
+        # or 2 naming no flag after the trial had run
+        def no_work(*args, **kwargs):
+            raise AssertionError("no trial or export may run")
+
+        monkeypatch.setattr(cli, "run_trial", no_work)
+        monkeypatch.setattr(cli, "export_plot_data", no_work)
+        (tmp_path / "latin1.json").write_bytes(b'{"token": "caf\xe9"}')
+        paths = {"dir": str(tmp_path), "latin1": str(tmp_path / "latin1.json"),
+                 "records": str(sweep_dir / "records.jsonl")}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.json"]
 
     @pytest.mark.parametrize("change,field", [
         ({"base_seed": None}, "base_seed"),

@@ -300,9 +300,8 @@ def test_benchmark_shape_digest():
 def test_warm_caches_leave_the_pinned_records_unchanged():
     # between the two pinned runs, a sweep of another config leaves the
     # zero-predictor objects of token "pin" in the caches for the second
-    pipeline._keyed_link.cache_clear()
-    pipeline._model.cache_clear()
-    pipeline.build_conditions.cache_clear()
+    for cache in pipeline.BUILD_CACHES.values():
+        cache.cache_clear()
     cold = records_to_jsonl(run_sweep(PINNED_SPEC))
     run_sweep(SweepSpec(base=PipelineConfig(steps=10, shape=(1, 8, 8), token="pin", predictor_kind="zero"),
                         axes={"snr_db": [5.0, 20.0]}, base_seed="between"))

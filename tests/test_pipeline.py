@@ -411,9 +411,8 @@ class TestKeyedLink:
         for name in ("Predictor", "generate_reference"):
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
         monkeypatch.setattr(Predictor, "predict", counting("predict", Predictor.predict))
-        pipeline._keyed_link.cache_clear()
-        pipeline._model.cache_clear()
-        pipeline.build_conditions.cache_clear()
+        for cache in pipeline.BUILD_CACHES.values():
+            cache.cache_clear()
         return counts
 
     @pytest.mark.parametrize("eavesdropper_token,references", [("856427", 3), ("9000", 2)])
@@ -637,6 +636,20 @@ class TestMakeSecret:
 
     def test_int_seed_accepted(self):
         assert np.array_equal(make_secret(9, (1, 4, 4)), make_secret(Seed64(9), (1, 4, 4)))
+
+    @pytest.mark.parametrize("seed,shape,name", [
+        (1.9, (1, 8, 8), "seed"),
+        ("5", (1, 8, 8), "seed"),
+        (True, (1, 8, 8), "seed"),
+        (-1, (1, 8, 8), "seed"),
+        (5, (1, 8.5, 8), "shape"),
+        (5, (1, 8.0, 8), "shape"),
+        (5, (8, 8), "shape"),
+    ])
+    def test_seed_and_shape_checked_never_converted(self, seed, shape, name):
+        # seeds 1.9, "5" and True once ran as 1, 5 and 1, and 8.5 as 8
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            make_secret(seed, shape)
 
     @staticmethod
     def written_out(seed, shape):

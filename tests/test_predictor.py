@@ -182,6 +182,18 @@ class TestPredict:
         with pytest.raises(ValueError):
             Predictor("resnet", weight_seed=7)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"weight_seed": 7.9}, "weight_seed"),
+        ({"weight_seed": "7"}, "weight_seed"),
+        ({"weight_seed": True}, "weight_seed"),
+        ({"embed_dim": 64.5}, "embed_dim"),
+        ({"embed_dim": True}, "embed_dim"),
+    ])
+    def test_seed_and_size_checked_never_converted(self, kwargs, name):
+        # these once ran as seed 7 or 1 and embed_dim 64 or 1
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            Predictor("linear", **kwargs)
+
     def test_lambda_range(self):
         p = Predictor("tiny-mlp", weight_seed=7)
         for lam in (1.5, -0.1, float("nan")):

@@ -82,6 +82,11 @@ class TestSeed64:
     def test_to_bytes_big_endian(self):
         assert Seed64(1).to_bytes() == b"\x00" * 7 + b"\x01"
 
+    def test_bool_rejected(self):
+        # bool is an int subclass, so True once made seed 1
+        with pytest.raises(ValueError):
+            Seed64(True)
+
 
 class TestDerive:
     def test_deterministic_and_label_separated(self):
