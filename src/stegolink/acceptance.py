@@ -19,7 +19,7 @@ from .channel import ChannelConfig, encode, transmit
 from .edict import CoupledState, SamplerParams, ddim_sample, edict_forward, edict_reverse
 from .harness import SweepSpec, aggregates_csv, export_plot_data, records_to_jsonl, run_sweep
 from .metrics import mse, psnr, ssim
-from .pipeline import KeyedLink, PipelineConfig, hide, make_secret, reveal, run_trial
+from .pipeline import RECEIVERS, KeyedLink, PipelineConfig, hide, make_secret, reveal, run_trial
 from .predictor import Predictor
 from .rng import derive, gaussian_stream, hash_token
 from .schedule import build_schedule
@@ -88,7 +88,7 @@ def _trial_group(eta: float, snr_db: float) -> tuple:
 
 
 def _mean_psnr(records, receiver: str) -> float:
-    return float(np.mean([getattr(r, receiver).psnr_db for r in records]))
+    return float(np.mean([r.reports[receiver].psnr_db for r in records]))
 
 
 # -- criteria -------------------------------------------------------------------
@@ -165,11 +165,10 @@ def token_security_gap() -> Check:
 
 def eavesdropper_ordering() -> Check:
     records = _trial_group(0.05, 10.0)
-    legit = _mean_psnr(records, "legit")
-    e3 = _mean_psnr(records, "eaves3")
-    e2 = _mean_psnr(records, "eaves2")
-    return Check(legit > e3 > e2, "criterion 6 eavesdropper ordering",
-                 f"20-seed mean PSNR legit {legit:.2f} > E3 {e3:.2f} > E2 {e2:.2f} dB")
+    mean = {receiver.name: _mean_psnr(records, receiver.key) for receiver in RECEIVERS}
+    return Check(mean["legit"] > mean["E3"] > mean["E2"], "criterion 6 eavesdropper ordering",
+                 f"20-seed mean PSNR legit {mean['legit']:.2f} > E3 {mean['E3']:.2f} > E2 {mean['E2']:.2f} dB "
+                 f"(E1 {mean['E1']:.2f} dB)")
 
 
 def snr_trend() -> Check:

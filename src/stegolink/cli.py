@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, acceptance
 from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, _cpus, aggregates_csv, export_plot_data,
                       iter_sweep, load_records, parse_config, records_to_jsonl, sweep_work)
-from .pipeline import PipelineConfig, check_secret, make_secret, run_trial
+from .pipeline import RECEIVERS, PipelineConfig, check_secret, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
 from .rng import Seed64, derive
 
@@ -46,7 +46,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="trial seed (drives secret and channel noise)")
     sub.add_argument("--shape", type=_shape, help="latent shape as C,H,W")
     sub.add_argument("--noiseless", action="store_true", default=None)
-    sub.add_argument("--scenario", choices=("all", "legit", "E1", "E2", "E3"), default="all",
+    sub.add_argument("--scenario", choices=("all", *(r.name for r in RECEIVERS)), default="all",
                      help="which receiver to report on stdout")
     sub.add_argument("--secret-npy", dest="secret_npy", help="load the secret grid from a .npy file")
     sub.add_argument("--out", help="write the trial record as JSON to this path")
@@ -125,10 +125,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     payload = json.dumps({**record.to_dict(), "secret": source}, sort_keys=True, indent=2)
     if args.out:
         _write_out(args.out, payload + "\n")
-    reports = {"legit": record.legit, "E1": record.eaves1, "E2": record.eaves2, "E3": record.eaves3}
-    wanted = reports if args.scenario == "all" else {args.scenario: reports[args.scenario]}
-    for name, report in wanted.items():
-        print(f"{name:>5}: psnr {report.psnr_db:8.3f} dB   mse {report.mse:.6e}   ssim {report.ssim:8.5f}")
+    for receiver in RECEIVERS:
+        if args.scenario in ("all", receiver.name):
+            report = record.reports[receiver.key]
+            print(f"{receiver.name:>5}: psnr {report.psnr_db:8.3f} dB   mse {report.mse:.6e}   "
+                  f"ssim {report.ssim:8.5f}")
     print(f"round-trip max err {record.edict_roundtrip_error:.3e}   peak {record.peak:.4f}")
     if args.out:
         print(f"record written to {args.out}")
@@ -160,6 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     records_path = os.path.join(args.out, "records.jsonl")
     aggregates_path = os.path.join(args.out, "aggregates.csv")
     environment_path = os.path.join(args.out, "environment.json")
+    for path in (records_path, aggregates_path, environment_path):
+        _check_out_file(path)  # before any trial runs
     records = []
     total = len(spec.points()) * spec.trials_per_point
     before = sweep_work()

@@ -44,13 +44,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pipeline import BUILD_CACHES, PipelineConfig, make_secret, run_trial
+from .pipeline import BUILD_CACHES, RECEIVERS, PipelineConfig, make_secret, run_trial
 from .rng import _is_int, derive, hash_token
 
 SWEEP_AXES = ("snr_db", "eta", "token", "secret_seed", "mixing_p", "edit_strength",
               "guidance_weight", "steps", "predictor_kind", "h")
 
-RECEIVERS = ("legit", "eaves1", "eaves2", "eaves3")
+_RECORD_KEYS = tuple(receiver.key for receiver in RECEIVERS)  # one report per receiver
 METRIC_NAMES = ("psnr_db", "mse", "ssim")
 
 
@@ -348,7 +348,7 @@ def _fmt(value) -> str:
 
 
 _STATS = ("mean", "std")
-_SUMMARY_COLUMNS = (*(f"{receiver}_{metric}_{stat}" for receiver in RECEIVERS
+_SUMMARY_COLUMNS = (*(f"{receiver}_{metric}_{stat}" for receiver in _RECORD_KEYS
                       for metric in METRIC_NAMES for stat in _STATS),
                     "gap_psnr_legit_minus_eaves2")
 
@@ -357,7 +357,7 @@ def _summary_cells(rows: list[dict]) -> dict:
     """Mean and population stddev per receiver and metric over ok rows."""
     cells = dict.fromkeys(_SUMMARY_COLUMNS)
     if rows:
-        for receiver in RECEIVERS:
+        for receiver in _RECORD_KEYS:
             for metric in METRIC_NAMES:
                 values = np.array([row["trial"][receiver][metric] for row in rows], dtype=np.float64)
                 cells[f"{receiver}_{metric}_mean"] = float(values.mean())
@@ -422,7 +422,7 @@ def _scenario_csv(records: list[dict]) -> str:
     columns = [f"{metric}_{stat}" for metric in METRIC_NAMES for stat in _STATS]
     rows = [{"scenario": receiver, "n": len(ok_rows),
              **{column: cells[f"{receiver}_{column}"] for column in columns}}
-            for receiver in RECEIVERS]
+            for receiver in _RECORD_KEYS]
     return _write_csv(rows, ["scenario", "n", *columns])
 
 
@@ -464,7 +464,7 @@ def _check_row(row) -> None:
     trial = row.get("trial")
     if not isinstance(trial, dict):
         raise ValueError("'trial' is not an object")
-    for receiver in RECEIVERS:
+    for receiver in _RECORD_KEYS:
         report = trial.get(receiver)
         for metric in METRIC_NAMES:
             value = report.get(metric) if isinstance(report, dict) else None

@@ -20,7 +20,8 @@ stego image an onlooker sees.
 Eavesdroppers: E1 holds only the channel decoder and sees the stego image;
 E2 runs the full keyed reveal with a wrong token (wrong mask, wrong
 reference); E3 runs the reveal with no token at all, skipping mask
-restoration and falling back to a stock reference seed.
+restoration and falling back to a stock reference seed.  Every list of
+receivers (reveal rows, record, summaries, ``stegolink run``) reads RECEIVERS.
 
 Every keyed object is a pure function of the config and its tokens.  Three
 ``functools.lru_cache`` functions hold them: ``_model`` the hiding and the
@@ -37,7 +38,7 @@ noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
 those fields alone, so the trials of one sweep point, or of an SNR sweep,
 share one link.  No record depends on what the caches hold.
 
-One batched reveal serves every receiver: the legit, E2 and E3 receivers and
+One batched reveal serves every receiver: the receivers with a start and
 the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
 coupled-sampler pass, since they share the predictor, the schedule and the
 window and differ only in start state, conditions and mask.  The row count is
@@ -69,11 +70,19 @@ from .tokenkey import PerturbationMask, build_mask, perturb
 
 STOCK_REFERENCE_TOKEN = "stock-reference"  # what a tokenless receiver falls back to
 
-EAVESDROPPER_MODELS = ("E1", "E2", "E3")
-
-# the rows of the batched reveal; the round trip starts from the sent stego
-# and, like the legit row, is keyed by cfg.token
-REVEAL_ROWS = ("legit", "E2", "E3", "roundtrip")
+# One entry per receiver: its report name (``stegolink run --scenario``,
+# eavesdrop's model), its record key, the config fields of its mask and
+# reference tokens (None leaves the flips in place, or takes the stock
+# reference), and its start: the "received" or "sent" stego, or None for no
+# reveal.  Scored in this order.
+Receiver = collections.namedtuple("Receiver", "name key mask_token reference_token start")
+RECEIVERS = (Receiver("legit", "legit", "token", "token", "received"),
+             Receiver("E1", "eaves1", None, None, None),
+             Receiver("E2", "eaves2", "eavesdropper_token", "eavesdropper_token", "received"),
+             Receiver("E3", "eaves3", None, None, "received"))
+_ROUNDTRIP = Receiver("roundtrip", None, "token", "token", "sent")  # its record entry is the max error
+_ROWS = tuple(r for r in (*RECEIVERS, _ROUNDTRIP) if r.start)  # the rows of the batched reveal
+REVEAL_ROWS = tuple(r.name for r in _ROWS)
 
 
 def _check_shape(shape) -> tuple[int, int, int]:
@@ -228,11 +237,12 @@ class KeyedLink:
 
     Holds the latent shape, the hiding schedule, predictor, sampler params
     and pair gain, and one row per REVEAL_ROWS entry: ``conditions`` holds
-    each row's condition set, regenerated from its reference token
-    (cfg.token for the legit and round-trip rows, cfg.eavesdropper_token for
-    E2, the stock reference for E3), and ``reveal_mask`` stacks each row's
-    sign-flip mask.  E3's mask row is all zeros by its position, whatever
-    the tokens: the tokenless receiver leaves the sign flips in place.  Each
+    each row's condition set, regenerated from the reference token its
+    receiver names (cfg.token for the legit and round-trip rows,
+    cfg.eavesdropper_token for E2, the stock reference for E3), and
+    ``reveal_mask`` stacks each row's sign-flip mask, from the mask token its
+    receiver names.  A receiver that names none, E3, has an all-zero mask
+    row whatever the tokens: it leaves the sign flips in place.  Each
     distinct token's reference is generated once.  A link reads nothing of
     the channel or the trial's seeds: cfg may be a PipelineConfig or the
     ``_LinkConfig`` of its other fields, which is what ``_link`` builds
@@ -253,16 +263,18 @@ class KeyedLink:
     """
 
     def __init__(self, cfg: PipelineConfig):
-        row_tokens = (cfg.token, cfg.eavesdropper_token, STOCK_REFERENCE_TOKEN, cfg.token)  # REVEAL_ROWS
+        ref_tokens = [getattr(cfg, r.reference_token) if r.reference_token else STOCK_REFERENCE_TOKEN
+                      for r in _ROWS]
+        mask_tokens = [getattr(cfg, r.mask_token) if r.mask_token else None for r in _ROWS]
         model_seed = derive(Seed64(cfg.predictor_seed), "reference-model").value
         conditions = {t: build_conditions(t, key_text=cfg.public_key_text, feature_text=cfg.feature_text,
                                           embed_dim=cfg.embed_dim, kind=cfg.predictor_kind,
                                           model_seed=model_seed, steps=cfg.steps, beta_start=cfg.beta_start,
                                           beta_end=cfg.beta_end, shape=cfg.shape)
-                      for t in dict.fromkeys(row_tokens)}
+                      for t in dict.fromkeys(ref_tokens)}
 
         self.shape = cfg.shape
-        self.conditions = [conditions[t] for t in row_tokens]
+        self.conditions = [conditions[t] for t in ref_tokens]
         self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
         self.pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
         self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
@@ -271,10 +283,9 @@ class KeyedLink:
         n = int(np.prod(cfg.shape))
         self.reveal_bias = self.pred.bias(n, cfg.steps, self.conditions, cfg.guidance_weight)
         self.plain_bias = self.pred.bias(n, cfg.steps, [None] * len(REVEAL_ROWS))
-        masks = {t: _mask_bits(t, cfg.shape, cfg.eta) for t in dict.fromkeys(row_tokens[:2])}
+        masks = {t: _mask_bits(t, cfg.shape, cfg.eta) for t in dict.fromkeys(mask_tokens) if t}
         no_flips = np.zeros(cfg.shape, dtype=np.uint8)
-        self.reveal_mask = PerturbationMask(np.stack([no_flips if row == "E3" else masks[t]
-                                                      for row, t in zip(REVEAL_ROWS, row_tokens)]))
+        self.reveal_mask = PerturbationMask(np.stack([masks[t] if t else no_flips for t in mask_tokens]))
         self.hide_plain_bias = self.plain_bias.take([0])
         self.hide_mask = PerturbationMask(self.reveal_mask.bits[0])
         self.hide_bias = self.reveal_bias.take([0])
@@ -348,8 +359,8 @@ def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
 def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> np.ndarray:
     """Run the batched reveal; returns one recovered latent per REVEAL_ROWS entry.
 
-    The legit, E2 and E3 rows start from stego_hat and the round-trip row
-    from stego.  A non-finite start is rejected here, before any step runs.
+    Each row starts from its receiver's start: stego_hat if received, stego
+    if sent.  A non-finite start is rejected here, before any step runs.
     """
     channels = link.shape[0]
     expected = (2 * channels,) + link.shape[1:]
@@ -359,7 +370,8 @@ def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> n
         if grid.shape != expected:
             raise ValueError(f"stego shape {grid.shape} does not match expected {expected}")
 
-    starts = np.stack([stego_hat, stego_hat, stego_hat, stego])  # REVEAL_ROWS
+    grids = {"received": stego_hat, "sent": stego}
+    starts = np.stack([grids[r.start] for r in _ROWS])
     state = _unpack_pair(starts, channels, link.gain)
     return _coupled_pass(state, link, link.reveal_bias, link.reveal_mask, link.plain_bias).z
 
@@ -380,9 +392,10 @@ def eavesdrop(stego_hat: np.ndarray, link: KeyedLink, model: str) -> np.ndarray:
     the full reveal with the eavesdropper token's key, E3 the reveal with
     the stock reference and no mask restoration.
     """
-    if model not in EAVESDROPPER_MODELS:
-        raise ValueError(f"model must be one of {EAVESDROPPER_MODELS}")
-    if model == "E1":
+    eavesdroppers = tuple(r.name for r in RECEIVERS if r.name != "legit")
+    if model not in eavesdroppers:
+        raise ValueError(f"model must be one of {eavesdroppers}")
+    if model not in REVEAL_ROWS:  # a receiver with no start has no reveal row
         return np.asarray(stego_hat, dtype=np.float64)[:link.shape[0]].copy()
     return _reveal_rows(stego_hat, stego_hat, link)[REVEAL_ROWS.index(model)]
 
@@ -449,26 +462,16 @@ def check_secret(secret: np.ndarray, shape: tuple[int, int, int]) -> tuple[np.nd
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One hide/transmit/recover cycle with all four receivers scored."""
+    """One hide/transmit/recover cycle with every receiver in RECEIVERS scored."""
 
     config: dict
-    legit: MetricsReport
-    eaves1: MetricsReport
-    eaves2: MetricsReport
-    eaves3: MetricsReport
+    reports: dict[str, MetricsReport]  # by record key, in RECEIVERS order
     edict_roundtrip_error: float
     peak: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "legit": self.legit.to_dict(),
-            "eaves1": self.eaves1.to_dict(),
-            "eaves2": self.eaves2.to_dict(),
-            "eaves3": self.eaves3.to_dict(),
-            "edict_roundtrip_error": self.edict_roundtrip_error,
-            "peak": self.peak,
-        }
+        return {"config": self.config, **{key: report.to_dict() for key, report in self.reports.items()},
+                "edict_roundtrip_error": self.edict_roundtrip_error, "peak": self.peak}
 
 
 def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
@@ -490,13 +493,7 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     stego_hat = decode(received, cfg.channel, stego.shape)
 
     recovered = dict(zip(REVEAL_ROWS, _reveal_rows(stego_hat, stego, link)))
-
-    return TrialRecord(
-        config=cfg.to_dict(),
-        legit=compare(recovered["legit"], secret, peak),
-        eaves1=compare(eavesdrop(stego_hat, link, "E1"), secret, peak),
-        eaves2=compare(recovered["E2"], secret, peak),
-        eaves3=compare(recovered["E3"], secret, peak),
-        edict_roundtrip_error=float(np.max(np.abs(recovered["roundtrip"] - secret))),
-        peak=peak,
-    )
+    reports = {r.key: compare(recovered[r.name] if r.start else eavesdrop(stego_hat, link, r.name), secret, peak)
+               for r in RECEIVERS}
+    return TrialRecord(config=cfg.to_dict(), reports=reports, peak=peak,
+                       edict_roundtrip_error=float(np.max(np.abs(recovered[_ROUNDTRIP.name] - secret))))

@@ -254,8 +254,8 @@ class Predictor:
         conditioned or all unconditioned.  Conditioned rows mix their two
         guidance branches by guidance_weight, in [0, 1].
         """
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
+        if isinstance(steps, (bool, np.bool_)) or steps < 1:
+            raise ValueError("steps must be >= 1 and not a bool")
         if not rows:
             raise ValueError("a batch needs at least one row")
         if not 0.0 <= guidance_weight <= 1.0:

@@ -59,7 +59,7 @@ class NoiseSchedule:
 @functools.lru_cache(maxsize=8, typed=True)
 def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> NoiseSchedule:
     """Build the schedule for T steps of linearly spaced beta values."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError("T must be a positive integer")
     if not (0.0 < beta_start < 1.0) or not (0.0 < beta_end < 1.0):
         raise ValueError("beta_start and beta_end must lie in (0, 1)")

@@ -339,6 +339,21 @@ class TestSweepAndExport:
         assert capsys.readouterr().err.startswith(f"config error: out: cannot use {str(out)!r}")
         assert out.read_text() == "keep me\n"
 
+    @pytest.mark.parametrize("name", ["records.jsonl", "aggregates.csv", "environment.json"])
+    def test_output_file_that_is_a_directory_rc2_before_any_trial(self, tmp_path, capsys, monkeypatch, name):
+        # these once ran every trial, or none for records.jsonl, and then
+        # exited 1 with IsADirectoryError
+        calls = []
+        harness.close_helper()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # so no helper forks
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args) or 1 / 0)
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: out: {str(out / name)!r} is a directory\n"
+        assert calls == [] and [p.name for p in out.iterdir()] == [name]
+
     @pytest.mark.parametrize("kind,line,reason", [
         ("snr_curves", "not json", "Expecting value"),
         ("snr_curves", '{"a": 1}', "missing 'point_index'"),
@@ -412,6 +427,29 @@ class TestSweepAndExport:
         cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8]})
         proc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("receiver", pipeline.RECEIVERS, ids=lambda receiver: receiver.name)
+def test_each_receiver_is_recorded_summarized_and_reported(sweep_dir, tmp_path, capsys, receiver):
+    # every entry of the receiver table reaches each place that lists receivers
+    out = tmp_path / "record.json"
+    assert main(["run", *FAST, "--scenario", receiver.name, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{receiver.name:>5}: psnr ") and lines[1].startswith("round-trip max err")
+    assert set(json.loads(out.read_text())[receiver.key]) == set(harness.METRIC_NAMES)
+
+    header = (sweep_dir / "aggregates.csv").read_text().splitlines()[0].split(",")
+    assert {f"{receiver.key}_{metric}_{stat}" for metric in harness.METRIC_NAMES
+            for stat in ("mean", "std")} <= set(header)
+
+    rows = [json.loads(line) for line in (sweep_dir / "records.jsonl").read_text().splitlines()]
+    path = tmp_path / "records.jsonl"
+    for metric in harness.METRIC_NAMES:
+        broken = json.loads(json.dumps(rows))
+        del broken[-1]["trial"][receiver.key][metric]
+        path.write_text(records_to_jsonl(broken))
+        with pytest.raises(harness.ConfigError, match=f"line 4: 'trial.{receiver.key}.{metric}' is not a number"):
+            harness.load_records(str(path))
 
 
 def _installed():

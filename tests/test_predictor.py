@@ -133,6 +133,12 @@ class TestPredict:
         with pytest.raises(ValueError):
             guided_predict(p, np.zeros((1, 8, 8)), 0, None)
 
+    @pytest.mark.parametrize("steps", [0, True, np.True_], ids=["zero", "True", "np.True_"])
+    def test_bias_rejects_a_bad_step_count(self, steps):
+        # True once built a (2, 1, h) step term, as for one step
+        with pytest.raises(ValueError, match="^steps "):
+            Predictor("tiny-mlp", weight_seed=7).bias(64, steps, [None])
+
     def test_bias_rejects_a_foreign_condition_dimension(self):
         p = Predictor("tiny-mlp", weight_seed=7, embed_dim=64)
         with pytest.raises(ValueError, match="embed_dim"):
