@@ -50,8 +50,9 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_peak(peak: float) -> None:
-    if peak <= 0.0:
-        raise ValueError("peak must be positive")
+    # NaN fails every comparison, so `peak <= 0` alone lets it through
+    if not (math.isfinite(peak) and peak > 0.0):
+        raise ValueError("peak must be positive and finite")
 
 
 def _psnr_db(err: float, peak: float) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, _as_seed, _is_int, derive, gaussian_stream, hash_token
+from .rng import Seed64, _as_seed, _fill_gaussian, _is_int, derive, gaussian_stream, hash_token
 
 PREDICTOR_KINDS = ("zero", "linear", "tiny-mlp")
 
@@ -164,6 +164,16 @@ class RowBias:
         return replace(self, rows=len(rows), cond=None if self.cond is None else _read_only(self.cond[:, rows]))
 
 
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    # an uninitialised float64 array starting on a 64-byte cache line, so the
+    # kernel's vector loads of its rows never straddle two lines.  malloc
+    # aligns to 16 bytes only, and puts every buffer too large for its heap 16
+    # bytes past a page: such weights made each tiny-mlp call about 10% slower
+    buf = bytearray(8 * math.prod(shape) + 64)
+    pad = -np.frombuffer(buf, np.uint8).ctypes.data % 64
+    return np.ndarray(shape, np.float64, buffer=buf, offset=pad)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -216,16 +226,29 @@ class Predictor:
         return tuple(_read_only(arr) for arr in (qa, qb, w, direction))
 
     def _mlp_weights(self, n: int) -> tuple:
+        """w1 (hidden x m) and w2 (n x hidden), filled in place from one stream.
+
+        w1 takes the stream's first hidden*m values and w2 the rest, from pair
+        hidden*m/2 (hidden = 4*embed_dim makes hidden*m even); each is then
+        divided in place by the square root of its fan-in.  Both start on a
+        64-byte boundary (see _aligned_empty).
+        """
         hidden = 4 * self.embed_dim
         m = n + _TIME_DIM + 3 * self.embed_dim
-        seed = derive(self.weight_seed, f"tiny-mlp:{n}")
-        raw = gaussian_stream(seed, hidden * m + n * hidden)
-        w1 = raw[:hidden * m].reshape(hidden, m) / np.sqrt(m)
-        w2 = raw[hidden * m:].reshape(n, hidden) / np.sqrt(hidden)
+        seed = derive(self.weight_seed, f"tiny-mlp:{n}").value
+        w1 = _aligned_empty((hidden, m))
+        w2 = _aligned_empty((n, hidden))
+        _fill_gaussian(seed, 0, w1.reshape(-1))
+        _fill_gaussian(seed, hidden * m // 2, w2.reshape(-1))
+        w1 /= np.sqrt(m)
+        w2 /= np.sqrt(hidden)
         return _read_only(w1), _read_only(w2)
 
     def weights_for(self, n: int) -> tuple:
         """The read-only weights for n-value latents, built on first use.
+
+        tiny-mlp's w1 and w2 are drawn straight into their own buffers and
+        scaled in place, so a build holds no more than the weights it keeps.
 
         Binds the kernel's operands for n beside them: views, never copies,
         of (qa, qb.T) for linear, with qa's and qb's sizes, and

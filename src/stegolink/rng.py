@@ -15,6 +15,14 @@ SplitMix64 is counter-based (state after n draws is seed + n*GOLDEN mod 2^64),
 which lets us evaluate any block of the stream as a vectorized elementwise
 finalizer instead of a sequential loop.  The integer layer is exact; the
 float layers use only IEEE-754 double operations.
+
+Gaussian streams are computed in blocks of _BLOCK_PAIRS pairs, written
+straight into the output, so a long draw needs its result plus a few
+block-sized temporaries rather than several arrays of its full length.
+Blocking cannot change a bit: the integer layer is counter-based, so a block
+starting at draw k yields exactly draws k, k+1, ... of the whole stream, and
+every later step (scaling, log, sqrt, cos, sin, products) is elementwise, so
+each output depends only on its own pair of draws.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _DOMAIN_SEPARATOR = b"\x1f"
 _INV_2_53 = 2.0 ** -53
+_BLOCK_PAIRS = 4096  # 64 KiB of output per block: its temporaries stay in L2
 
 
 def _is_int(value) -> bool:
@@ -101,11 +110,31 @@ def _bits_to_unit(bits: np.ndarray) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+def _check_count(n) -> None:
+    if not (_is_int(n) and n >= 0):
+        raise ValueError("n must be a non-negative integer")
+
+
 def uniform_stream(seed: Seed64 | int, n: int) -> np.ndarray:
     """First n uniform [0, 1) doubles of the seed's SplitMix64 stream."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_count(n)
     return _bits_to_unit(_splitmix_block(_as_seed(seed).value, 0, n))
+
+
+def _fill_gaussian(seed_value: int, first_pair: int, out: np.ndarray) -> None:
+    # out (1-D, even length) gets the normals of pairs first_pair, first_pair+1,
+    # ..., one block of _BLOCK_PAIRS pairs at a time
+    total = out.size // 2
+    for j in range(0, total, _BLOCK_PAIRS):
+        pairs = min(_BLOCK_PAIRS, total - j)
+        u = _bits_to_unit(_splitmix_block(seed_value, 2 * (first_pair + j), 2 * pairs))
+        u1 = u[0::2]
+        u2 = u[1::2]
+        u1 = np.where(u1 == 0.0, _INV_2_53, u1)  # keep log finite
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = (2.0 * np.pi) * u2
+        out[2 * j:2 * (j + pairs):2] = radius * np.cos(angle)
+        out[2 * j + 1:2 * (j + pairs):2] = radius * np.sin(angle)
 
 
 def gaussian_stream(seed: Seed64 | int, n: int) -> np.ndarray:
@@ -115,18 +144,9 @@ def gaussian_stream(seed: Seed64 | int, n: int) -> np.ndarray:
     kept, in order.  Pair boundaries are fixed at even stream offsets, so any
     prefix of the output is independent of how many values are requested.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    pairs = (n + 1) // 2
-    u = _bits_to_unit(_splitmix_block(_as_seed(seed).value, 0, 2 * pairs))
-    u1 = u[0::2]
-    u2 = u[1::2]
-    u1 = np.where(u1 == 0.0, _INV_2_53, u1)  # keep log finite
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    _check_count(n)
+    out = np.empty(2 * ((n + 1) // 2), dtype=np.float64)
+    _fill_gaussian(_as_seed(seed).value, 0, out)
     return out[:n]
 
 
@@ -142,8 +162,7 @@ class RandomStream:
         self.draws_emitted = 0
 
     def take(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        _check_count(n)
         block = _bits_to_unit(_splitmix_block(self.seed.value, self.draws_emitted, n))
         self.draws_emitted += n
         return block

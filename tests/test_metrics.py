@@ -94,6 +94,10 @@ class TestPsnr:
             psnr(a, b, 0.0)
         with pytest.raises(ValueError):
             psnr(a, b, -1.0)
+        for peak in (float("nan"), float("inf")):
+            for metric in (psnr, ssim):
+                with pytest.raises(ValueError, match="peak"):
+                    metric(a, b, peak)
 
 
 class TestSsim:
@@ -154,8 +158,9 @@ class TestCompareAndReport:
 
     def test_compare_validates_peak(self):
         a, b = pair(16)
-        with pytest.raises(ValueError, match="peak"):
-            compare(a, b, 0.0)
+        for peak in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="peak"):
+                compare(a, b, peak)
 
     @pytest.mark.parametrize("scale", [1e154, 1e200])
     def test_overflowing_mse_raises_without_a_warning(self, scale):

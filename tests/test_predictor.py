@@ -321,6 +321,12 @@ class TestKernel:
             if isinstance(op, np.ndarray):  # a weight or a view of one, never a copy
                 assert any(op is w or op.base is w for w in weights)
 
+    @pytest.mark.parametrize("n", [7, 64, 256, 4096])
+    def test_mlp_weights_start_on_a_cache_line(self, n):
+        # a row straddling two 64-byte lines slowed every predictor call
+        for w in Predictor("tiny-mlp", weight_seed=7).weights_for(n):
+            assert w.ctypes.data % 64 == 0 and w.flags.c_contiguous
+
 
 class TestLinearMap:
     # the linear mixing is qa (x) qb, applied without forming the n x n matrix

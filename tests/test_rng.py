@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stegolink.predictor import Predictor
 from stegolink.rng import (
+    _BLOCK_PAIRS,
     RandomStream,
     Seed64,
     derive,
@@ -47,6 +50,34 @@ def gaussian_oracle(seed, n):
         out.append(r * math.cos(2.0 * math.pi * u2))
         out.append(r * math.sin(2.0 * math.pi * u2))
     return np.array(out[:n])
+
+
+def whole_array_gaussian(seed, n):
+    # the unblocked numpy body: every value of the draw computed at once
+    pairs = (n + 1) // 2
+    u = uniform_stream(Seed64(seed), 2 * pairs)
+    u1 = u[0::2]
+    u2 = u[1::2]
+    u1 = np.where(u1 == 0.0, 2.0 ** -53, u1)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def traced_peak(fn):
+    # numpy reports its buffers to tracemalloc, so this repeats exactly
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BAD_COUNTS = [3.5, 2.0, True, False, "2", None]
 
 
 class TestHashToken:
@@ -116,6 +147,22 @@ class TestUniformStream:
         with pytest.raises(ValueError):
             uniform_stream(Seed64(7), -1)
 
+    @pytest.mark.parametrize("draw", [uniform_stream, gaussian_stream])
+    @pytest.mark.parametrize("n", BAD_COUNTS)
+    def test_non_integer_count_rejected(self, draw, n):
+        with pytest.raises(ValueError, match="^n "):
+            draw(Seed64(7), n)
+
+    @pytest.mark.parametrize("n", BAD_COUNTS + [-1])
+    def test_rejected_take_leaves_the_stream_where_it_was(self, n):
+        # a rejected count must not move draws_emitted, or the next take repeats a draw
+        rs = RandomStream(Seed64(7))
+        rs.take(3)
+        with pytest.raises(ValueError, match="^n "):
+            rs.take(n)
+        assert rs.draws_emitted == 3
+        assert np.array_equal(rs.take(2), uniform_stream(Seed64(7), 5)[3:])
+
     def test_range(self):
         u = uniform_stream(Seed64(3), 10_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -156,6 +203,40 @@ class TestGaussianStream:
                 head = tuple(gaussian_stream(hash_token(token, domain), 16))
                 assert head not in seen
                 seen.add(head)
+
+
+class TestBlockedGaussian:
+    # draws are computed _BLOCK_PAIRS pairs at a time, straight into the output
+
+    @pytest.mark.parametrize("seed", [0, 42, 0xABCDEF])
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 513]
+                             + [2 * k * _BLOCK_PAIRS + d for k in (1, 2) for d in (-3, -2, -1, 0, 1, 2, 3)]
+                             + [100_003])
+    def test_blocks_keep_the_bits_of_the_whole_array(self, seed, n):
+        got = gaussian_stream(Seed64(seed), n)
+        want = whole_array_gaussian(seed, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_mlp_weights_are_one_stream_split_at_a_pair(self, n):
+        p = Predictor("tiny-mlp", 7)
+        w1, w2 = p.weights_for(n)
+        hidden, m = w1.shape
+        raw = gaussian_stream(derive(p.weight_seed, f"tiny-mlp:{n}"), hidden * m + n * hidden)
+        want1 = raw[:hidden * m].reshape(hidden, m) / np.sqrt(m)
+        want2 = raw[hidden * m:].reshape(n, hidden) / np.sqrt(hidden)
+        assert np.array_equal(w1.view(np.uint64), want1.view(np.uint64))
+        assert np.array_equal(w2.view(np.uint64), want2.view(np.uint64))
+
+    def test_a_long_draw_peaks_near_its_result(self):
+        g, peak = traced_peak(lambda: gaussian_stream(Seed64(5), 1_000_000))
+        assert peak <= g.nbytes + 2 ** 20, f"{peak} bytes traced for an {g.nbytes}-byte draw"
+
+    def test_a_weight_build_peaks_near_its_weights(self):
+        weights, peak = traced_peak(lambda: Predictor("tiny-mlp", 7).weights_for(1024))
+        kept = sum(w.nbytes for w in weights)
+        assert peak <= kept + 2 ** 20, f"{peak} bytes traced for {kept} bytes of weights"
 
 
 class TestRandomStream:
