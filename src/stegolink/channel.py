@@ -8,10 +8,15 @@ signal power:
     sigma^2 = P_signal / 10^(snr_db / 10)
 
 Noise draws come from a seeded gaussian stream so every transmission is
-reproducible.
+reproducible.  ChannelConfig checks its own fields: it refuses an snr_db whose
+noise divisor 10^(snr_db/10) is zero or infinite, and a gain h that is not a
+finite normal float64, so transmit and decode never divide by zero.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 from dataclasses import dataclass, replace
 
@@ -28,10 +33,16 @@ class ChannelConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        if not np.isfinite(self.h):
-            raise ValueError("h must be finite")
+        try:
+            snr_ratio = 10.0 ** (self.snr_db / 10.0)  # transmit's noise divisor
+        except OverflowError:
+            snr_ratio = math.inf
+        if not 0.0 < snr_ratio < math.inf:
+            raise ValueError("snr_db: 10^(snr_db/10) must be a positive finite number")
+        # a subnormal gain keeps too few bits of h * symbols to decode
+        if not sys.float_info.min <= abs(self.h) <= sys.float_info.max:
+            raise ValueError(f"h: channel gain must be finite with magnitude at least {sys.float_info.min!r}"
+                             " (the smallest normal float64)")
 
 
 @dataclass(frozen=True)
@@ -98,8 +109,6 @@ def decode(frame: SymbolFrame, cfg: ChannelConfig, shape: tuple[int, ...]) -> np
     Equalizing by a tiny gain can carry the grid out of float64; that
     raises a ValueError naming the overflow, with no RuntimeWarning.
     """
-    if cfg.h == 0.0:
-        raise ValueError("channel gain h must be nonzero to decode")
     try:
         with np.errstate(over="raise"):
             flat = frame.symbols / cfg.h * frame.scale + frame.offset

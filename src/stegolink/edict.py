@@ -121,9 +121,9 @@ class SamplerParams:
 
     def __post_init__(self):
         if not 0.0 < self.mixing_p <= 1.0:
-            raise ValueError("mixing_p must lie in (0, 1]")
+            raise ValueError("mixing_p: must lie in (0, 1]")
         if not 0.0 < self.edit_strength <= 1.0:
-            raise ValueError("edit_strength must lie in (0, 1]")
+            raise ValueError("edit_strength: must lie in (0, 1]")
 
     def window(self, T: int) -> int:
         """The number of steps traversed, counted from the clean end."""

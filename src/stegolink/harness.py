@@ -1,9 +1,10 @@
 """Config parsing, deterministic sweeps, and plot-data export.
 
 Configs are flat JSON objects mirroring PipelineConfig; a sweep file wraps a
-base config with named axis lists and a trial count.  Every trial seeds its
-secret and its channel noise from a hash of (base_seed, point index, trial
-index), so a sweep is a pure function of its spec: running it twice yields
+base config with named axis lists and a trial count; any config field with
+scalar values is an axis.  Every trial seeds its secret and its channel noise
+from a hash of (base_seed, point index, trial index), unless its point sets
+that seed, so a sweep is a pure function of its spec: running it twice yields
 byte-identical records and exported tables.
 
 A sweep runs on two processes.  Every other trial goes to one persistent
@@ -40,15 +41,12 @@ import signal
 import sys
 import threading
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .pipeline import BUILD_CACHES, RECEIVERS, PipelineConfig, make_secret, run_trial
 from .rng import _is_int, derive, hash_token
-
-SWEEP_AXES = ("snr_db", "eta", "token", "secret_seed", "mixing_p", "edit_strength",
-              "guidance_weight", "steps", "predictor_kind", "h")
 
 _RECORD_KEYS = tuple(receiver.key for receiver in RECEIVERS)  # one report per receiver
 METRIC_NAMES = ("psnr_db", "mse", "ssim")
@@ -68,12 +66,15 @@ class SweepSpec:
     def __post_init__(self):
         if not self.axes:
             raise ConfigError("axes: at least one axis is required")
+        config_fields = {f.name for f in fields(PipelineConfig)}
         for name, values in self.axes.items():
-            if name not in SWEEP_AXES:
-                raise ConfigError(f"axes.{name}: not a sweepable field (allowed: {', '.join(SWEEP_AXES)})")
+            if name not in config_fields:
+                raise ConfigError(f"axes.{name}: not a config field")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigError(f"axes.{name}: must be a non-empty list")
             for value in values:
+                if isinstance(value, (dict, list, tuple)):  # load_records reads back scalar axes
+                    raise ConfigError(f"axes.{name}: bad value {value!r}: not a scalar")
                 try:
                     replace(self.base, **{name: value})
                 except ValueError as e:
@@ -126,9 +127,8 @@ def parse_config(path: str):
 
 def _trial_config(spec: SweepSpec, point: dict, point_index: int, trial_index: int) -> PipelineConfig:
     trial_seed = hash_token(f"{spec.base_seed}|{point_index}|{trial_index}", "trial")
-    seeds = {"noise_seed": derive(trial_seed, "noise").value}
-    if "secret_seed" not in point:  # an explicit seeds axis wins over derivation
-        seeds["secret_seed"] = derive(trial_seed, "secret").value
+    seeds = {name: derive(trial_seed, label).value  # a seed the point sets wins over derivation
+             for name, label in (("noise_seed", "noise"), ("secret_seed", "secret")) if name not in point}
     return replace(spec.base, **point, **seeds)
 
 

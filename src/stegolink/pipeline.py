@@ -53,7 +53,6 @@ import collections
 import functools
 import math
 import operator
-import sys
 
 from dataclasses import dataclass, fields, replace
 
@@ -98,6 +97,7 @@ def _check_shape(shape) -> tuple[int, int, int]:
 _KIND_CHECKS = {
     "str": (lambda v: isinstance(v, str) and v != "", "must be a non-empty string"),
     "bool": (lambda v: isinstance(v, bool), "must be true or false"),
+    "int": (_is_int, "must be an integer"),
     "float": (lambda v: isinstance(v, float) or _is_int(v), "must be a number"),
 }
 
@@ -136,12 +136,10 @@ class PipelineConfig:
         if not 0.0 <= self.guidance_weight <= 1.0:
             raise ValueError("guidance_weight: must lie in [0, 1]")
         for name in ("steps", "embed_dim"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be a positive integer")
         for name in ("predictor_seed", "noise_seed", "secret_seed"):
-            value = getattr(self, name)
-            if not (_is_int(value) and 0 <= value < 2 ** 64):
+            if not 0 <= getattr(self, name) < 2 ** 64:
                 raise ValueError(f"{name}: must be an integer in [0, 2^64)")
         if not (0.0 < self.beta_start < 1.0 and 0.0 < self.beta_end < 1.0):
             raise ValueError("beta_start/beta_end: must lie in (0, 1)")
@@ -149,22 +147,11 @@ class PipelineConfig:
             raise ValueError("beta_start: must not exceed beta_end")
         if self.predictor_kind not in PREDICTOR_KINDS:
             raise ValueError("predictor_kind: must be zero, linear, or tiny-mlp")
-        if not 0.0 < self.mixing_p <= 1.0:
-            raise ValueError("mixing_p: must lie in (0, 1]")
-        if not 0.0 < self.edit_strength <= 1.0:
-            raise ValueError("edit_strength: must lie in (0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta: must lie in [0, 1]")
-        try:
-            snr_ratio = 10.0 ** (self.snr_db / 10.0)  # the channel's noise divisor
-        except OverflowError:
-            snr_ratio = math.inf
-        if not 0.0 < snr_ratio < math.inf:
-            raise ValueError("snr_db: 10^(snr_db/10) must be a positive finite number")
-        # a subnormal gain keeps too few bits of h * symbols to decode
-        if not sys.float_info.min <= abs(self.h) <= sys.float_info.max:
-            raise ValueError(f"h: channel gain must be finite with magnitude at least {sys.float_info.min!r}"
-                             " (the smallest normal float64)")
+        # the sampler's and the channel's fields are checked by their own types
+        SamplerParams(mixing_p=self.mixing_p, edit_strength=self.edit_strength)
+        self.channel  # built for its checks of snr_db and h
 
     @property
     def channel(self) -> ChannelConfig:

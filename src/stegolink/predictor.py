@@ -34,7 +34,6 @@ which is affine in lam and hits each endpoint exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from dataclasses import dataclass, replace
@@ -93,18 +92,9 @@ class ConditionSet:
 
 
 def embed_text(text: str, d: int = 64) -> np.ndarray:
-    """Deterministic unit-norm stand-in for a text encoder.
-
-    Returns a read-only vector, shared by every call with the same (text, d).
-    """
+    """Deterministic unit-norm stand-in for a text encoder; returns a read-only vector."""
     if d < 1:
         raise ValueError("embedding dimension must be positive")
-    return _text_embedding(text, d)
-
-
-# typed, as build_schedule's cache; a link embeds its key and feature texts
-@functools.lru_cache(maxsize=8, typed=True)
-def _text_embedding(text: str, d: int) -> np.ndarray:
     v = gaussian_stream(hash_token(text, "embed"), d)
     n = float(np.linalg.norm(v))
     if n == 0.0:  # measure-zero guard
@@ -112,7 +102,7 @@ def _text_embedding(text: str, d: int) -> np.ndarray:
         v[0] = 1.0
     else:
         v = v / n
-    v.flags.writeable = False
+    v.flags.writeable = False  # the cached key-only condition set shares it
     return v
 
 

@@ -76,15 +76,11 @@ def hash_token(token: bytes | str, domain: bytes | str = b"") -> Seed64:
 
     The hash input is token | 0x1F | domain; the 0x1F separator keeps
     ("ab", "c") distinct from ("a", "bc").  Domains partition one token into
-    independent streams ("init", "mask", "ref", ...).  The fully empty case
-    (empty token and empty domain) hashes the empty string with no separator
-    so the seed equals the head of the published SHA-256 empty-string vector;
-    that case exists as a fixed reference point for tests.
+    independent streams ("init", "mask", "ref", ...).
     """
     tok = token.encode("utf-8") if isinstance(token, str) else bytes(token)
     dom = domain.encode("utf-8") if isinstance(domain, str) else bytes(domain)
-    data = b"" if (not tok and not dom) else tok + _DOMAIN_SEPARATOR + dom
-    digest = hashlib.sha256(data).digest()
+    digest = hashlib.sha256(tok + _DOMAIN_SEPARATOR + dom).digest()
     return Seed64(int.from_bytes(digest[:8], "big"))
 
 

@@ -9,20 +9,19 @@ restores the input bit for bit, since IEEE negation is exact.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import gaussian_stream, hash_token, uniform_stream
+from .rng import _is_int, gaussian_stream, hash_token, uniform_stream
 
 
 def _grid_size(shape: tuple[int, ...]) -> int:
-    if len(shape) == 0 or any(int(s) < 1 for s in shape):
-        raise ValueError("shape must have positive dimensions")
-    size = 1
-    for s in shape:
-        size *= int(s)
-    return size
+    if len(shape) == 0 or not all(_is_int(s) and s >= 1 for s in shape):
+        raise ValueError("shape: must be one or more positive integers")
+    return math.prod(shape)
 
 
 def init_latent(token: bytes | str, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Power-normalized codec and seeded AWGN link."""
 
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -79,6 +81,18 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ChannelConfig(h=np.nan)
 
+    @pytest.mark.parametrize("field,value", [
+        ("snr_db", -6000.0), ("snr_db", 4000.0), ("snr_db", math.inf), ("snr_db", -math.inf),
+        ("snr_db", math.nan), ("h", 1e-320), ("h", 0.0), ("h", math.nan),
+    ])
+    def test_unusable_field_rejected_by_name_without_warnings(self, field, value):
+        # transmit and decode cannot use these: a zero or infinite noise
+        # divisor, or a gain too small to equalize
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                ChannelConfig(**{field: value})
+        assert str(exc.value).startswith(f"{field}: ")
 
     @pytest.mark.parametrize("noiseless", [True, False])
     def test_overflowing_gain_rejected_without_warnings(self, noiseless):
@@ -114,14 +128,14 @@ class TestDecode:
             decode(f, ChannelConfig(h=0.0), (8,))
 
     def test_overflowing_equalization_rejected_without_warnings(self):
-        # a tiny nonzero gain under the noise: the received symbols are
-        # finite, their equalized values are not
+        # the smallest normal gain under strong noise: the received symbols
+        # are finite, their equalized values are not
         f = encode(gaussian_stream(Seed64(3), 64))
-        cfg = ChannelConfig(h=1e-320)
+        cfg = ChannelConfig(snr_db=-10.0, h=sys.float_info.min)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             received = transmit(f, cfg)
-            with pytest.raises(ValueError, match="the equalized grid overflows float64: channel gain h 1e-320"):
+            with pytest.raises(ValueError, match="the equalized grid overflows float64: channel gain h 2.23e-308"):
                 decode(received, cfg, (64,))
 
     def test_error_variance_propagation(self):

@@ -152,6 +152,13 @@ class TestSweepSpecValidation:
             small_sweep(axes={name: values})
         assert f"axes.{name}:" in str(exc.value)
 
+    @pytest.mark.parametrize("name,values", [("shape", [[1, 8, 8]]), ("shape", [(1, 8, 8)]),
+                                             ("carrier_hz", [1.0])])
+    def test_non_scalar_and_unknown_axes_refused(self, name, values):
+        with pytest.raises(ConfigError) as exc:
+            small_sweep(axes={name: values})
+        assert str(exc.value).startswith(f"axes.{name}: ")
+
     def test_points_cartesian_in_insertion_order(self):
         spec = small_sweep(axes={"snr_db": [5.0, 10.0], "eta": [0.01, 0.5]})
         pts = spec.points()
@@ -188,6 +195,18 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert rows[0]["trial"]["config"]["secret_seed"] == 101
         assert rows[1]["trial"]["config"]["secret_seed"] == 202
+
+    def test_any_scalar_field_is_an_axis(self, tmp_path):
+        # schedule, predictor and channel-seed axes need no list of their own
+        axes = {"beta_end": [0.02, 0.05], "embed_dim": [16, 32], "noise_seed": [3, 4]}
+        rows = run_sweep(small_sweep(axes=axes, trials_per_point=1))
+        assert len(rows) == 8 and all(row["error"] is None for row in rows)
+        for row in rows:
+            assert row["trial"]["config"]["noise_seed"] == row["axes"]["noise_seed"]
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl(rows))
+        assert load_records(str(path)) == rows
+        assert aggregates_csv(rows).splitlines()[0].startswith("point_index,beta_end,embed_dim,noise_seed,trials,")
 
     def test_error_rows_never_abort(self):
         # a config that validates but whose chains diverge while it runs

@@ -1,6 +1,7 @@
 """End-to-end hide/reveal orchestration and the adversary models."""
 
 import json
+import math
 import re
 import sys
 import warnings
@@ -13,8 +14,8 @@ import pytest
 
 import stegolink.edict as edict
 import stegolink.pipeline as pipeline
-from stegolink.channel import decode, encode, transmit
-from stegolink.edict import CoupledState, SamplerDivergenceError, edict_forward, edict_reverse
+from stegolink.channel import ChannelConfig, decode, encode, transmit
+from stegolink.edict import CoupledState, SamplerDivergenceError, SamplerParams, edict_forward, edict_reverse
 from stegolink.harness import SweepSpec, _trial_config, run_sweep, sweep_work
 from stegolink.metrics import SSIM_MAX_MAGNITUDE
 from stegolink.pipeline import (
@@ -103,6 +104,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as exc:
             PipelineConfig(**{field: value})
         assert field in str(exc.value)
+
+    @pytest.mark.parametrize("field,owner", [("mixing_p", SamplerParams), ("edit_strength", SamplerParams),
+                                              ("snr_db", ChannelConfig), ("h", ChannelConfig)])
+    @pytest.mark.parametrize("value", [
+        0.0, 5e-324, -5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+        math.nextafter(sys.float_info.min, 1.0), math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+        math.inf, -math.inf, math.nan, -6000.0, 4000.0,
+    ])
+    def test_owner_decides_each_sampler_and_channel_field(self, field, owner, value):
+        # the config refuses a value exactly when the field's owner does, with its message
+        def refusal(build):
+            try:
+                build(**{field: value})
+            except ValueError as e:
+                return str(e)
+            return None
+
+        assert refusal(PipelineConfig) == refusal(owner)
 
     def test_dict_round_trip(self):
         cfg = fast_cfg(token="4242", eta=0.1, snr_db=7.5)

@@ -40,13 +40,11 @@ class TestEmbedText:
         with pytest.raises(ValueError):
             embed_text("x", 0)
 
-    def test_read_only_and_shared_by_repeated_calls(self):
+    def test_read_only(self):
         v = embed_text("a shared text", 32)
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 0.0
-        assert embed_text("a shared text", 32) is v
-        assert embed_text("a shared text", 64) is not v
 
 
 class TestConditionSet:

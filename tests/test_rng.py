@@ -81,9 +81,9 @@ BAD_COUNTS = [3.5, 2.0, True, False, "2", None]
 
 
 class TestHashToken:
-    def test_empty_token_empty_domain_is_bare_sha256(self):
-        # first 8 bytes of SHA-256("") big-endian, the published vector
-        assert hash_token("", "").value == 0xE3B0C44298FC1C14
+    def test_empty_token_empty_domain_hashes_the_separator(self):
+        # first 8 bytes of SHA-256(b"\x1f") big-endian: the separator is always hashed
+        assert hash_token("", "").value == 0xFFE679BB831C95B6
 
     def test_matches_independent_sha256(self):
         for token, domain in [("9000", "init"), ("9000", "mask"), (b"\x00\x01", "ref")]:

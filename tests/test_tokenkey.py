@@ -29,6 +29,14 @@ class TestInitLatent:
         with pytest.raises(ValueError):
             init_latent("9000", (0, 8, 8))
 
+    @pytest.mark.parametrize("shape", [(1, 8.5, 8), (1, True, 8), (1.0, 8, 8), ("2", 4, 4)])
+    def test_non_integer_dimensions_rejected_by_name(self, shape):
+        # refused by name before the draw, not by numpy's reshape after it
+        with pytest.raises(ValueError, match="^shape: "):
+            init_latent("9000", shape)
+        with pytest.raises(ValueError, match="^shape: "):
+            build_mask("9000", shape, 0.05)
+
 
 class TestBuildMask:
     def test_eta_zero_all_clear(self):
