@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelConfig, encode, transmit
 from .edict import CoupledState, SamplerParams, ddim_sample, edict_forward, edict_reverse
-from .harness import SweepSpec, aggregates_csv, export_plot_data, records_to_jsonl, run_sweep
+from .harness import EXPORT_KINDS, SweepSpec, aggregates_csv, export_plot_data, records_to_jsonl, run_sweep
 from .metrics import mse, psnr, ssim
 from .pipeline import RECEIVERS, KeyedLink, PipelineConfig, hide, make_secret, reveal, run_trial
 from .predictor import Predictor
@@ -202,27 +202,26 @@ def sweep_determinism() -> Check:
     spec = SweepSpec(base=PipelineConfig(steps=25, shape=(1, 8, 8)),
                      axes={"snr_db": [5.0, 10.0], "eta": [0.01, 0.05]},
                      trials_per_point=2, base_seed="acceptance-determinism")
-    first, second = run_sweep(spec), run_sweep(spec)
-    tables_a = [records_to_jsonl(first), aggregates_csv(first),
-                export_plot_data(first, "snr_curves"), export_plot_data(first, "eta_curves"),
-                export_plot_data(first, "scenario_bars")]
-    tables_b = [records_to_jsonl(second), aggregates_csv(second),
-                export_plot_data(second, "snr_curves"), export_plot_data(second, "eta_curves"),
-                export_plot_data(second, "scenario_bars")]
-    same = [a.encode() == b.encode() for a, b in zip(tables_a, tables_b)]
+
+    def tables(records: list[dict]) -> list[str]:
+        return [records_to_jsonl(records), aggregates_csv(records),
+                *(export_plot_data(records, kind) for kind in EXPORT_KINDS)]
+
+    first, second = (tables(run_sweep(spec)) for _ in range(2))
+    same = [a.encode() == b.encode() for a, b in zip(first, second)]
     return Check(all(same), "criterion 9 sweep determinism",
-                 f"two executions of a 16-trial sweep: {sum(same)}/5 exported tables byte-identical")
+                 f"two executions of a 16-trial sweep: {sum(same)}/{len(same)} exported tables byte-identical")
 
 
 def statistical_preservation() -> Check:
     shape = (1, 1000, 1000)
     n = 1_000_000
     token = "statistical-check"
-    flipped = perturb(init_latent(token, shape), build_mask(token, shape, 0.05))
+    mask = build_mask(token, shape, 0.05)
+    flipped = perturb(init_latent(token, shape), mask)
     mean = float(flipped.mean())
     var = float(flipped.var())
-    bits = build_mask(token, shape, 0.05).bits
-    flips = int(bits.sum())
+    flips = int(mask.bits.sum())
     sigma = np.sqrt(n * 0.05 * 0.95)
     density_dev = abs(flips - 0.05 * n) / sigma
     ok = abs(mean) < 0.005 and abs(var - 1.0) < 0.01 and density_dev <= 3.0

@@ -23,7 +23,7 @@ from .harness import (ConfigError, EXPORT_KINDS, SweepSpec, _cpus, aggregates_cs
                       iter_sweep, load_records, parse_config, records_to_jsonl, sweep_work)
 from .pipeline import RECEIVERS, PipelineConfig, check_secret, make_secret, run_trial
 from .predictor import PREDICTOR_KINDS
-from .rng import Seed64, derive
+from .rng import derive
 
 
 def _shape(text: str) -> tuple[int, ...]:
@@ -62,12 +62,10 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
     # each field's flag has the field's name as its dest
     overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
                  if getattr(args, f.name, None) is not None}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError("seed: must be an integer in [0, 2^64)")
-        overrides["secret_seed"] = args.seed
-        overrides["noise_seed"] = derive(Seed64(args.seed), "noise").value
     try:
+        if args.seed is not None:
+            overrides["secret_seed"] = args.seed
+            overrides["noise_seed"] = derive(args.seed, "noise").value  # derive checks the seed
         return replace(cfg, **overrides)
     except ValueError as e:
         raise ConfigError(str(e)) from e

@@ -1,10 +1,11 @@
 """Config parsing, deterministic sweeps, and plot-data export.
 
-Configs are flat JSON objects mirroring PipelineConfig; a sweep file wraps a
-base config with named axis lists and a trial count; any config field with
-scalar values is an axis.  Every trial seeds its secret and its channel noise
-from a hash of (base_seed, point index, trial index), unless its point sets
-that seed, so a sweep is a pure function of its spec: running it twice yields
+Configs are flat JSON objects mirroring PipelineConfig, and sweep files
+mirror SweepSpec, defaults included: a base config, named axis lists, a trial
+count and a base seed.  Any config field with scalar values (``_is_scalar``)
+is an axis.  Every trial seeds its secret and its channel noise from a hash
+of (base_seed, point index, trial index), unless its point sets that seed, so
+a sweep is a pure function of its spec: running it twice yields
 byte-identical records and exported tables.
 
 A sweep runs on two processes.  Every other trial goes to one persistent
@@ -45,15 +46,22 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .pipeline import BUILD_CACHES, RECEIVERS, PipelineConfig, make_secret, run_trial
-from .rng import _is_int, derive, hash_token
+from .metrics import MetricsReport
+from .pipeline import _KIND_CHECKS, BUILD_CACHES, RECEIVERS, PipelineConfig, _check_kinds, make_secret, run_trial
+from .rng import derive, hash_token
 
 _RECORD_KEYS = tuple(receiver.key for receiver in RECEIVERS)  # one report per receiver
-METRIC_NAMES = ("psnr_db", "mse", "ssim")
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
+_is_number = _KIND_CHECKS["float"][0]  # the config's "float" kind
 
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
+
+
+def _is_scalar(value) -> bool:
+    # an axis value load_records can read back: no JSON array or object
+    return not isinstance(value, (dict, list, tuple))
 
 
 @dataclass(frozen=True)
@@ -64,25 +72,25 @@ class SweepSpec:
     base_seed: str = "sweep"
 
     def __post_init__(self):
+        if not isinstance(self.axes, dict):
+            raise ConfigError("axes: must be an object mapping config fields to value lists")
         if not self.axes:
             raise ConfigError("axes: at least one axis is required")
-        config_fields = {f.name for f in fields(PipelineConfig)}
         for name, values in self.axes.items():
-            if name not in config_fields:
+            if name not in {f.name for f in fields(PipelineConfig)}:
                 raise ConfigError(f"axes.{name}: not a config field")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigError(f"axes.{name}: must be a non-empty list")
             for value in values:
-                if isinstance(value, (dict, list, tuple)):  # load_records reads back scalar axes
+                if not _is_scalar(value):
                     raise ConfigError(f"axes.{name}: bad value {value!r}: not a scalar")
                 try:
                     replace(self.base, **{name: value})
                 except ValueError as e:
                     raise ConfigError(f"axes.{name}: bad value {value!r}: {e}") from e
-        if not (_is_int(self.trials_per_point) and self.trials_per_point >= 1):
+        _check_kinds(self, ConfigError)
+        if self.trials_per_point < 1:
             raise ConfigError("trials_per_point: must be an integer >= 1")
-        if not (isinstance(self.base_seed, str) and self.base_seed):
-            raise ConfigError("base_seed: must be a non-empty string")
 
     def points(self) -> list[dict]:
         names = list(self.axes)
@@ -106,17 +114,14 @@ def parse_config(path: str):
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
     if "axes" in data or "base" in data:
-        known = {"base", "axes", "trials_per_point", "base_seed"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(SweepSpec)}
         if unknown:
             raise ConfigError(f"unknown sweep field(s): {', '.join(sorted(unknown))}")
         try:
             base = PipelineConfig.from_dict(data.get("base", {}))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"base: {e}") from e
-        return SweepSpec(base=base, axes=dict(data.get("axes", {})),
-                         trials_per_point=data.get("trials_per_point", 1),
-                         base_seed=data.get("base_seed", "sweep"))
+        return SweepSpec(**{"axes": {}, **data, "base": base})
     try:
         return PipelineConfig.from_dict(data)
     except (TypeError, ValueError) as e:
@@ -340,11 +345,7 @@ atexit.register(close_helper)
 # -- aggregation and export ---------------------------------------------------
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # a float's str is its repr
 
 
 _STATS = ("mean", "std")
@@ -394,10 +395,6 @@ def aggregates_csv(records: list[dict]) -> str:
         return ""
     header = ["point_index", *records[0]["axes"], "trials", "ok", *_SUMMARY_COLUMNS]
     return _write_csv(aggregate_records(records), header)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _curve_csv(records: list[dict], axis: str) -> str:
@@ -455,7 +452,7 @@ def _check_row(row) -> None:
     if not isinstance(row["axes"], dict):
         raise ValueError("'axes' is not an object")
     for name, value in row["axes"].items():
-        if isinstance(value, (dict, list)):
+        if not _is_scalar(value):
             raise ValueError(f"'axes.{name}' is not a scalar")
     if row["error"] is not None:
         if not isinstance(row["error"], str):

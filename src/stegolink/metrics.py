@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,12 +97,12 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    mse: float
     psnr_db: float
+    mse: float
     ssim: float
 
     def to_dict(self) -> dict:
-        return {"mse": self.mse, "psnr_db": self.psnr_db, "ssim": self.ssim}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compare(recovered: np.ndarray, target: np.ndarray, peak: float) -> MetricsReport:

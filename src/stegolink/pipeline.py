@@ -45,6 +45,10 @@ window and differ only in start state, conditions and mask.  The row count is
 fixed, so every reveal of a link runs the same computation; reveal and
 eavesdrop return their row of it.  Hiding is the same coupled pass over the
 legit row alone, with the biases swapped.
+
+PipelineConfig checks each field's kind (one table, which SweepSpec reads too)
+and the shape, and leaves every other rule and its message to the check that
+the field's owner runs on its own calls (see README's configuration table).
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ import numpy as np
 from .channel import ChannelConfig, decode, encode, transmit
 from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
 from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
-from .predictor import PREDICTOR_KINDS, ConditionSet, Predictor, RowBias, embed_text
+from .predictor import ConditionSet, Predictor, RowBias, _check_args, embed_text
 from .reference import embed_reference, generate_reference
-from .rng import RandomStream, Seed64, _is_int, derive
-from .schedule import build_schedule
-from .tokenkey import PerturbationMask, build_mask, perturb
+from .rng import RandomStream, Seed64, _check_seed, _is_int, derive
+from .schedule import _check_schedule, build_schedule
+from .tokenkey import PerturbationMask, _check_eta, build_mask, perturb
 
 STOCK_REFERENCE_TOKEN = "stock-reference"  # what a tokenless receiver falls back to
 
@@ -102,6 +106,19 @@ _KIND_CHECKS = {
 }
 
 
+@functools.cache
+def _kinds(cls) -> tuple:
+    # (name, check, message) for each field of the dataclass cls of a declared kind
+    return tuple((f.name, *_KIND_CHECKS[f.type]) for f in fields(cls) if f.type in _KIND_CHECKS)
+
+
+def _check_kinds(obj, error: type[ValueError] = ValueError) -> None:
+    """Raise error naming the first field of the dataclass obj not of its declared kind."""
+    for name, check, message in _kinds(type(obj)):
+        if not check(getattr(obj, name)):
+            raise error(f"{name}: {message}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Full experiment configuration; every field has a JSON-safe value."""
@@ -128,28 +145,14 @@ class PipelineConfig:
     eavesdropper_token: str = "856427"
 
     def __post_init__(self):
-        for f in fields(self):
-            check = _KIND_CHECKS.get(f.type)
-            if check is not None and not check[0](getattr(self, f.name)):
-                raise ValueError(f"{f.name}: {check[1]}")
+        _check_kinds(self)
         object.__setattr__(self, "shape", _check_shape(self.shape))
-        if not 0.0 <= self.guidance_weight <= 1.0:
-            raise ValueError("guidance_weight: must lie in [0, 1]")
-        for name in ("steps", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be a positive integer")
+        # every other rule is checked by the module that builds from the field
         for name in ("predictor_seed", "noise_seed", "secret_seed"):
-            if not 0 <= getattr(self, name) < 2 ** 64:
-                raise ValueError(f"{name}: must be an integer in [0, 2^64)")
-        if not (0.0 < self.beta_start < 1.0 and 0.0 < self.beta_end < 1.0):
-            raise ValueError("beta_start/beta_end: must lie in (0, 1)")
-        if self.beta_start > self.beta_end:
-            raise ValueError("beta_start: must not exceed beta_end")
-        if self.predictor_kind not in PREDICTOR_KINDS:
-            raise ValueError("predictor_kind: must be zero, linear, or tiny-mlp")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta: must lie in [0, 1]")
-        # the sampler's and the channel's fields are checked by their own types
+            _check_seed(getattr(self, name), name)
+        _check_schedule(self.steps, self.beta_start, self.beta_end)
+        _check_args(self.predictor_kind, self.embed_dim, self.guidance_weight)
+        _check_eta(self.eta)
         SamplerParams(mixing_p=self.mixing_p, edit_strength=self.edit_strength)
         self.channel  # built for its checks of snr_db and h
 
@@ -167,8 +170,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(PipelineConfig)}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         return PipelineConfig(**d)
@@ -242,11 +244,9 @@ class KeyedLink:
     ``hide_mask`` and ``hide_bias``), so its conditioned pass and the legit
     row's inverse add identical bias bits.
 
-    The predictor, condition sets and mask bits come from the ``_model``
-    (2 entries), ``build_conditions`` (3) and ``_mask_bits`` (2) caches.
-    Each distinct token is looked up once, in row order, so the shared
-    eavesdropper and stock tokens stay the most recently used and a fresh
-    legit token evicts only the last one.
+    Each distinct token is looked up once in its cache (see the module
+    docstring), in row order, so the shared eavesdropper and stock tokens
+    stay the most recently used and a fresh legit token evicts only the last.
     """
 
     def __init__(self, cfg: PipelineConfig):

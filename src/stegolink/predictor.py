@@ -49,6 +49,16 @@ _BIAS_SCALE = 0.1       # condition bias scale for the linear predictor
 _NORM_TOL = 1e-9
 
 
+def _check_args(kind: str = "zero", embed_dim: int = 1, guidance_weight: float = 0.0) -> None:
+    # Predictor's, bias's and the embeddings' argument rules; an argument left out passes
+    if kind not in PREDICTOR_KINDS:
+        raise ValueError(f"predictor_kind: must be one of {', '.join(PREDICTOR_KINDS)}")
+    if not (_is_int(embed_dim) and embed_dim >= 1):
+        raise ValueError("embed_dim: must be a positive integer")
+    if not 0.0 <= guidance_weight <= 1.0:
+        raise ValueError("guidance_weight: must lie in [0, 1]")
+
+
 def _check_embedding(name: str, v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (d,):
@@ -69,9 +79,8 @@ class ConditionSet:
 
     def __post_init__(self):
         d = int(np.asarray(self.key_embedding).shape[0])
-        object.__setattr__(self, "key_embedding", _check_embedding("key_embedding", self.key_embedding, d))
-        object.__setattr__(self, "feature_embedding", _check_embedding("feature_embedding", self.feature_embedding, d))
-        object.__setattr__(self, "ref_embedding", _check_embedding("ref_embedding", self.ref_embedding, d))
+        for name in ("key_embedding", "feature_embedding", "ref_embedding"):
+            object.__setattr__(self, name, _check_embedding(name, getattr(self, name), d))
 
     @property
     def dim(self) -> int:
@@ -91,25 +100,24 @@ class ConditionSet:
         return np.concatenate([self.key_embedding, self.feature_embedding, self.ref_embedding])
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    # v over its norm; an all-zero v (a measure-zero draw, a constant reference) gives e_0
+    n = float(np.linalg.norm(v))
+    return v / n if n != 0.0 else np.eye(1, v.size).ravel()
+
+
 def embed_text(text: str, d: int = 64) -> np.ndarray:
     """Deterministic unit-norm stand-in for a text encoder; returns a read-only vector."""
-    if d < 1:
-        raise ValueError("embedding dimension must be positive")
-    v = gaussian_stream(hash_token(text, "embed"), d)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:  # measure-zero guard
-        v = np.zeros(d)
-        v[0] = 1.0
-    else:
-        v = v / n
+    _check_args(embed_dim=d)
+    v = _unit(gaussian_stream(hash_token(text, "embed"), d))
     v.flags.writeable = False  # the cached key-only condition set shares it
     return v
 
 
 def _orthogonal(g: np.ndarray) -> np.ndarray:
-    """The Q factor of g's QR, with the signs fixed so that R's diagonal is positive."""
+    """The Q factor of g's QR, signs fixed so R's diagonal is positive, on a cache line."""
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return np.multiply(q, np.sign(np.diag(r)), out=_aligned_empty(q.shape))
 
 
 def _time_embeddings(steps: int) -> np.ndarray:
@@ -185,16 +193,10 @@ class Predictor:
     weights hold a^2 + b^2 values (2n for a square n; a prime n falls back to
     1 x 1 and n x n), and every row runs the same small products whatever the
     batch size (structured orthogonal maps: Yu et al., NeurIPS 2016).
-
-    Everything in the input besides the latent is precomputed once per batch
-    of rows by ``bias``; ``predict`` then runs one kernel over all the rows.
     """
 
     def __init__(self, kind: str, weight_seed: Seed64 | int = 7, embed_dim: int = 64):
-        if kind not in PREDICTOR_KINDS:
-            raise ValueError(f"unknown predictor kind {kind!r}; expected one of {PREDICTOR_KINDS}")
-        if not (_is_int(embed_dim) and embed_dim >= 1):
-            raise ValueError("embed_dim: must be a positive integer")
+        _check_args(kind, embed_dim)
         self.kind = kind
         self.weight_seed = _as_seed(weight_seed, "weight_seed")
         self.embed_dim = embed_dim
@@ -220,8 +222,9 @@ class Predictor:
 
         w1 takes the stream's first hidden*m values and w2 the rest, from pair
         hidden*m/2 (hidden = 4*embed_dim makes hidden*m even); each is then
-        divided in place by the square root of its fan-in.  Both start on a
-        64-byte boundary (see _aligned_empty).
+        divided in place by the square root of its fan-in, so a build holds
+        no more than its weights.  Both start on a 64-byte boundary (see
+        _aligned_empty), as linear's factors do.
         """
         hidden = 4 * self.embed_dim
         m = n + _TIME_DIM + 3 * self.embed_dim
@@ -236,9 +239,6 @@ class Predictor:
 
     def weights_for(self, n: int) -> tuple:
         """The read-only weights for n-value latents, built on first use.
-
-        tiny-mlp's w1 and w2 are drawn straight into their own buffers and
-        scaled in place, so a build holds no more than the weights it keeps.
 
         Binds the kernel's operands for n beside them: views, never copies,
         of (qa, qb.T) for linear, with qa's and qb's sizes, and
@@ -271,8 +271,7 @@ class Predictor:
             raise ValueError("steps must be >= 1 and not a bool")
         if not rows:
             raise ValueError("a batch needs at least one row")
-        if not 0.0 <= guidance_weight <= 1.0:
-            raise ValueError("guidance_weight must lie in [0, 1]")
+        _check_args(guidance_weight=guidance_weight)
         conditioned = [c for c in rows if c is not None]
         if conditioned and len(conditioned) != len(rows):
             raise ValueError("rows must be all conditioned or all unconditioned")

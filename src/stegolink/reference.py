@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .edict import SamplerParams, ddim_sample
-from .predictor import ConditionSet, Predictor
+from .predictor import ConditionSet, Predictor, _check_args, _unit
 from .rng import gaussian_stream, hash_token
 from .schedule import NoiseSchedule
 
@@ -81,17 +81,10 @@ def embed_reference(grid: np.ndarray, d: int = 64) -> np.ndarray:
     linear map shared by all parties, so both ends embed a regenerated
     reference identically.
     """
-    if d < 1:
-        raise ValueError("embedding dimension must be positive")
+    _check_args(embed_dim=d)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim < 1:
         raise ValueError("reference grid must have at least one axis")
     channels = grid.reshape(grid.shape[0], -1) if grid.ndim > 1 else grid.reshape(1, -1)
     stats = np.concatenate([_pooled_stats(c) for c in channels])
-    v = _projection(d, stats.size) @ stats
-    n = float(np.linalg.norm(v))
-    if n == 0.0:  # degenerate stats guard (constant reference grid)
-        v = np.zeros(d)
-        v[0] = 1.0
-        return v
-    return v / n
+    return _unit(_projection(d, stats.size) @ stats)

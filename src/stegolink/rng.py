@@ -47,6 +47,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_seed(value, name: str = "seed") -> int:
+    # the seed range: an integer in [0, 2^64), checked, never converted
+    if not (_is_int(value) and 0 <= value <= _U64_MAX):
+        raise ValueError(f"{name}: must be an integer in [0, 2^64)")
+    return value
+
+
 @dataclass(frozen=True)
 class Seed64:
     """A 64-bit unsigned seed, normally produced by hash_token."""
@@ -54,21 +61,15 @@ class Seed64:
     value: int
 
     def __post_init__(self):
-        if not (_is_int(self.value) and 0 <= self.value <= _U64_MAX):
-            raise ValueError("Seed64 value must be an integer in [0, 2^64)")
+        _check_seed(self.value, "value")
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(8, "big")
 
 
 def _as_seed(seed: Seed64 | int, name: str = "seed") -> Seed64:
-    # checked, never converted: anything else raises a ValueError naming name
-    if isinstance(seed, Seed64):
-        return seed
-    try:
-        return Seed64(seed)
-    except ValueError:
-        raise ValueError(f"{name}: must be a Seed64 or an integer in [0, 2^64)") from None
+    # a Seed64 as it is; anything else must pass _check_seed, which names name
+    return seed if isinstance(seed, Seed64) else Seed64(_check_seed(seed, name))
 
 
 def hash_token(token: bytes | str, domain: bytes | str = b"") -> Seed64:

@@ -13,14 +13,11 @@ z <- gamma[t] z - omega[t] eps  are exact affine inverses of each other for
 a fixed eps.  Coefficient arrays are length T+1 with slot 0 holding the
 identity step so that index t addresses step t directly.
 
-build_schedule caches its schedules, so equal arguments share one object;
-its arrays are read-only.  ``coef`` holds a, b, gamma and omega once more, as
-tuples of read-only 0-d float64 views of those arrays, one per step, which
-is what the samplers multiply by.  A ufunc converts a Python float operand
-into an array on every call, and an np.float64 scalar just the same, so
-neither is faster; a 0-d array saves that conversion, about 0.15 us per
-product on a 64-value latent.  The product is the same IEEE float64
-operation either way, so the bits do not change.
+build_schedule checks its arguments with ``_check_schedule``, which
+PipelineConfig runs too, and caches its schedules, so equal arguments share
+one object; its arrays are read-only.  ``coef`` holds a, b, gamma and omega
+once more, as tuples of read-only 0-d float64 views of those arrays, one per
+step, which is what the samplers multiply by (the edict module says why).
 """
 
 from __future__ import annotations
@@ -54,17 +51,28 @@ class NoiseSchedule:
     coef: StepCoefficients = field(repr=False)  # the four arrays above, boxed per step
 
 
+_BETA_START, _BETA_END = 1e-4, 2e-2
+
+
+def _check_schedule(T, beta_start, beta_end) -> None:
+    # build_schedule's rules; T is the config's steps, and a reversed pair names
+    # beta_start where beta_end holds its default, else beta_end
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+        raise ValueError("steps: must be a positive integer")
+    for name, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"{name}: must lie in (0, 1)")
+    if beta_start > beta_end:
+        raise ValueError("beta_start: must not exceed beta_end" if beta_end == _BETA_END
+                         else "beta_end: must not be below beta_start")
+
+
 # typed, so that 50.0 is not served the schedule of 50; a sweep uses one
 # schedule per steps value
 @functools.lru_cache(maxsize=8, typed=True)
-def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> NoiseSchedule:
-    """Build the schedule for T steps of linearly spaced beta values."""
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError("T must be a positive integer")
-    if not (0.0 < beta_start < 1.0) or not (0.0 < beta_end < 1.0):
-        raise ValueError("beta_start and beta_end must lie in (0, 1)")
-    if beta_start > beta_end:
-        raise ValueError("beta_start must not exceed beta_end")
+def build_schedule(T: int, beta_start: float = _BETA_START, beta_end: float = _BETA_END) -> NoiseSchedule:
+    """Build the schedule for T steps of linearly spaced beta values (see _check_schedule)."""
+    _check_schedule(T, beta_start, beta_end)
     betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)  # [beta_start] when T is 1
 
     beta = np.zeros(T + 1, dtype=np.float64)

@@ -42,13 +42,17 @@ class PerturbationMask:
             raise ValueError("mask bits must be 0 or 1")
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta: must lie in [0, 1]")
+
+
 def build_mask(token: bytes | str, shape: tuple[int, ...], eta: float) -> PerturbationMask:
     """Bernoulli(eta) mask: bit i set iff the i-th keyed uniform draw < eta.
 
     eta 0 and 1 are exact (uniform draws live in [0, 1)).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    _check_eta(eta)
     size = _grid_size(shape)
     u = uniform_stream(hash_token(token, "mask"), size)
     bits = (u < eta).astype(np.uint8).reshape(shape)

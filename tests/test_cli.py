@@ -415,6 +415,9 @@ class TestSweepAndExport:
         ({"base_seed": 5}, "base_seed"),
         ({"axes": {"token": [9000]}}, "axes.token"),
         ({"axes": {"eta": [0.05, 7.0]}}, "axes.eta"),
+        ({"axes": [1, 2]}, "axes:"),  # these three once exited 1 from dict()
+        ({"axes": "ab"}, "axes:"),
+        ({"axes": None}, "axes:"),
     ])
     def test_bad_sweep_value_rc2_names_field(self, tmp_path, change, field):
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, **change))

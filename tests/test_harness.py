@@ -406,6 +406,11 @@ class TestExports:
             "eaves1,2,13.0,1.0,1.0,0.5,0.375,0.0\n"
             "eaves2,2,15.0,1.0,1.5,0.75,0.25,0.0\n"
             "eaves3,2,17.0,1.0,2.0,1.0,0.125,0.0\n")
+        # a numpy axis value prints as the float it is, not "np.float64(5.0)"
+        numpy_axes = [dict(row, axes={name: np.float64(v) for name, v in row["axes"].items()})
+                      for row in HANDMADE_RECORDS]
+        assert aggregates_csv(numpy_axes) == aggregates_csv(HANDMADE_RECORDS)
+        assert export_plot_data(numpy_axes, "snr_curves") == export_plot_data(HANDMADE_RECORDS, "snr_curves")
 
     def test_aggregates_csv_deterministic(self):
         spec = small_sweep()

@@ -16,7 +16,7 @@ import stegolink.edict as edict
 import stegolink.pipeline as pipeline
 from stegolink.channel import ChannelConfig, decode, encode, transmit
 from stegolink.edict import CoupledState, SamplerDivergenceError, SamplerParams, edict_forward, edict_reverse
-from stegolink.harness import SweepSpec, _trial_config, run_sweep, sweep_work
+from stegolink.harness import ConfigError, SweepSpec, _trial_config, run_sweep, sweep_work
 from stegolink.metrics import SSIM_MAX_MAGNITUDE
 from stegolink.pipeline import (
     RECEIVERS,
@@ -32,8 +32,36 @@ from stegolink.pipeline import (
     sync_gain,
 )
 from stegolink.predictor import Predictor
-from stegolink.rng import RandomStream, Seed64, derive, hash_token
+from stegolink.rng import RandomStream, Seed64, _as_seed, derive, hash_token
+from stegolink.schedule import _check_schedule, build_schedule
 from stegolink.tokenkey import build_mask, restore
+
+
+# the owner of each field's rule beyond its kind, as a call on the value
+OWNERS = {
+    "mixing_p": lambda v: SamplerParams(mixing_p=v),
+    "edit_strength": lambda v: SamplerParams(edit_strength=v),
+    "snr_db": lambda v: ChannelConfig(snr_db=v),
+    "h": lambda v: ChannelConfig(h=v),
+    "steps": lambda v: _check_schedule(v, 1e-4, 2e-2),  # checked, not built: 2^64 - 1 steps would not fit
+    "beta_start": lambda v: build_schedule(50, v),
+    "beta_end": lambda v: build_schedule(50, beta_end=v),
+    "predictor_kind": Predictor,
+    "embed_dim": lambda v: Predictor("zero", embed_dim=v),
+    "guidance_weight": lambda v: Predictor("zero").bias(64, 1, [None], v),
+    "eta": lambda v: build_mask("owner", (1, 2, 2), v),
+    **{name: lambda v, name=name: _as_seed(v, name) for name in ("predictor_seed", "noise_seed", "secret_seed")},
+}
+
+FIELD_KINDS = {f.name: f.type for f in fields(PipelineConfig)}
+
+EDGE_VALUES = [
+    0, 0.0, -0.0, 5e-324, -5e-324, 1e-320,
+    math.nextafter(sys.float_info.min, 0.0), sys.float_info.min, math.nextafter(sys.float_info.min, 1.0),
+    math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1, -1, 2 ** 64, 2 ** 64 - 1,
+    1e308, -1e308, 10 ** 400, -10 ** 400, math.inf, -math.inf, math.nan,
+    True, False, "", "x", "10", None, [1, 8, 8], [], {},
+]
 
 
 def fast_cfg(**kw):
@@ -105,23 +133,50 @@ class TestConfigValidation:
             PipelineConfig(**{field: value})
         assert field in str(exc.value)
 
-    @pytest.mark.parametrize("field,owner", [("mixing_p", SamplerParams), ("edit_strength", SamplerParams),
-                                              ("snr_db", ChannelConfig), ("h", ChannelConfig)])
-    @pytest.mark.parametrize("value", [
-        0.0, 5e-324, -5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
-        math.nextafter(sys.float_info.min, 1.0), math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
-        math.inf, -math.inf, math.nan, -6000.0, 4000.0,
-    ])
-    def test_owner_decides_each_sampler_and_channel_field(self, field, owner, value):
-        # the config refuses a value exactly when the field's owner does, with its message
-        def refusal(build):
+    @pytest.mark.parametrize("field,value", [
+        (field, value) for field in OWNERS for value in (
+            0.0, 5e-324, -5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+            math.nextafter(sys.float_info.min, 1.0), math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+            math.inf, -math.inf, math.nan, -6000.0, 4000.0, -1, 0, 1, 64, 2 ** 64 - 1, 2 ** 64,
+            "zero", "linear", "tiny-mlp", "resnet")
+        if pipeline._KIND_CHECKS[FIELD_KINDS[field]][0](value)])
+    def test_owner_decides_each_field(self, field, value):
+        # a value of the field's kind is refused by the config exactly when
+        # the field's owner refuses it, with the owner's message
+        def refusal(build, value):
             try:
-                build(**{field: value})
+                build(value)
             except ValueError as e:
                 return str(e)
             return None
 
-        assert refusal(PipelineConfig) == refusal(owner)
+        assert refusal(lambda v: PipelineConfig(**{field: v}), value) == refusal(OWNERS[field], value)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(PipelineConfig)])
+    def test_edge_values_accepted_or_refused_by_name(self, field):
+        # each value is accepted, or refused naming the field alone, with no
+        # other exception and no warning; as a sweep axis, a value the config
+        # refuses and every list or object is refused naming axes.<field>
+        base = PipelineConfig()
+        wrong = []
+        for value in EDGE_VALUES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    PipelineConfig(**{field: value})
+                    accepted = True
+                except ValueError as e:
+                    accepted = False
+                    if not str(e).startswith(f"{field}: "):
+                        wrong.append((value, str(e)))
+                try:
+                    SweepSpec(base=base, axes={field: [value]})
+                    if not accepted or isinstance(value, (list, dict)):
+                        wrong.append((value, "accepted as an axis"))
+                except ConfigError as e:
+                    if accepted and not isinstance(value, (list, dict)) or not str(e).startswith(f"axes.{field}: "):
+                        wrong.append((value, str(e)))
+        assert wrong == []
 
     def test_dict_round_trip(self):
         cfg = fast_cfg(token="4242", eta=0.1, snr_db=7.5)

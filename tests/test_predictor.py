@@ -319,10 +319,12 @@ class TestKernel:
             if isinstance(op, np.ndarray):  # a weight or a view of one, never a copy
                 assert any(op is w or op.base is w for w in weights)
 
+    @pytest.mark.parametrize("kind", ["tiny-mlp", "linear"])
     @pytest.mark.parametrize("n", [7, 64, 256, 4096])
-    def test_mlp_weights_start_on_a_cache_line(self, n):
-        # a row straddling two 64-byte lines slowed every predictor call
-        for w in Predictor("tiny-mlp", weight_seed=7).weights_for(n):
+    def test_mlp_weights_start_on_a_cache_line(self, kind, n):
+        # a row straddling two 64-byte lines slowed every predictor call:
+        # tiny-mlp's w1 and w2, and linear's factors qa and qb
+        for w in Predictor(kind, weight_seed=7).weights_for(n)[:2]:
             assert w.ctypes.data % 64 == 0 and w.flags.c_contiguous
 
 

@@ -48,7 +48,7 @@ class TestBuildSchedule:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             build_schedule(0)
-        with pytest.raises(ValueError, match="^T "):  # a bool once built a 1-step schedule
+        with pytest.raises(ValueError, match="^steps: "):  # a bool once built a 1-step schedule
             build_schedule(True)
         with pytest.raises(ValueError):
             build_schedule(10, 0.0, 0.02)
