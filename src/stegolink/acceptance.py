@@ -59,7 +59,7 @@ def _inversion_runs() -> dict:
     start = time.perf_counter()
     edict_errs = []
     for z, u in states:
-        plain = pred.bias(z.size, sched.T, [None])
+        plain = pred.bias(z.size, sched, [None])
         noised = edict_forward(CoupledState(z, u), sched, pred, plain, params)
         back = edict_reverse(noised, sched, pred, plain, params)
         edict_errs.append(max(np.max(np.abs(back.z - z)), np.max(np.abs(back.u - u))))
@@ -67,7 +67,7 @@ def _inversion_runs() -> dict:
 
     ddim_errs = []
     for z, _ in states:
-        plain = pred.bias(z.size, sched.T, [None])
+        plain = pred.bias(z.size, sched, [None])
         noised = ddim_sample(z, sched, pred, plain, "noising", params)
         back = ddim_sample(noised, sched, pred, plain, "denoising", params)
         ddim_errs.append(float(np.max(np.abs(back - z))))

@@ -27,7 +27,7 @@ The plain DDIM baseline reuses eps at the state it has when noising, which
 is only approximate; its round-trip error is the gap EDICT closes.
 
 Coefficients: every pass multiplies by 0-d float64 arrays, the schedule's
-prebuilt ``coef`` tuples and p and 1 - p boxed once per pass.  A ufunc
+per-step a, b, gamma and omega and p and 1 - p boxed once per pass.  A ufunc
 converts a Python float or an np.float64 scalar operand into an array on
 each call, so neither is faster than the other; a 0-d array skips that and
 saves about 0.15 us on each of the ~900 products of a small trial.  The
@@ -163,7 +163,7 @@ def _run_pass(op: str, steps, *args) -> tuple[np.ndarray, ...]:
 def _forward_steps(z, u, sched, pred, bias, params):
     hi = params.window(sched.T)
     p, q = _mixing(params)
-    b, gamma = sched.coef.b, sched.coef.gamma
+    b, gamma = sched.b, sched.gamma
     for t in range(1, hi + 1):
         u_inter = (u - q * z) / p
         z_inter = (z - q * u_inter) / p
@@ -175,7 +175,7 @@ def _forward_steps(z, u, sched, pred, bias, params):
 def _reverse_steps(z, u, sched, pred, bias, params):
     hi = params.window(sched.T)
     p, q = _mixing(params)
-    a, b = sched.coef.a, sched.coef.b
+    a, b = sched.a, sched.b
     for t in range(hi, 0, -1):
         z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
         u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
@@ -187,12 +187,12 @@ def _reverse_steps(z, u, sched, pred, bias, params):
 def _ddim_steps(x, sched, pred, bias, direction, params):
     hi = params.window(sched.T)
     if direction == "denoising":
-        a, b = sched.coef.a, sched.coef.b
+        a, b = sched.a, sched.b
         for t in range(hi, 0, -1):
             x = a[t] * x + b[t] * pred.predict(x, t, bias)
             yield t, (x,)
     else:
-        gamma, omega = sched.coef.gamma, sched.coef.omega
+        gamma, omega = sched.gamma, sched.omega
         for t in range(1, hi + 1):
             x = gamma[t] * x - omega[t] * pred.predict(x, t, bias)
             yield t, (x,)

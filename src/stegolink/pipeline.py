@@ -68,7 +68,7 @@ from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
 from .predictor import ConditionSet, Predictor, RowBias, _check_args, embed_text
 from .reference import embed_reference, generate_reference
 from .rng import RandomStream, Seed64, _check_seed, _is_int, derive
-from .schedule import _check_schedule, build_schedule
+from .schedule import _BETA_END, _BETA_START, _check_schedule, build_schedule
 from .tokenkey import PerturbationMask, _check_eta, build_mask, perturb
 
 STOCK_REFERENCE_TOKEN = "stock-reference"  # what a tokenless receiver falls back to
@@ -128,8 +128,8 @@ class PipelineConfig:
     feature_text: str = "broad horizon with a single foreground shape"
     guidance_weight: float = 1.0
     steps: int = 50
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
+    beta_start: float = _BETA_START
+    beta_end: float = _BETA_END
     predictor_kind: str = "tiny-mlp"
     predictor_seed: int = 7
     embed_dim: int = 64
@@ -170,6 +170,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ValueError("must be an object mapping config fields to values")
         unknown = set(d) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(sorted(unknown))}")
@@ -265,11 +267,11 @@ class KeyedLink:
         self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
         self.pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
         self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
-        self.gain = sync_gain(cfg.mixing_p, self.params.window(cfg.steps))
+        self.gain = sync_gain(cfg.mixing_p, self.params.window(self.sched.T))
 
         n = int(np.prod(cfg.shape))
-        self.reveal_bias = self.pred.bias(n, cfg.steps, self.conditions, cfg.guidance_weight)
-        self.plain_bias = self.pred.bias(n, cfg.steps, [None] * len(REVEAL_ROWS))
+        self.reveal_bias = self.pred.bias(n, self.sched, self.conditions, cfg.guidance_weight)
+        self.plain_bias = self.pred.bias(n, self.sched, [None] * len(REVEAL_ROWS))
         masks = {t: _mask_bits(t, cfg.shape, cfg.eta) for t in dict.fromkeys(mask_tokens) if t}
         no_flips = np.zeros(cfg.shape, dtype=np.uint8)
         self.reveal_mask = PerturbationMask(np.stack([masks[t] if t else no_flips for t in mask_tokens]))

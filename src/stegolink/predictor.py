@@ -6,7 +6,8 @@ exercised end to end at desk scale.  A predictor maps (latent, step, optional
 conditions) to a latent-shaped noise estimate and is a pure function of its
 inputs and its weight seed.  It runs over a batch of rows, each with its own
 latent and conditions; the part of the input that does not depend on the
-latent is precomputed once per batch (RowBias).
+latent is precomputed once per batch (RowBias), over the steps of a noise
+schedule, which alone decides what a step count is.
 
 Each call is one kernel over a (rows, n) batch.  Its operands are views of
 the weights, bound once per (predictor, n), and every step after the first
@@ -41,6 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .rng import Seed64, _as_seed, _fill_gaussian, _is_int, derive, gaussian_stream, hash_token
+from .schedule import NoiseSchedule, build_schedule
 
 PREDICTOR_KINDS = ("zero", "linear", "tiny-mlp")
 
@@ -258,17 +260,15 @@ class Predictor:
 
     # -- prediction ----------------------------------------------------------
 
-    def bias(self, n: int, steps: int, rows: list[ConditionSet | None],
+    def bias(self, n: int, sched: NoiseSchedule, rows: list[ConditionSet | None],
              guidance_weight: float = 1.0) -> RowBias:
         """Precompute the latent-free terms for rows of n-value latents.
 
-        The step term covers steps 0..steps.  Each row is conditioned by its
-        ConditionSet or unconditioned (None); the rows of one batch are all
-        conditioned or all unconditioned.  Conditioned rows mix their two
-        guidance branches by guidance_weight, in [0, 1].
+        The step term covers the schedule's steps 0..sched.T.  Each row is
+        conditioned by its ConditionSet or unconditioned (None); the rows of
+        one batch are all conditioned or all unconditioned.  Conditioned rows
+        mix their two guidance branches by guidance_weight, in [0, 1].
         """
-        if isinstance(steps, (bool, np.bool_)) or steps < 1:
-            raise ValueError("steps must be >= 1 and not a bool")
         if not rows:
             raise ValueError("a batch needs at least one row")
         _check_args(guidance_weight=guidance_weight)
@@ -296,8 +296,8 @@ class Predictor:
                 cond = _read_only((_BIAS_SCALE * (cvec @ w))[..., None] * direction)
         elif self.kind == "tiny-mlp":
             w1, _ = self.weights_for(n)
-            # (steps + 1, 1, h): a one-row batch adds step[t] without broadcasting
-            step = _read_only(_time_embeddings(steps) @ w1[:, n:n + _TIME_DIM].T)[:, None]
+            # (T + 1, 1, h): a one-row batch adds step[t] without broadcasting
+            step = _read_only(_time_embeddings(sched.T) @ w1[:, n:n + _TIME_DIM].T)[:, None]
             if cvec is not None:
                 cond = _read_only(cvec @ w1[:, n + _TIME_DIM:].T)
         return RowBias(n, len(rows), step, cond, guidance_weight, self._sizes.get(n, ((), ()))[1])
@@ -350,12 +350,13 @@ def guided_predict(predictor: Predictor, z: np.ndarray, t: int, conditions: Cond
                    guidance_weight: float = 1.0) -> np.ndarray:
     """One latent's guided noise estimate at step t: a one-row batch.
 
-    Builds the row's bias for this call alone; a loop over steps builds it
-    once and calls ``Predictor.predict``.  With IEEE arithmetic the mixture
-    at lam 0 or 1 equals that branch bitwise, so the endpoints evaluate only
-    that branch.
+    Builds the row's bias for this call alone, over ``build_schedule(t)``,
+    so t must be a step count the schedule accepts; a loop over steps builds
+    the bias once and calls ``Predictor.predict``.  With IEEE arithmetic the
+    mixture at lam 0 or 1 equals that branch bitwise, so the endpoints
+    evaluate only that branch.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("latent contains non-finite values")
-    return predictor.predict(z, t, predictor.bias(z.size, t, [conditions], guidance_weight))
+    return predictor.predict(z, t, predictor.bias(z.size, build_schedule(t), [conditions], guidance_weight))

@@ -10,45 +10,34 @@ alpha_bar[0] = 1 at the clean end.  For step t in 1..T:
 
 so the denoise update  z <- a[t] z + b[t] eps  and the noising update
 z <- gamma[t] z - omega[t] eps  are exact affine inverses of each other for
-a fixed eps.  Coefficient arrays are length T+1 with slot 0 holding the
-identity step so that index t addresses step t directly.
+a fixed eps.  Each coefficient has T+1 entries, slot 0 holding the identity
+step, so that index t addresses step t directly.
 
-build_schedule checks its arguments with ``_check_schedule``, which
-PipelineConfig runs too, and caches its schedules, so equal arguments share
-one object; its arrays are read-only.  ``coef`` holds a, b, gamma and omega
-once more, as tuples of read-only 0-d float64 views of those arrays, one per
-step, which is what the samplers multiply by (the edict module says why).
+The schedule owns the step axis: ``_check_schedule`` alone decides what a
+step count is, and build_schedule and PipelineConfig run it, so every other
+module takes a schedule rather than a bare count.  build_schedule caches its
+schedules, so equal arguments share one object.  alpha_bar is a read-only
+array; a, b, gamma and omega are tuples of read-only 0-d float64 arrays, one
+per step, which is what the samplers multiply by (the edict module says why).
 """
 
 from __future__ import annotations
 
 import functools
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 
-class StepCoefficients(NamedTuple):
-    """a, b, gamma and omega per step, each value a read-only 0-d float64 array."""
-
-    a: tuple[np.ndarray, ...]
+@dataclass(frozen=True, repr=False)  # the tuples would print 4 (T + 1) arrays
+class NoiseSchedule:
+    T: int
+    alpha_bar: np.ndarray            # alpha_bar[0] = 1
+    a: tuple[np.ndarray, ...]        # a[t] for t in 0..T, each a read-only 0-d float64 array
     b: tuple[np.ndarray, ...]
     gamma: tuple[np.ndarray, ...]
     omega: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    T: int
-    beta: np.ndarray        # beta[0] = 0, beta[t] for t in 1..T
-    alpha_bar: np.ndarray   # alpha_bar[0] = 1
-    a: np.ndarray
-    b: np.ndarray
-    gamma: np.ndarray
-    omega: np.ndarray
-    coef: StepCoefficients = field(repr=False)  # the four arrays above, boxed per step
 
 
 _BETA_START, _BETA_END = 1e-4, 2e-2
@@ -75,8 +64,6 @@ def build_schedule(T: int, beta_start: float = _BETA_START, beta_end: float = _B
     _check_schedule(T, beta_start, beta_end)
     betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)  # [beta_start] when T is 1
 
-    beta = np.zeros(T + 1, dtype=np.float64)
-    beta[1:] = betas
     alpha_bar = np.ones(T + 1, dtype=np.float64)
     alpha_bar[1:] = np.cumprod(1.0 - betas)
 
@@ -86,10 +73,9 @@ def build_schedule(T: int, beta_start: float = _BETA_START, beta_end: float = _B
     b[1:] = np.sqrt(1.0 - alpha_bar[:-1]) - a[1:] * np.sqrt(1.0 - alpha_bar[1:])
     gamma = 1.0 / a
     omega = b / a
-    for arr in (beta, alpha_bar, a, b, gamma, omega):
+    for arr in (alpha_bar, a, b, gamma, omega):
         arr.flags.writeable = False
     # views of read-only arrays are read-only too
-    coef = StepCoefficients(*(tuple(arr[t, ...] for t in range(T + 1)) for arr in (a, b, gamma, omega)))
-    return NoiseSchedule(T=int(T), beta=beta, alpha_bar=alpha_bar, a=a, b=b, gamma=gamma, omega=omega,
-                         coef=coef)
+    boxed = (tuple(arr[t, ...] for t in range(T + 1)) for arr in (a, b, gamma, omega))
+    return NoiseSchedule(int(T), alpha_bar, *boxed)
 

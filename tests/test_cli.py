@@ -56,6 +56,7 @@ def _overflowing_range_grid():
     return np.where(make_secret(7, (1, 8, 8)) > 0.0, 1e308, -1e308)
 
 
+NOT_AN_OBJECT = "must be an object mapping config fields to values"
 SWEEP_PAYLOAD = {
     "base": {"steps": 10, "shape": [1, 8, 8], "snr_db": 10.0},
     "axes": {"snr_db": [5.0, 10.0]},
@@ -418,6 +419,9 @@ class TestSweepAndExport:
         ({"axes": [1, 2]}, "axes:"),  # these three once exited 1 from dict()
         ({"axes": "ab"}, "axes:"),
         ({"axes": None}, "axes:"),
+        # these once exited 2 with Python's own text, or (for "x") a wrong one
+        *(pytest.param({"base": base}, f"base: {NOT_AN_OBJECT}", id=f"base-{json.dumps(base)}")
+          for base in (5, None, [1], ["steps"], "x")),
     ])
     def test_bad_sweep_value_rc2_names_field(self, tmp_path, change, field):
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, **change))

@@ -29,9 +29,9 @@ def seeded_state(tag, i, shape=None):
     return CoupledState(z=buf[:n].reshape(shape), u=buf[n:].reshape(shape))
 
 
-def plain(pred, grid, T):
-    """Unconditioned one-row bias for latents shaped like grid."""
-    return pred.bias(np.asarray(grid).size, T, [None])
+def plain(pred, grid, sched):
+    """Unconditioned one-row bias over sched for latents shaped like grid."""
+    return pred.bias(np.asarray(grid).size, sched, [None])
 
 
 def shared_conditions():
@@ -87,7 +87,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(40), 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
-        out = edict_forward(state, sched, pred, plain(pred, v, 10),
+        out = edict_forward(state, sched, pred, plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         gain = np.sqrt(sched.alpha_bar[10])  # the product of gamma[1..10]
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
@@ -97,7 +97,7 @@ class TestClosedForms:
         sched = build_schedule(1, 0.1, 0.1)
         state = CoupledState(np.ones((1, 4, 4)), np.ones((1, 4, 4)))
         pred = Predictor("zero", 7)
-        out = edict_forward(state, sched, pred, plain(pred, state.z, 1),
+        out = edict_forward(state, sched, pred, plain(pred, state.z, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         assert out.z[0, 0, 0] == pytest.approx(0.9486832980505138, abs=1e-12)
 
@@ -106,7 +106,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(41), 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
-        out = edict_reverse(state, sched, pred, plain(pred, v, 10),
+        out = edict_reverse(state, sched, pred, plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         assert np.max(np.abs(out.z - v / np.sqrt(sched.alpha_bar[10]))) < 1e-12
 
@@ -115,7 +115,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(42), 16).reshape(1, 4, 4)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
-        out = edict_reverse(state, sched, pred, plain(pred, v, 1),
+        out = edict_reverse(state, sched, pred, plain(pred, v, sched),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
         assert np.max(np.abs(out.z - sched.a[1] * v)) < 1e-15
 
@@ -124,7 +124,7 @@ class TestClosedForms:
         sched = build_schedule(10)
         st = seeded_state("p1-indep", 0, (1, 8, 8))
         pred = Predictor("zero", 7)
-        out = edict_forward(st, sched, pred, plain(pred, st.z, 10),
+        out = edict_forward(st, sched, pred, plain(pred, st.z, sched),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
         gain = np.sqrt(sched.alpha_bar[10])  # the product of gamma[1..10]
         assert np.max(np.abs(out.z - gain * st.z)) < 1e-12
@@ -136,10 +136,10 @@ class TestClosedForms:
         params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
         pred = Predictor("zero", 7)
         fwd = edict_forward(CoupledState(v.copy(), v.copy()), sched,
-                            pred, plain(pred, v, 10), params)
+                            pred, plain(pred, v, sched), params)
         assert np.max(np.abs(fwd.z - fwd.u)) < 1e-12
         rev = edict_reverse(CoupledState(v.copy(), v.copy()), sched,
-                            pred, plain(pred, v, 10), params)
+                            pred, plain(pred, v, sched), params)
         assert np.max(np.abs(rev.z - rev.u)) < 1e-12
 
     def test_window_respects_edit_strength(self):
@@ -148,7 +148,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(44), 64).reshape(1, 8, 8)
         pred = Predictor("zero", 7)
         out = edict_forward(CoupledState(v.copy(), v.copy()), sched,
-                            pred, plain(pred, v, 10),
+                            pred, plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=0.5))
         gain = float(np.prod(sched.gamma[1:6]))
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
@@ -180,7 +180,7 @@ class TestExactInversion:
         worst = 0.0
         for i in range(6):
             st = seeded_state(f"edict-rt|{kind}|{p}|{T}", i)
-            bias = plain(pred, st.z, T)
+            bias = plain(pred, st.z, sched)
             back = edict_reverse(edict_forward(st, sched, pred, bias, params),
                                  sched, pred, bias, params)
             worst = max(worst,
@@ -196,7 +196,7 @@ class TestExactInversion:
         pred = Predictor(kind, weight_seed=7)
         params = SamplerParams(mixing_p=p, edit_strength=1.0)
         st = seeded_state(f"edict-cond|{kind}|{p}|{T}", 0)
-        cond = pred.bias(st.z.size, T, [shared_conditions()])
+        cond = pred.bias(st.z.size, sched, [shared_conditions()])
         back = edict_reverse(edict_forward(st, sched, pred, cond, params),
                              sched, pred, cond, params)
         err = max(float(np.max(np.abs(back.z - st.z))),
@@ -208,7 +208,7 @@ class TestExactInversion:
         pred = Predictor("tiny-mlp", weight_seed=7)
         params = SamplerParams(mixing_p=0.93, edit_strength=0.5)
         st = seeded_state("edict-window", 1)
-        bias = plain(pred, st.z, 50)
+        bias = plain(pred, st.z, sched)
         back = edict_reverse(edict_forward(st, sched, pred, bias, params),
                              sched, pred, bias, params)
         assert float(np.max(np.abs(back.z - st.z))) < 1e-8
@@ -222,7 +222,7 @@ class TestDivergenceSignal:
         huge = np.full((1, 4, 4), 1e308)
         state = CoupledState(huge, -huge)
         with pytest.raises(SamplerDivergenceError) as exc:
-            edict_forward(state, sched, pred, plain(pred, huge, 50), params)
+            edict_forward(state, sched, pred, plain(pred, huge, sched), params)
         assert "step" in str(exc.value)
 
     # the steps below were measured on the sampler that checked every
@@ -236,7 +236,7 @@ class TestDivergenceSignal:
         sched = build_schedule(100)
         pred = Predictor(kind, weight_seed=7)
         st = seeded_state("edict-diverge", 0, (1, 8, 8))
-        bias = plain(pred, st.z, 100)
+        bias = plain(pred, st.z, sched)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SamplerDivergenceError) as exc:
@@ -258,7 +258,7 @@ class TestDivergenceSignal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SamplerDivergenceError) as exc:
-                edict_reverse(CoupledState(big, big), sched, pred, plain(pred, big, 50),
+                edict_reverse(CoupledState(big, big), sched, pred, plain(pred, big, sched),
                               SamplerParams(mixing_p=0.5))
         assert (exc.value.op, exc.value.step) == ("edict_reverse", step)
         assert str(exc.value) == f"edict_reverse produced a non-finite state at step {step}"
@@ -271,7 +271,7 @@ class TestDivergenceSignal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SamplerDivergenceError) as exc:
-                ddim_sample(big, sched, pred, plain(pred, big, 50), "denoising", SamplerParams(mixing_p=1.0))
+                ddim_sample(big, sched, pred, plain(pred, big, sched), "denoising", SamplerParams(mixing_p=1.0))
         assert (exc.value.op, exc.value.step) == ("ddim_sample", step)
 
 
@@ -317,7 +317,7 @@ class TestPassCheck:
         sched = build_schedule(10)
         pred = Predictor(kind, weight_seed=7)
         st = seeded_state("pass-check", 0)
-        bias = plain(pred, st.z, 10)
+        bias = plain(pred, st.z, sched)
         calls = []
         real = Predictor.predict
         monkeypatch.setattr(Predictor, "predict", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -360,8 +360,7 @@ def reference_pass(name, st, sched, pred, bias, params):
     """Each pass written out with Python-float coefficients, one step at a time."""
     hi = params.window(sched.T)
     p, q = params.mixing_p, 1.0 - params.mixing_p
-    a, b = sched.a.tolist(), sched.b.tolist()
-    gamma, omega = sched.gamma.tolist(), sched.omega.tolist()
+    a, b, gamma, omega = ([float(x) for x in coef] for coef in (sched.a, sched.b, sched.gamma, sched.omega))
     z, u = st.z, st.u
     if name == "edict_forward":
         for t in range(1, hi + 1):
@@ -407,7 +406,7 @@ class TestBoxedCoefficients:
         shape = (rows, 1, 8, 8) if rows > 1 else (1, 8, 8)
         st = seeded_state(f"boxed|{rows}", 0, shape)
         conds = [shared_conditions()] * rows if rows > 1 else [None]
-        bias = pred.bias(64, 20, conds, 0.5 if rows > 1 else 1.0)
+        bias = pred.bias(64, sched, conds, 0.5 if rows > 1 else 1.0)
         params = SamplerParams(mixing_p=mixing_p, edit_strength=0.7)
         got = run_pass(name, st, sched, pred, bias, params)
         want = reference_pass(name, st, sched, pred, bias, params)
@@ -432,7 +431,7 @@ class TestEndStateCheck:
         sched = build_schedule(10)
         pred = Predictor(kind, weight_seed=7)
         st = seeded_state("end-check", 0, (1, 8, 8))
-        bias = plain(pred, st.z, 10)
+        bias = plain(pred, st.z, sched)
         assert checks == [2]  # building st from outside checked it
         checks.clear()
         fwd = edict_forward(st, sched, pred, bias, WINDOW)
@@ -448,7 +447,7 @@ class TestDDIM:
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(50), 64).reshape(1, 8, 8)
         pred = Predictor("zero", 7)
-        out = ddim_sample(v, sched, pred, plain(pred, v, 10), "denoising",
+        out = ddim_sample(v, sched, pred, plain(pred, v, sched), "denoising",
                           SamplerParams(mixing_p=1.0, edit_strength=1.0))
         assert np.max(np.abs(out - v / np.sqrt(sched.alpha_bar[10]))) < 1e-12
 
@@ -457,14 +456,14 @@ class TestDDIM:
         v = gaussian_stream(Seed64(51), 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
         pred = Predictor("zero", 7)
-        noised = ddim_sample(v, sched, pred, plain(pred, v, 50), "noising", params)
-        back = ddim_sample(noised, sched, pred, plain(pred, v, 50), "denoising", params)
+        noised = ddim_sample(v, sched, pred, plain(pred, v, sched), "noising", params)
+        back = ddim_sample(noised, sched, pred, plain(pred, v, sched), "denoising", params)
         assert np.max(np.abs(back - v)) < 1e-12
 
     def test_direction_validated(self):
         sched = build_schedule(5)
         pred = Predictor("zero", 7)
-        bias = plain(pred, np.zeros((1, 4, 4)), 5)
+        bias = plain(pred, np.zeros((1, 4, 4)), sched)
         with pytest.raises(ValueError):
             ddim_sample(np.zeros((1, 4, 4)), sched, pred, bias, "sideways", SamplerParams(mixing_p=1.0))
 
@@ -477,7 +476,7 @@ class TestDDIM:
         ddim_errs, edict_errs = [], []
         for i in range(10):
             st = seeded_state("ddim-gap", i)
-            bias = plain(pred, st.z, 50)
+            bias = plain(pred, st.z, sched)
             noised = ddim_sample(st.z, sched, pred, bias, "noising", params)
             back = ddim_sample(noised, sched, pred, bias, "denoising", params)
             ddim_errs.append(float(np.mean(np.abs(back - st.z))))

@@ -48,7 +48,7 @@ OWNERS = {
     "beta_end": lambda v: build_schedule(50, beta_end=v),
     "predictor_kind": Predictor,
     "embed_dim": lambda v: Predictor("zero", embed_dim=v),
-    "guidance_weight": lambda v: Predictor("zero").bias(64, 1, [None], v),
+    "guidance_weight": lambda v: Predictor("zero").bias(64, build_schedule(1), [None], v),
     "eta": lambda v: build_mask("owner", (1, 2, 2), v),
     **{name: lambda v, name=name: _as_seed(v, name) for name in ("predictor_seed", "noise_seed", "secret_seed")},
 }
@@ -420,12 +420,12 @@ class TestBatchedReveal:
                    "E3": eavesdrop(stego_hat, link, "E3")}
 
         n = int(np.prod(cfg.shape))
-        plain = link.pred.bias(n, cfg.steps, [None])
+        plain = link.pred.bias(n, link.sched, [None])
         masks = {"legit": build_mask(cfg.token, cfg.shape, cfg.eta),
                  "E2": build_mask(cfg.eavesdropper_token, cfg.shape, cfg.eta), "E3": None}
         for name, row in batched.items():
             row_conditions = link.conditions[REVEAL_ROWS.index(name)]
-            keyed = link.pred.bias(n, cfg.steps, [row_conditions], cfg.guidance_weight)
+            keyed = link.pred.bias(n, link.sched, [row_conditions], cfg.guidance_weight)
             state = edict_forward(pipeline._unpack_pair(stego_hat, cfg.shape[0], link.gain),
                                   link.sched, link.pred, keyed, link.params)
             if masks[name] is not None:

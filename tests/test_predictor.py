@@ -5,6 +5,7 @@ import pytest
 
 from stegolink.predictor import ConditionSet, Predictor, embed_text, guided_predict
 from stegolink.rng import Seed64, gaussian_stream
+from stegolink.schedule import build_schedule
 
 
 def conditions(d=64):
@@ -131,22 +132,24 @@ class TestPredict:
         with pytest.raises(ValueError):
             guided_predict(p, np.zeros((1, 8, 8)), 0, None)
 
-    @pytest.mark.parametrize("steps", [0, True, np.True_], ids=["zero", "True", "np.True_"])
-    def test_bias_rejects_a_bad_step_count(self, steps):
-        # True once built a (2, 1, h) step term, as for one step
-        with pytest.raises(ValueError, match="^steps "):
-            Predictor("tiny-mlp", weight_seed=7).bias(64, steps, [None])
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    @pytest.mark.parametrize("t", [2.5, True], ids=["2.5", "True"])
+    def test_step_count_is_the_schedules_to_check(self, kind, t):
+        # bias once checked steps itself: zero and linear took 2.5, tiny-mlp
+        # failed in numpy with a TypeError
+        with pytest.raises(ValueError, match="^steps: "):
+            guided_predict(Predictor(kind, weight_seed=7), np.ones((1, 8, 8)), t, None)
 
     def test_bias_rejects_a_foreign_condition_dimension(self):
         p = Predictor("tiny-mlp", weight_seed=7, embed_dim=64)
         with pytest.raises(ValueError, match="embed_dim"):
-            p.bias(64, 10, [conditions(d=32)])
+            p.bias(64, build_schedule(10), [conditions(d=32)])
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_latents_must_fit_the_bias_rows(self, kind):
         p = Predictor(kind, weight_seed=7)
         with pytest.raises(ValueError):
-            p.predict(np.zeros((4, 1, 8, 8)), 3, p.bias(64, 10, [None]))
+            p.predict(np.zeros((4, 1, 8, 8)), 3, p.bias(64, build_schedule(10), [None]))
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0, None])
@@ -158,7 +161,7 @@ class TestPredict:
         t, n = 7, 128
         zs = gaussian_stream(Seed64(12), 4 * n).reshape(4, 2, 8, 8)
         rows = rows_of(lam)
-        out = p.predict(zs, t, p.bias(n, 10, rows, 1.0 if lam is None else lam))
+        out = p.predict(zs, t, p.bias(n, build_schedule(10), rows, 1.0 if lam is None else lam))
         assert out.shape == zs.shape
 
         j = np.arange(8)
@@ -202,7 +205,7 @@ class TestPredict:
         p = Predictor("tiny-mlp", weight_seed=7)
         for lam in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="guidance_weight"):
-                p.bias(64, 10, [conditions()], lam)
+                p.bias(64, build_schedule(10), [conditions()], lam)
 
 
 def broadcast_formula(p, z, t, bias):
@@ -245,7 +248,7 @@ class TestUnconditionedRows:
         n = 64
         z = (gaussian_stream(Seed64(21), rows * n) if latent == "gaussian" else np.zeros(rows * n))
         z = z.reshape(rows, 1, 8, 8)
-        bias = p.bias(n, 10, [None] * rows)
+        bias = p.bias(n, build_schedule(10), [None] * rows)
         assert bias.cond is None and bias.branches == 0 and bias.rows == rows
         for t in (1, 5, 10):
             assert np.array_equal(p.predict(z, t, bias), broadcast_formula(p, z, t, bias))
@@ -253,7 +256,7 @@ class TestUnconditionedRows:
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_take_keeps_no_condition_term(self, kind):
         p = Predictor(kind, weight_seed=7)
-        bias = p.bias(64, 10, [None] * 4)
+        bias = p.bias(64, build_schedule(10), [None] * 4)
         row = bias.take([2])
         assert row.rows == 1 and row.cond is None and row.step is bias.step
 
@@ -275,7 +278,7 @@ class TestKernel:
     def test_equals_the_broadcast_formula(self, kind, rows, n, lam):
         p = Predictor(kind, weight_seed=7)
         z, conds = self.batch(n, rows, lam)
-        bias = p.bias(n, 10, conds, 1.0 if lam is None else lam)
+        bias = p.bias(n, build_schedule(10), conds, 1.0 if lam is None else lam)
         assert bias.branches == (0 if lam is None else 2 if lam == 0.4 else 1)
         for t in (1, 5, 10):
             assert np.array_equal(p.predict(z, t, bias), broadcast_formula(p, z, t, bias))
@@ -285,7 +288,7 @@ class TestKernel:
     def test_leaves_its_inputs_untouched_and_returns_a_new_array(self, kind, lam):
         p = Predictor(kind, weight_seed=7)
         z, conds = self.batch(256, 4, lam)
-        bias = p.bias(256, 10, conds, 1.0 if lam is None else lam)
+        bias = p.bias(256, build_schedule(10), conds, 1.0 if lam is None else lam)
         inputs = [z, *(a for a in (bias.step, bias.cond) if a is not None), *p.weights_for(256)]
         before = [a.copy() for a in inputs]
         out = p.predict(z, 3, bias)
@@ -297,7 +300,7 @@ class TestKernel:
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_weights_and_terms_are_read_only(self, kind):
         p = Predictor(kind, weight_seed=7)
-        bias = p.bias(64, 10, rows_of(0.4), 0.4)
+        bias = p.bias(64, build_schedule(10), rows_of(0.4), 0.4)
         arrays = [*p.weights_for(64), bias.cond, bias.take([1, 3]).cond]
         arrays += [a for a in bias.operands if isinstance(a, np.ndarray)]
         if kind == "tiny-mlp":
@@ -310,10 +313,10 @@ class TestKernel:
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_operands_are_bound_once_per_size_as_views(self, kind):
         p = Predictor(kind, weight_seed=7)
-        first = p.bias(64, 10, [None])
-        assert p.bias(64, 20, rows_of(1.0), 1.0).operands is first.operands
+        first = p.bias(64, build_schedule(10), [None])
+        assert p.bias(64, build_schedule(20), rows_of(1.0), 1.0).operands is first.operands
         assert first.take([0]).operands is first.operands
-        assert p.bias(256, 10, [None]).operands is not first.operands
+        assert p.bias(256, build_schedule(10), [None]).operands is not first.operands
         weights = p.weights_for(64)
         for op in first.operands:
             if isinstance(op, np.ndarray):  # a weight or a view of one, never a copy
@@ -353,7 +356,7 @@ class TestLinearMap:
         # the same precomputed terms for each row, so only the map is compared
         p = Predictor("linear", weight_seed=7)
         zs = gaussian_stream(Seed64(13), 4 * n).reshape(4, *shape)
-        bias = p.bias(n, 10, rows_of(lam), 1.0 if lam is None else lam)
+        bias = p.bias(n, build_schedule(10), rows_of(lam), 1.0 if lam is None else lam)
         out = p.predict(zs, 3, bias)
         for i in range(4):
             assert np.array_equal(out[i], p.predict(zs[i:i + 1], 3, bias.take([i]))[0])
@@ -369,7 +372,7 @@ class TestGuidedPredict:
         c = conditions()
         assert np.array_equal(guided_predict(p, z, 3, c, 0.0), guided_predict(p, z, 3, c.without_reference()))
         for lam, branches in ((0.0, 1), (0.5, 2), (1.0, 1)):
-            assert p.bias(64, 3, [c], lam).cond.shape[0] == branches
+            assert p.bias(64, build_schedule(3), [c], lam).cond.shape[0] == branches
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_affine_in_lambda(self, lam):

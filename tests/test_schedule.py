@@ -38,8 +38,9 @@ class TestBuildSchedule:
     @pytest.mark.parametrize("T", [1, 10, 50])
     def test_coefficient_identities(self, T):
         s = build_schedule(T)
-        assert np.max(np.abs(s.gamma[1:] * s.a[1:] - 1.0)) < 1e-15
-        assert np.max(np.abs(s.omega[1:] - s.b[1:] * s.gamma[1:])) < 1e-15
+        a, b, gamma, omega = (np.array(coef[1:]) for coef in (s.a, s.b, s.gamma, s.omega))
+        assert np.max(np.abs(gamma * a - 1.0)) < 1e-15
+        assert np.max(np.abs(omega - b * gamma)) < 1e-15
 
     def test_slot_zero_is_identity(self):
         s = build_schedule(10)
@@ -48,8 +49,9 @@ class TestBuildSchedule:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             build_schedule(0)
-        with pytest.raises(ValueError, match="^steps: "):  # a bool once built a 1-step schedule
-            build_schedule(True)
+        for steps in (True, np.True_, 2.5):  # a bool once built a 1-step schedule
+            with pytest.raises(ValueError, match="^steps: "):
+                build_schedule(steps)
         with pytest.raises(ValueError):
             build_schedule(10, 0.0, 0.02)
         with pytest.raises(ValueError):
@@ -65,17 +67,20 @@ class TestScheduleCache:
 
     def test_arrays_are_read_only(self):
         s = build_schedule(12)
-        for name in ("beta", "alpha_bar", "a", "b", "gamma", "omega"):
-            arr = getattr(s, name)
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[1] = 0.0
+        assert not s.alpha_bar.flags.writeable
+        with pytest.raises(ValueError):
+            s.alpha_bar[1] = 0.0
 
     def test_boxed_coefficients_equal_the_arrays(self):
+        # each coefficient is held once, boxed per step, with the bits of the
+        # module docstring's formulas evaluated as arrays over alpha_bar
         s = build_schedule(12)
-        for name in ("a", "b", "gamma", "omega"):
-            arr, boxed = getattr(s, name), getattr(s.coef, name)
-            assert len(boxed) == len(arr) == 13
+        ab = s.alpha_bar
+        a = np.concatenate([[1.0], np.sqrt(ab[:-1] / ab[1:])])
+        b = np.concatenate([[0.0], np.sqrt(1.0 - ab[:-1]) - a[1:] * np.sqrt(1.0 - ab[1:])])
+        for name, arr in (("a", a), ("b", b), ("gamma", 1.0 / a), ("omega", b / a)):
+            boxed = getattr(s, name)
+            assert isinstance(boxed, tuple) and len(boxed) == len(arr) == 13
             for t, value in enumerate(boxed):
                 assert isinstance(value, np.ndarray) and value.shape == () and value.dtype == np.float64
                 assert value.tobytes() == arr[t].tobytes()
@@ -85,9 +90,9 @@ class TestScheduleCache:
 
     def test_cache_hits_share_the_boxed_coefficients(self):
         first, second = build_schedule(14), build_schedule(14)
-        assert first.coef is second.coef
+        assert first is second
         assert all(x is y for name in ("a", "b", "gamma", "omega")
-                   for x, y in zip(getattr(first.coef, name), getattr(second.coef, name)))
+                   for x, y in zip(getattr(first, name), getattr(second, name), strict=True))
 
     def test_cached_integer_does_not_admit_an_equal_float(self):
         build_schedule(12, 1e-4, 2e-2)
