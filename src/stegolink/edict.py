@@ -7,8 +7,7 @@ the denoising direction exactly, to floating-point precision, even though the
 noise predictor itself is a black box.
 
 The sampler traverses the window of the first hi = ceil(edit_strength * T)
-steps from the clean end.  Reverse (denoise) step t, applied for
-t = hi .. 1:
+steps from the clean end.  Reverse (denoise) step t, applied for t = hi .. 1:
 
     z_inter = a[t] z + b[t] eps(u, t, c)
     u_inter = a[t] u + b[t] eps(z_inter, t, c)
@@ -28,15 +27,16 @@ is only approximate; its round-trip error is the gap EDICT closes.
 
 Coefficients: every pass multiplies by 0-d float64 arrays, the schedule's
 per-step a, b, gamma and omega and p and 1 - p boxed once per pass.  A ufunc
-converts a Python float or an np.float64 scalar operand into an array on
-each call, so neither is faster than the other; a 0-d array skips that and
-saves about 0.15 us on each of the ~900 products of a small trial.  The
-product is the same IEEE float64 operation, so the bits are those of the
-Python-float loop.
+boxes a Python float or an np.float64 operand anew on each call; a 0-d array
+skips that, saving about 0.15 us on each of the ~900 products of a small
+trial, and is the same IEEE product, so the bits are the Python-float loop's.
 
-A state may stack several rows along a leading axis, each with its own
-conditions in the predictor's RowBias: every update is elementwise, so the
-rows evolve independently through one predictor call per evaluation.
+A pass takes its bias alone: the RowBias names the predictor and schedule it
+was built for, and the pass binds ``bias.predictor.predict`` and
+``bias.sched`` once.  params gives the window and p; ddim_sample reads only
+the window.  A state may stack rows along a leading axis, each with its own
+conditions in the bias: every update is elementwise, so the rows evolve
+independently through one predictor call per evaluation.
 
 Divergence: each pass checks only its last state (z and u, or x for DDIM)
 for finiteness.  That is enough, because a non-finite value never turns
@@ -45,13 +45,12 @@ x - y, gamma x, a x and p x with p > 0, none of which turns a non-finite
 value finite.  Across steps, each chain's next value is a positive multiple
 of its own value plus a term (p a z + ..., gamma (z_inter - ...), and so on),
 so a non-finite element of z, u or x stays non-finite to the end of the pass.
-A pass whose last state is finite therefore never diverged.  When the last
-state is non-finite, the pass replays its steps from the same start, checking
-each step's outputs, and raises SamplerDivergenceError with the sampler's
-name and the first step that failed; the replay runs only on that path.
-Both runs are the same step generator, so they cannot disagree about what a
-step computes.  The predictor may meanwhile see a non-finite input; one
-errstate around both runs keeps that, and any overflow, free of warnings.
+A pass whose last state is finite therefore never diverged.  Only when it
+is not does the pass replay its steps from the same start, checking each
+step's outputs, and raise SamplerDivergenceError naming the sampler and the
+first step that failed.  Both runs are the same step generator, so they
+cannot disagree about what a step computes.  The predictor may meanwhile see
+a non-finite input or overflow; one errstate around both runs silences both.
 
 Stability note: the unmixing layer expands the difference between the chains
 by 1/p^2 per forward step.  With p well below 1 and many steps the expansion
@@ -67,8 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictor import Predictor, RowBias
-from .schedule import NoiseSchedule
+from .predictor import RowBias
 
 
 class SamplerDivergenceError(RuntimeError):
@@ -160,60 +158,60 @@ def _run_pass(op: str, steps, *args) -> tuple[np.ndarray, ...]:
     raise SamplerDivergenceError(op, t)
 
 
-def _forward_steps(z, u, sched, pred, bias, params):
+def _forward_steps(z, u, bias, params):
+    predict, sched = bias.predictor.predict, bias.sched
     hi = params.window(sched.T)
     p, q = _mixing(params)
     b, gamma = sched.b, sched.gamma
     for t in range(1, hi + 1):
         u_inter = (u - q * z) / p
         z_inter = (z - q * u_inter) / p
-        u = gamma[t] * (u_inter - b[t] * pred.predict(z_inter, t, bias))
-        z = gamma[t] * (z_inter - b[t] * pred.predict(u, t, bias))
+        u = gamma[t] * (u_inter - b[t] * predict(z_inter, t, bias))
+        z = gamma[t] * (z_inter - b[t] * predict(u, t, bias))
         yield t, (z, u)
 
 
-def _reverse_steps(z, u, sched, pred, bias, params):
+def _reverse_steps(z, u, bias, params):
+    predict, sched = bias.predictor.predict, bias.sched
     hi = params.window(sched.T)
     p, q = _mixing(params)
     a, b = sched.a, sched.b
     for t in range(hi, 0, -1):
-        z_inter = a[t] * z + b[t] * pred.predict(u, t, bias)
-        u_inter = a[t] * u + b[t] * pred.predict(z_inter, t, bias)
+        z_inter = a[t] * z + b[t] * predict(u, t, bias)
+        u_inter = a[t] * u + b[t] * predict(z_inter, t, bias)
         z = p * z_inter + q * u_inter
         u = p * u_inter + q * z
         yield t, (z, u)
 
 
-def _ddim_steps(x, sched, pred, bias, direction, params):
+def _ddim_steps(x, bias, direction, params):
+    predict, sched = bias.predictor.predict, bias.sched
     hi = params.window(sched.T)
     if direction == "denoising":
         a, b = sched.a, sched.b
         for t in range(hi, 0, -1):
-            x = a[t] * x + b[t] * pred.predict(x, t, bias)
+            x = a[t] * x + b[t] * predict(x, t, bias)
             yield t, (x,)
     else:
         gamma, omega = sched.gamma, sched.omega
         for t in range(1, hi + 1):
-            x = gamma[t] * x - omega[t] * pred.predict(x, t, bias)
+            x = gamma[t] * x - omega[t] * predict(x, t, bias)
             yield t, (x,)
 
 
-def edict_forward(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
-                  bias: RowBias, params: SamplerParams) -> CoupledState:
+def edict_forward(state: CoupledState, bias: RowBias, params: SamplerParams) -> CoupledState:
     """Noise a coupled state across the window; exact inverse of edict_reverse."""
-    z, u = _run_pass("edict_forward", _forward_steps, state.z, state.u, sched, pred, bias, params)
+    z, u = _run_pass("edict_forward", _forward_steps, state.z, state.u, bias, params)
     return CoupledState.of_pass(z, u)
 
 
-def edict_reverse(state: CoupledState, sched: NoiseSchedule, pred: Predictor,
-                  bias: RowBias, params: SamplerParams) -> CoupledState:
+def edict_reverse(state: CoupledState, bias: RowBias, params: SamplerParams) -> CoupledState:
     """Denoise a coupled state across the window; exact inverse of edict_forward."""
-    z, u = _run_pass("edict_reverse", _reverse_steps, state.z, state.u, sched, pred, bias, params)
+    z, u = _run_pass("edict_reverse", _reverse_steps, state.z, state.u, bias, params)
     return CoupledState.of_pass(z, u)
 
 
-def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
-                bias: RowBias, direction: str, params: SamplerParams) -> np.ndarray:
+def ddim_sample(z: np.ndarray, bias: RowBias, direction: str, params: SamplerParams) -> np.ndarray:
     """Single-chain DDIM pass across the window.
 
     "denoising" applies z <- a[t] z + b[t] eps(z, t).  "noising" applies the
@@ -223,5 +221,5 @@ def ddim_sample(z: np.ndarray, sched: NoiseSchedule, pred: Predictor,
     if direction not in ("noising", "denoising"):
         raise ValueError("direction must be 'noising' or 'denoising'")
     x = np.asarray(z, dtype=np.float64)
-    (x,) = _run_pass("ddim_sample", _ddim_steps, x, sched, pred, bias, direction, params)
+    (x,) = _run_pass("ddim_sample", _ddim_steps, x, bias, direction, params)
     return x

@@ -162,22 +162,25 @@ def iter_sweep(spec: SweepSpec):
     abandoned part-way leaves at most one job there, which the next job
     sent discards.
     """
-    jobs = [(point, point_index, trial_index) for point_index, point in enumerate(spec.points())
-            for trial_index in range(spec.trials_per_point)]
+    def job(k: int) -> tuple:  # job k's (point, point index, trial index), computed, never stored
+        return points[k // spec.trials_per_point], *divmod(k, spec.trials_per_point)
+
+    points = spec.points()
+    total = len(points) * spec.trials_per_point
     away = None  # (job index, helper, ticket) of the job the helper runs
-    for k, job in enumerate(jobs):
+    for k in range(total):
         row = None
         if away is not None and away[0] == k:
             row = away[1].result(away[2])
             away, ahead = None, k + 2  # the caller runs k + 1 itself
         else:
             ahead = k + 1
-        if away is None and ahead < len(jobs) and (k > 0 or _live is not None):
+        if away is None and ahead < total and (k > 0 or _live is not None):
             helper = _helper()
-            ticket = helper.submit((spec, *jobs[ahead])) if helper is not None else None
+            ticket = helper.submit((spec, *job(ahead))) if helper is not None else None
             if ticket is not None:
                 away = ahead, helper, ticket
-        yield row if row is not None else _sweep_row(spec, *job)
+        yield row if row is not None else _sweep_row(spec, *job(k))
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

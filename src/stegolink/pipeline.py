@@ -89,10 +89,12 @@ REVEAL_ROWS = tuple(r.name for r in _ROWS)
 
 
 def _check_shape(shape) -> tuple[int, int, int]:
-    """shape as a tuple; anything but three positive integers raises a ValueError naming shape."""
+    """shape as a tuple; anything but three positive integers of two values or more is a ValueError naming shape."""
     if not (isinstance(shape, (list, tuple)) and len(shape) == 3
             and all(_is_int(s) and s >= 1 for s in shape)):
         raise ValueError("shape: must be three positive integers (channels, height, width)")
+    if math.prod(shape) < 2:
+        raise ValueError("shape: must hold at least two values (one value makes a constant secret)")
     return tuple(shape)
 
 
@@ -328,10 +330,10 @@ def _coupled_pass(state: CoupledState, link: KeyedLink, noise_bias: RowBias, mas
     Hiding noises under the plain bias and denoises under the conditioned
     one; the reveal swaps the two, and its flip, an involution, undoes hiding's.
     """
-    state = edict_forward(state, link.sched, link.pred, noise_bias, link.params)
+    state = edict_forward(state, noise_bias, link.params)
     # a sign flip keeps the pass's checked chains finite
     state = CoupledState.of_pass(perturb(state.z, mask), perturb(state.u, mask))
-    return edict_reverse(state, link.sched, link.pred, denoise_bias, link.params)
+    return edict_reverse(state, denoise_bias, link.params)
 
 
 def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
@@ -405,8 +407,8 @@ def make_secret(seed: Seed64 | int, shape: tuple[int, int, int]) -> np.ndarray:
 
     Stands in for natural-image latents; never constant, so its dynamic
     range is always a valid PSNR peak.  seed must be a Seed64 or an integer
-    in [0, 2^64), and shape three positive integers; values are checked,
-    never converted, and a bad one raises a ValueError naming its argument.
+    in [0, 2^64), shape three positive integers of two values or more; each
+    is checked, never converted, and a bad one raises a ValueError naming it.
     """
     channels, height, width = _check_shape(shape)
     stream = RandomStream(derive(seed, "secret-field"))  # derive checks the seed

@@ -137,9 +137,11 @@ def _time_embeddings(steps: int) -> np.ndarray:
 class RowBias:
     """The latent-free part of a predictor's input for a batch of rows.
 
-    Each of the ``rows`` latents has n values.  ``step[t]`` is the step term
-    at step t as a (1, h) row (tiny-mlp only, else None), and ``cond[k, r]``
-    is row r's condition term in guidance branch k.  Conditioned rows have one branch
+    It names what a sampler pass runs: the ``predictor`` that built it and
+    the schedule ``sched`` over whose steps 0..T its step term runs.  Each of
+    the ``rows`` latents has n values.  ``step[t]`` is the step term at step
+    t as a (1, h) row (tiny-mlp only, else None), and ``cond[k, r]`` is row
+    r's condition term in guidance branch k.  Conditioned rows have one branch
     (full or key-only) or two, key only then full, mixed as
     (1 - guidance_weight) * key_only + guidance_weight * full.
     Unconditioned rows, like every row of the zero predictor, have no
@@ -148,6 +150,8 @@ class RowBias:
     for n-value rows, shared by every bias of that predictor and n.
     """
 
+    predictor: Predictor
+    sched: NoiseSchedule
     n: int
     rows: int
     step: np.ndarray | None
@@ -160,7 +164,7 @@ class RowBias:
         return 0 if self.cond is None else len(self.cond)
 
     def take(self, rows: list[int]) -> "RowBias":
-        """The same terms for a subset of the rows; the step term is shared."""
+        """The same predictor, schedule and step term for a subset of the rows."""
         return replace(self, rows=len(rows), cond=None if self.cond is None else _read_only(self.cond[:, rows]))
 
 
@@ -264,10 +268,10 @@ class Predictor:
              guidance_weight: float = 1.0) -> RowBias:
         """Precompute the latent-free terms for rows of n-value latents.
 
-        The step term covers the schedule's steps 0..sched.T.  Each row is
-        conditioned by its ConditionSet or unconditioned (None); the rows of
-        one batch are all conditioned or all unconditioned.  Conditioned rows
-        mix their two guidance branches by guidance_weight, in [0, 1].
+        The bias names self and sched; its step term covers steps 0..sched.T.
+        Each row is conditioned by its ConditionSet or unconditioned (None);
+        the rows of one batch are all conditioned or all unconditioned.
+        Conditioned rows mix their two guidance branches by guidance_weight.
         """
         if not rows:
             raise ValueError("a batch needs at least one row")
@@ -300,16 +304,17 @@ class Predictor:
             step = _read_only(_time_embeddings(sched.T) @ w1[:, n:n + _TIME_DIM].T)[:, None]
             if cvec is not None:
                 cond = _read_only(cvec @ w1[:, n + _TIME_DIM:].T)
-        return RowBias(n, len(rows), step, cond, guidance_weight, self._sizes.get(n, ((), ()))[1])
+        return RowBias(self, sched, n, len(rows), step, cond, guidance_weight, self._sizes.get(n, ((), ()))[1])
 
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
         """Noise estimate at step t for each of the bias's rows.
 
-        z stacks one latent per row along its leading axis (a single latent
-        is a one-row batch as it is); the result has z's shape and is a new
-        array, and neither z nor the bias is written.  Values are checked
-        where they enter the pipeline, not here: each sampler pass checks
-        the state it ends on (see the edict module).
+        bias is one this predictor built, and t a step of ``bias.sched``; a
+        sampler pass calls ``bias.predictor.predict``.  z stacks one latent
+        per row along its leading axis (a single latent is a one-row batch as
+        it is); the result has z's shape and is a new array, and neither z
+        nor the bias is written.  Values are checked where they enter the
+        pipeline, not here: each sampler pass checks the state it ends on.
 
         tiny-mlp runs one product, adds the step term and a one-branch
         condition term into it, takes tanh in place and runs one product;

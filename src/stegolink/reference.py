@@ -30,8 +30,7 @@ def generate_reference(token: bytes | str, conditions: ConditionSet, sched: Nois
     size = int(np.prod(shape))
     start = gaussian_stream(hash_token(token, "ref"), size).reshape(shape)
     params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
-    bias = pred.bias(size, sched, [conditions.without_reference()])
-    return ddim_sample(start, sched, pred, bias, "denoising", params)
+    return ddim_sample(start, pred.bias(size, sched, [conditions.without_reference()]), "denoising", params)
 
 
 _POOL_SEGMENTS = 16

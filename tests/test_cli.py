@@ -119,6 +119,7 @@ class TestRun:
         ({"shape": [1, 8.5, 8]}, "shape"),
         ({"snr_db": -6000}, "snr_db"),
         ({"snr_db": 4000}, "snr_db"),
+        ({"shape": [1, 1, 1]}, "shape"),
     ])
     def test_bad_config_value_rc2_names_field(self, tmp_path, payload, field):
         cfg = write_json(tmp_path / "cfg.json", payload)

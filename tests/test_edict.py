@@ -1,5 +1,6 @@
 """Coupled-chain invertible sampler and the single-chain baseline."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -87,7 +88,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(40), 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
-        out = edict_forward(state, sched, pred, plain(pred, v, sched),
+        out = edict_forward(state, plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         gain = np.sqrt(sched.alpha_bar[10])  # the product of gamma[1..10]
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
@@ -97,7 +98,7 @@ class TestClosedForms:
         sched = build_schedule(1, 0.1, 0.1)
         state = CoupledState(np.ones((1, 4, 4)), np.ones((1, 4, 4)))
         pred = Predictor("zero", 7)
-        out = edict_forward(state, sched, pred, plain(pred, state.z, sched),
+        out = edict_forward(state, plain(pred, state.z, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         assert out.z[0, 0, 0] == pytest.approx(0.9486832980505138, abs=1e-12)
 
@@ -106,7 +107,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(41), 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
-        out = edict_reverse(state, sched, pred, plain(pred, v, sched),
+        out = edict_reverse(state, plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=1.0))
         assert np.max(np.abs(out.z - v / np.sqrt(sched.alpha_bar[10]))) < 1e-12
 
@@ -115,7 +116,7 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(42), 16).reshape(1, 4, 4)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
-        out = edict_reverse(state, sched, pred, plain(pred, v, sched),
+        out = edict_reverse(state, plain(pred, v, sched),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
         assert np.max(np.abs(out.z - sched.a[1] * v)) < 1e-15
 
@@ -124,7 +125,7 @@ class TestClosedForms:
         sched = build_schedule(10)
         st = seeded_state("p1-indep", 0, (1, 8, 8))
         pred = Predictor("zero", 7)
-        out = edict_forward(st, sched, pred, plain(pred, st.z, sched),
+        out = edict_forward(st, plain(pred, st.z, sched),
                             SamplerParams(mixing_p=1.0, edit_strength=1.0))
         gain = np.sqrt(sched.alpha_bar[10])  # the product of gamma[1..10]
         assert np.max(np.abs(out.z - gain * st.z)) < 1e-12
@@ -135,11 +136,9 @@ class TestClosedForms:
         v = gaussian_stream(Seed64(43), 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
         pred = Predictor("zero", 7)
-        fwd = edict_forward(CoupledState(v.copy(), v.copy()), sched,
-                            pred, plain(pred, v, sched), params)
+        fwd = edict_forward(CoupledState(v.copy(), v.copy()), plain(pred, v, sched), params)
         assert np.max(np.abs(fwd.z - fwd.u)) < 1e-12
-        rev = edict_reverse(CoupledState(v.copy(), v.copy()), sched,
-                            pred, plain(pred, v, sched), params)
+        rev = edict_reverse(CoupledState(v.copy(), v.copy()), plain(pred, v, sched), params)
         assert np.max(np.abs(rev.z - rev.u)) < 1e-12
 
     def test_window_respects_edit_strength(self):
@@ -147,8 +146,7 @@ class TestClosedForms:
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(44), 64).reshape(1, 8, 8)
         pred = Predictor("zero", 7)
-        out = edict_forward(CoupledState(v.copy(), v.copy()), sched,
-                            pred, plain(pred, v, sched),
+        out = edict_forward(CoupledState(v.copy(), v.copy()), plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=0.5))
         gain = float(np.prod(sched.gamma[1:6]))
         assert np.max(np.abs(out.z - gain * v)) < 1e-12
@@ -181,8 +179,7 @@ class TestExactInversion:
         for i in range(6):
             st = seeded_state(f"edict-rt|{kind}|{p}|{T}", i)
             bias = plain(pred, st.z, sched)
-            back = edict_reverse(edict_forward(st, sched, pred, bias, params),
-                                 sched, pred, bias, params)
+            back = edict_reverse(edict_forward(st, bias, params), bias, params)
             worst = max(worst,
                         float(np.max(np.abs(back.z - st.z))),
                         float(np.max(np.abs(back.u - st.u))))
@@ -197,8 +194,7 @@ class TestExactInversion:
         params = SamplerParams(mixing_p=p, edit_strength=1.0)
         st = seeded_state(f"edict-cond|{kind}|{p}|{T}", 0)
         cond = pred.bias(st.z.size, sched, [shared_conditions()])
-        back = edict_reverse(edict_forward(st, sched, pred, cond, params),
-                             sched, pred, cond, params)
+        back = edict_reverse(edict_forward(st, cond, params), cond, params)
         err = max(float(np.max(np.abs(back.z - st.z))),
                   float(np.max(np.abs(back.u - st.u))))
         assert err < 1e-8
@@ -209,8 +205,7 @@ class TestExactInversion:
         params = SamplerParams(mixing_p=0.93, edit_strength=0.5)
         st = seeded_state("edict-window", 1)
         bias = plain(pred, st.z, sched)
-        back = edict_reverse(edict_forward(st, sched, pred, bias, params),
-                             sched, pred, bias, params)
+        back = edict_reverse(edict_forward(st, bias, params), bias, params)
         assert float(np.max(np.abs(back.z - st.z))) < 1e-8
 
 
@@ -222,7 +217,7 @@ class TestDivergenceSignal:
         huge = np.full((1, 4, 4), 1e308)
         state = CoupledState(huge, -huge)
         with pytest.raises(SamplerDivergenceError) as exc:
-            edict_forward(state, sched, pred, plain(pred, huge, sched), params)
+            edict_forward(state, plain(pred, huge, sched), params)
         assert "step" in str(exc.value)
 
     # the steps below were measured on the sampler that checked every
@@ -240,10 +235,10 @@ class TestDivergenceSignal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SamplerDivergenceError) as exc:
-                edict_forward(st, sched, pred, bias, SamplerParams(mixing_p=0.01))
+                edict_forward(st, bias, SamplerParams(mixing_p=0.01))
             before = SamplerParams(mixing_p=0.01, edit_strength=0.76)
             assert before.window(100) == 76
-            last = edict_forward(st, sched, pred, bias, before)
+            last = edict_forward(st, bias, before)
         assert (exc.value.op, exc.value.step) == ("edict_forward", 77)
         with np.errstate(over="ignore", invalid="ignore"):
             u_inter = (last.u - 0.99 * last.z) / 0.01
@@ -258,7 +253,7 @@ class TestDivergenceSignal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SamplerDivergenceError) as exc:
-                edict_reverse(CoupledState(big, big), sched, pred, plain(pred, big, sched),
+                edict_reverse(CoupledState(big, big), plain(pred, big, sched),
                               SamplerParams(mixing_p=0.5))
         assert (exc.value.op, exc.value.step) == ("edict_reverse", step)
         assert str(exc.value) == f"edict_reverse produced a non-finite state at step {step}"
@@ -271,7 +266,7 @@ class TestDivergenceSignal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SamplerDivergenceError) as exc:
-                ddim_sample(big, sched, pred, plain(pred, big, sched), "denoising", SamplerParams(mixing_p=1.0))
+                ddim_sample(big, plain(pred, big, sched), "denoising", SamplerParams(mixing_p=1.0))
         assert (exc.value.op, exc.value.step) == ("ddim_sample", step)
 
 
@@ -295,16 +290,19 @@ class SpikePredictor:
         return eps
 
 
+def spiked(st, pred):
+    """A zero predictor's bias over build_schedule(10) for st, run by pred instead."""
+    return dataclasses.replace(Predictor("zero").bias(st.z.size, build_schedule(10), [None]), predictor=pred)
+
+
 # T = 10 and edit strength 0.6 give a 6-step window; the first and the last
 # step of each pass, in the order it runs them
 WINDOW = SamplerParams(mixing_p=0.93, edit_strength=0.6)
 PASSES = {
-    "edict_forward": (lambda st, pred: edict_forward(st, build_schedule(10), pred, None, WINDOW), 2, [1, 6]),
-    "edict_reverse": (lambda st, pred: edict_reverse(st, build_schedule(10), pred, None, WINDOW), 2, [6, 1]),
-    "ddim_noising": (lambda st, pred: ddim_sample(st.z, build_schedule(10), pred, None, "noising", WINDOW),
-                     1, [1, 6]),
-    "ddim_denoising": (lambda st, pred: ddim_sample(st.z, build_schedule(10), pred, None, "denoising", WINDOW),
-                       1, [6, 1]),
+    "edict_forward": (lambda st, pred: edict_forward(st, spiked(st, pred), WINDOW), 2, [1, 6]),
+    "edict_reverse": (lambda st, pred: edict_reverse(st, spiked(st, pred), WINDOW), 2, [6, 1]),
+    "ddim_noising": (lambda st, pred: ddim_sample(st.z, spiked(st, pred), "noising", WINDOW), 1, [1, 6]),
+    "ddim_denoising": (lambda st, pred: ddim_sample(st.z, spiked(st, pred), "denoising", WINDOW), 1, [6, 1]),
 }
 
 
@@ -322,12 +320,12 @@ class TestPassCheck:
         real = Predictor.predict
         monkeypatch.setattr(Predictor, "predict", lambda *a, **k: calls.append(1) or real(*a, **k))
         hi = WINDOW.window(10)
-        edict_forward(st, sched, pred, bias, WINDOW)
+        edict_forward(st, bias, WINDOW)
         assert len(calls) == 2 * hi
-        edict_reverse(st, sched, pred, bias, WINDOW)
+        edict_reverse(st, bias, WINDOW)
         assert len(calls) == 4 * hi
-        ddim_sample(st.z, sched, pred, bias, "noising", WINDOW)
-        ddim_sample(st.z, sched, pred, bias, "denoising", WINDOW)
+        ddim_sample(st.z, bias, "noising", WINDOW)
+        ddim_sample(st.z, bias, "denoising", WINDOW)
         assert len(calls) == 6 * hi
 
     @pytest.mark.parametrize("name", sorted(PASSES))
@@ -385,10 +383,10 @@ def reference_pass(name, st, sched, pred, bias, params):
     return (z,)
 
 
-def run_pass(name, st, sched, pred, bias, params):
+def run_pass(name, st, bias, params):
     if name.startswith("ddim"):
-        return (ddim_sample(st.z, sched, pred, bias, name[len("ddim_"):], params),)
-    out = (edict_forward if name == "edict_forward" else edict_reverse)(st, sched, pred, bias, params)
+        return (ddim_sample(st.z, bias, name[len("ddim_"):], params),)
+    out = (edict_forward if name == "edict_forward" else edict_reverse)(st, bias, params)
     return out.z, out.u
 
 
@@ -408,10 +406,28 @@ class TestBoxedCoefficients:
         conds = [shared_conditions()] * rows if rows > 1 else [None]
         bias = pred.bias(64, sched, conds, 0.5 if rows > 1 else 1.0)
         params = SamplerParams(mixing_p=mixing_p, edit_strength=0.7)
-        got = run_pass(name, st, sched, pred, bias, params)
+        got = run_pass(name, st, bias, params)
         want = reference_pass(name, st, sched, pred, bias, params)
         for g, w in zip(got, want, strict=True):
             assert g.dtype == np.float64 and g.shape == shape
+            assert g.tobytes() == w.tobytes()
+
+
+class TestBiasNamesItsPass:
+    # a pass runs the predictor and the schedule its bias names, and a bias's
+    # subset of rows names the same two
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_pass_runs_the_predictor_and_schedule_of_its_bias(self, name):
+        sched = build_schedule(10)
+        pred = Predictor("tiny-mlp", weight_seed=8)
+        rows = [shared_conditions(), shared_conditions().without_reference()]
+        bias = pred.bias(64, sched, rows, 0.5).take([1])
+        assert bias.predictor is pred and bias.sched is sched
+        st = seeded_state("bias-names", 0, (1, 8, 8))
+        params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
+        want = reference_pass(name, st, sched, pred, bias, params)
+        for g, w in zip(run_pass(name, st, bias, params), want, strict=True):
             assert g.tobytes() == w.tobytes()
 
 
@@ -434,11 +450,11 @@ class TestEndStateCheck:
         bias = plain(pred, st.z, sched)
         assert checks == [2]  # building st from outside checked it
         checks.clear()
-        fwd = edict_forward(st, sched, pred, bias, WINDOW)
+        fwd = edict_forward(st, bias, WINDOW)
         assert checks == [2]
-        edict_reverse(fwd, sched, pred, bias, WINDOW)
+        edict_reverse(fwd, bias, WINDOW)
         assert checks == [2, 2]
-        ddim_sample(st.z, sched, pred, bias, "noising", WINDOW)
+        ddim_sample(st.z, bias, "noising", WINDOW)
         assert checks == [2, 2, 1]
 
 
@@ -447,7 +463,7 @@ class TestDDIM:
         sched = build_schedule(10)
         v = gaussian_stream(Seed64(50), 64).reshape(1, 8, 8)
         pred = Predictor("zero", 7)
-        out = ddim_sample(v, sched, pred, plain(pred, v, sched), "denoising",
+        out = ddim_sample(v, plain(pred, v, sched), "denoising",
                           SamplerParams(mixing_p=1.0, edit_strength=1.0))
         assert np.max(np.abs(out - v / np.sqrt(sched.alpha_bar[10]))) < 1e-12
 
@@ -456,8 +472,8 @@ class TestDDIM:
         v = gaussian_stream(Seed64(51), 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
         pred = Predictor("zero", 7)
-        noised = ddim_sample(v, sched, pred, plain(pred, v, sched), "noising", params)
-        back = ddim_sample(noised, sched, pred, plain(pred, v, sched), "denoising", params)
+        noised = ddim_sample(v, plain(pred, v, sched), "noising", params)
+        back = ddim_sample(noised, plain(pred, v, sched), "denoising", params)
         assert np.max(np.abs(back - v)) < 1e-12
 
     def test_direction_validated(self):
@@ -465,7 +481,7 @@ class TestDDIM:
         pred = Predictor("zero", 7)
         bias = plain(pred, np.zeros((1, 4, 4)), sched)
         with pytest.raises(ValueError):
-            ddim_sample(np.zeros((1, 4, 4)), sched, pred, bias, "sideways", SamplerParams(mixing_p=1.0))
+            ddim_sample(np.zeros((1, 4, 4)), bias, "sideways", SamplerParams(mixing_p=1.0))
 
     def test_round_trip_error_exceeds_coupled_sampler(self):
         # the single-chain inversion reuses the prediction at the wrong
@@ -477,11 +493,10 @@ class TestDDIM:
         for i in range(10):
             st = seeded_state("ddim-gap", i)
             bias = plain(pred, st.z, sched)
-            noised = ddim_sample(st.z, sched, pred, bias, "noising", params)
-            back = ddim_sample(noised, sched, pred, bias, "denoising", params)
+            noised = ddim_sample(st.z, bias, "noising", params)
+            back = ddim_sample(noised, bias, "denoising", params)
             ddim_errs.append(float(np.mean(np.abs(back - st.z))))
-            rt = edict_reverse(edict_forward(st, sched, pred, bias, params),
-                               sched, pred, bias, params)
+            rt = edict_reverse(edict_forward(st, bias, params), bias, params)
             edict_errs.append(float(np.mean(np.abs(rt.z - st.z))))
         assert np.mean(ddim_errs) >= 1e3 * np.mean(edict_errs)
         assert all(d > e for d, e in zip(ddim_errs, edict_errs))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 from dataclasses import replace
@@ -174,6 +175,23 @@ class TestRunSweep:
         assert [r["point_index"] for r in rows] == [0, 0, 1, 1]
         assert [r["trial_index"] for r in rows] == [0, 1, 0, 1]
         assert all(r["error"] is None for r in rows)
+
+    def test_first_row_of_a_long_sweep_holds_no_job_list(self, cpus):
+        # job k is computed from k, so the first row of 200,000 trials peaks
+        # as one trial's does; a list of every job held about 20 MB
+        cpus(1)
+        spec = SweepSpec(base=PipelineConfig(steps=2, shape=(1, 4, 4), predictor_kind="zero"),
+                         axes={"snr_db": [5.0]}, trials_per_point=200_000)
+        rows = iter_sweep(spec)
+        tracemalloc.start()
+        try:
+            row = next(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            rows.close()
+        assert (row["point_index"], row["trial_index"], row["error"]) == (0, 0, None)
+        assert peak < 1_000_000
 
     def test_axes_recorded_per_row(self):
         rows = run_sweep(small_sweep())

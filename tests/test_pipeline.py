@@ -127,6 +127,7 @@ class TestConfigValidation:
         ("h", -5e-324),
         ("h", float("nan")),
         pytest.param("h", 10 ** 400, id="h-int-past-float64"),
+        ("shape", (1, 1, 1)),
     ])
     def test_invalid_field_named_in_error(self, field, value):
         with pytest.raises(ValueError) as exc:
@@ -426,11 +427,10 @@ class TestBatchedReveal:
         for name, row in batched.items():
             row_conditions = link.conditions[REVEAL_ROWS.index(name)]
             keyed = link.pred.bias(n, link.sched, [row_conditions], cfg.guidance_weight)
-            state = edict_forward(pipeline._unpack_pair(stego_hat, cfg.shape[0], link.gain),
-                                  link.sched, link.pred, keyed, link.params)
+            state = edict_forward(pipeline._unpack_pair(stego_hat, cfg.shape[0], link.gain), keyed, link.params)
             if masks[name] is not None:
                 state = CoupledState(restore(state.z, masks[name]), restore(state.u, masks[name]))
-            alone = edict_reverse(state, link.sched, link.pred, plain, link.params).z
+            alone = edict_reverse(state, plain, link.params).z
             assert np.max(np.abs(row - alone)) < 1e-9, name
         assert not np.allclose(batched["E2"], batched["E3"], atol=1e-3)
 
