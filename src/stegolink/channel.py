@@ -8,9 +8,10 @@ signal power:
     sigma^2 = P_signal / 10^(snr_db / 10)
 
 Noise draws come from a seeded gaussian stream so every transmission is
-reproducible.  ChannelConfig checks its own fields: it refuses an snr_db whose
-noise divisor 10^(snr_db/10) is zero or infinite, and a gain h that is not a
-finite normal float64, so transmit and decode never divide by zero.
+reproducible.  ChannelConfig checks its own fields: it refuses a noise_seed
+outside [0, 2^64), a non-bool noiseless, an snr_db whose noise divisor
+10^(snr_db/10) is zero or infinite, and a gain h that is not a finite normal
+float64, so transmit and decode never divide by zero.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, gaussian_stream
+from .rng import Seed64, _as_seed, gaussian_stream
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,9 @@ class ChannelConfig:
     noiseless: bool = False
 
     def __post_init__(self):
+        _as_seed(self.noise_seed, "noise_seed")  # checked, not converted
+        if not isinstance(self.noiseless, bool):
+            raise ValueError("noiseless: must be true or false")
         try:
             snr_ratio = 10.0 ** (self.snr_db / 10.0)  # transmit's noise divisor
         except OverflowError:

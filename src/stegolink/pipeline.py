@@ -27,24 +27,24 @@ Every keyed object is a pure function of the config and its tokens.  Three
 ``functools.lru_cache`` functions hold them: ``_model`` the hiding and the
 reference model (2 entries), ``build_conditions`` the condition sets of one
 link's three reference tokens (3), and ``_keyed_link`` the last four
-KeyedLinks (4), which hold the rest (schedule, masks and the predictor's
-latent-free input terms).  Two smaller caches spare a fresh-token link
-rebuilding what it shares with the last one: ``_mask_bits`` the mask bits
-of a link's legit and eavesdropper tokens (2 entries), and
-``_key_only_conditions`` the key-only condition set every reference
-generation starts from (1).  hide, reveal and eavesdrop all read from a
-link.  A link is keyed by every config field except the channel's (snr_db, h,
-noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
-those fields alone, so the trials of one sweep point, or of an SNR sweep,
-share one link.  No record depends on what the caches hold.
+KeyedLinks (4), which hold the rest: the link's two passes.  Two smaller
+caches spare a fresh-token link rebuilding what it shares with the last one:
+``_mask_bits`` the mask bits of a link's legit and eavesdropper tokens (2
+entries), and ``_key_only_conditions`` the key-only condition set every
+reference generation starts from (1).  hide, reveal and eavesdrop all read
+from a link.  A link is keyed by every config field except the channel's
+(snr_db, h, noiseless) and the trial's seeds (noise_seed, secret_seed), and
+built from those fields alone, so the trials of one sweep point, or of an
+SNR sweep, share one link.  No record depends on what the caches hold.
 
-One batched reveal serves every receiver: the receivers with a start and
-the channel-free round trip are the rows (in REVEAL_ROWS order) of a single
-coupled-sampler pass, since they share the predictor, the schedule and the
-window and differ only in start state, conditions and mask.  The row count is
-fixed, so every reveal of a link runs the same computation; reveal and
-eavesdrop return their row of it.  Hiding is the same coupled pass over the
-legit row alone, with the biases swapped.
+A link is its two coupled passes, ``link.hide`` and ``link.reveal``, each a
+``Pass`` (noise bias, mask, denoise bias); a bias names the predictor and
+schedule it runs.  The receivers with a start and the channel-free round
+trip are the rows (in REVEAL_ROWS order) of ``link.reveal``: they share the
+predictor, the schedule and the window and differ only in start state,
+conditions and mask.  Its row count is fixed, so every reveal of a link runs
+the same computation; reveal and eavesdrop return their row of it.
+``link.hide`` is the legit row of the same terms, with the biases swapped.
 
 PipelineConfig checks each field's kind (one table, which SweepSpec reads too)
 and the shape, and leaves every other rule and its message to the check that
@@ -65,7 +65,7 @@ import numpy as np
 from .channel import ChannelConfig, decode, encode, transmit
 from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
 from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
-from .predictor import ConditionSet, Predictor, RowBias, _check_args, embed_text
+from .predictor import ConditionSet, Predictor, _check_args, embed_text
 from .reference import embed_reference, generate_reference
 from .rng import RandomStream, Seed64, _check_seed, _is_int, derive
 from .schedule import _BETA_END, _BETA_START, _check_schedule, build_schedule
@@ -86,6 +86,10 @@ RECEIVERS = (Receiver("legit", "legit", "token", "token", "received"),
 _ROUNDTRIP = Receiver("roundtrip", None, "token", "token", "sent")  # its record entry is the max error
 _ROWS = tuple(r for r in (*RECEIVERS, _ROUNDTRIP) if r.start)  # the rows of the batched reveal
 REVEAL_ROWS = tuple(r.name for r in _ROWS)
+
+# one coupled pass: noise under one bias, flip the mask's signs, denoise under
+# the other; each bias names the predictor and schedule it runs
+Pass = collections.namedtuple("Pass", "noise mask denoise")
 
 
 def _check_shape(shape) -> tuple[int, int, int]:
@@ -150,18 +154,17 @@ class PipelineConfig:
         _check_kinds(self)
         object.__setattr__(self, "shape", _check_shape(self.shape))
         # every other rule is checked by the module that builds from the field
-        for name in ("predictor_seed", "noise_seed", "secret_seed"):
+        for name in ("predictor_seed", "secret_seed"):
             _check_seed(getattr(self, name), name)
         _check_schedule(self.steps, self.beta_start, self.beta_end)
         _check_args(self.predictor_kind, self.embed_dim, self.guidance_weight)
         _check_eta(self.eta)
         SamplerParams(mixing_p=self.mixing_p, edit_strength=self.edit_strength)
-        self.channel  # built for its checks of snr_db and h
+        self.channel  # built for its checks of snr_db, h, noise_seed and noiseless
 
     @property
     def channel(self) -> ChannelConfig:
-        return ChannelConfig(snr_db=self.snr_db, h=self.h, noise_seed=self.noise_seed,
-                             noiseless=self.noiseless)
+        return ChannelConfig(**{f.name: getattr(self, f.name) for f in fields(ChannelConfig)})
 
     def to_dict(self) -> dict:
         out = {}
@@ -228,29 +231,23 @@ def sync_gain(mixing_p: float, steps: int) -> float:
 class KeyedLink:
     """Every keyed object of one config, built once and shared by all ends.
 
-    Holds the latent shape, the hiding schedule, predictor, sampler params
-    and pair gain, and one row per REVEAL_ROWS entry: ``conditions`` holds
-    each row's condition set, regenerated from the reference token its
-    receiver names (cfg.token for the legit and round-trip rows,
-    cfg.eavesdropper_token for E2, the stock reference for E3), and
-    ``reveal_mask`` stacks each row's sign-flip mask, from the mask token its
-    receiver names.  A receiver that names none, E3, has an all-zero mask
-    row whatever the tokens: it leaves the sign flips in place.  Each
-    distinct token's reference is generated once.  A link reads nothing of
-    the channel or the trial's seeds: cfg may be a PipelineConfig or the
-    ``_LinkConfig`` of its other fields, which is what ``_link`` builds
-    from, so one link serves every trial whose config differs only in those.
+    Holds the latent shape, the sampler params, the pair gain and the two
+    passes.  ``reveal`` has one row per REVEAL_ROWS entry, noised under the
+    condition set of the reference token its receiver names (cfg.token for
+    the legit and round-trip rows, cfg.eavesdropper_token for E2, the stock
+    reference for E3) mixed by cfg.guidance_weight, sign-flipped by the mask
+    of its mask token (all zeros for E3, which names none, so the flips stay
+    in place), and denoised unconditioned.  ``hide`` runs the legit row of
+    the same terms with the biases swapped, so its conditioned pass and the
+    legit row's inverse add identical bias bits.
 
-    Two RowBias hold the predictor's latent-free terms for the rows:
-    ``reveal_bias`` conditions each row by its condition set and mixes the
-    guidance branches by cfg.guidance_weight, ``plain_bias`` leaves them
-    unconditioned.  Hiding runs row 0 of the same terms (``hide_plain_bias``,
-    ``hide_mask`` and ``hide_bias``), so its conditioned pass and the legit
-    row's inverse add identical bias bits.
-
-    Each distinct token is looked up once in its cache (see the module
-    docstring), in row order, so the shared eavesdropper and stock tokens
-    stay the most recently used and a fresh legit token evicts only the last.
+    A link reads nothing of the channel or the trial's seeds: cfg may be a
+    PipelineConfig or the ``_LinkConfig`` of its other fields, which is what
+    ``_link`` builds from, so one link serves every trial whose config
+    differs only in those.  Each distinct token is looked up once in its
+    cache (see the module docstring), in row order, so the shared
+    eavesdropper and stock tokens stay the most recently used and a fresh
+    legit token evicts only the last.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -263,23 +260,20 @@ class KeyedLink:
                                           model_seed=model_seed, steps=cfg.steps, beta_start=cfg.beta_start,
                                           beta_end=cfg.beta_end, shape=cfg.shape)
                       for t in dict.fromkeys(ref_tokens)}
+        sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+        pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
 
         self.shape = cfg.shape
-        self.conditions = [conditions[t] for t in ref_tokens]
-        self.sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-        self.pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
         self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
-        self.gain = sync_gain(cfg.mixing_p, self.params.window(self.sched.T))
+        self.gain = sync_gain(cfg.mixing_p, self.params.window(sched.T))
 
         n = int(np.prod(cfg.shape))
-        self.reveal_bias = self.pred.bias(n, self.sched, self.conditions, cfg.guidance_weight)
-        self.plain_bias = self.pred.bias(n, self.sched, [None] * len(REVEAL_ROWS))
+        keyed = pred.bias(n, sched, [conditions[t] for t in ref_tokens], cfg.guidance_weight)
+        plain = pred.bias(n, sched, [None] * len(REVEAL_ROWS))
         masks = {t: _mask_bits(t, cfg.shape, cfg.eta) for t in dict.fromkeys(mask_tokens) if t}
-        no_flips = np.zeros(cfg.shape, dtype=np.uint8)
-        self.reveal_mask = PerturbationMask(np.stack([masks[t] if t else no_flips for t in mask_tokens]))
-        self.hide_plain_bias = self.plain_bias.take([0])
-        self.hide_mask = PerturbationMask(self.reveal_mask.bits[0])
-        self.hide_bias = self.reveal_bias.take([0])
+        mask = PerturbationMask(np.stack([masks[t] if t else np.zeros(cfg.shape, np.uint8) for t in mask_tokens]))
+        self.reveal = Pass(keyed, mask, plain)
+        self.hide = Pass(plain.take([0]), PerturbationMask(mask.bits[0]), keyed.take([0]))
 
 
 # a link reads every PipelineConfig field but the channel's and the trial's
@@ -323,17 +317,16 @@ def _unpack_pair(grid: np.ndarray, channels: int, gain: float) -> CoupledState:
 
 # -- transmitter / receiver ---------------------------------------------------
 
-def _coupled_pass(state: CoupledState, link: KeyedLink, noise_bias: RowBias, mask: PerturbationMask,
-                  denoise_bias: RowBias) -> CoupledState:
-    """Noise the chains, flip the signs the mask sets, and denoise them.
+def _coupled_pass(state: CoupledState, run: Pass, params: SamplerParams) -> CoupledState:
+    """Noise the chains under run.noise, flip run.mask's signs, and denoise under run.denoise.
 
     Hiding noises under the plain bias and denoises under the conditioned
     one; the reveal swaps the two, and its flip, an involution, undoes hiding's.
     """
-    state = edict_forward(state, noise_bias, link.params)
+    state = edict_forward(state, run.noise, params)
     # a sign flip keeps the pass's checked chains finite
-    state = CoupledState.of_pass(perturb(state.z, mask), perturb(state.u, mask))
-    return edict_reverse(state, denoise_bias, link.params)
+    state = CoupledState.of_pass(perturb(state.z, run.mask), perturb(state.u, run.mask))
+    return edict_reverse(state, run.denoise, params)
 
 
 def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
@@ -342,8 +335,7 @@ def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
     The secret must pass ``check_secret``.
     """
     secret, _ = check_secret(secret, link.shape)
-    state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link, link.hide_plain_bias,
-                          link.hide_mask, link.hide_bias)
+    state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link.hide, link.params)
     return _pack_pair(state, link.gain)
 
 
@@ -362,9 +354,8 @@ def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> n
             raise ValueError(f"stego shape {grid.shape} does not match expected {expected}")
 
     grids = {"received": stego_hat, "sent": stego}
-    starts = np.stack([grids[r.start] for r in _ROWS])
-    state = _unpack_pair(starts, channels, link.gain)
-    return _coupled_pass(state, link, link.reveal_bias, link.reveal_mask, link.plain_bias).z
+    state = _unpack_pair(np.stack([grids[r.start] for r in _ROWS]), channels, link.gain)
+    return _coupled_pass(state, link.reveal, link.params).z
 
 
 def reveal(stego_hat: np.ndarray, link: KeyedLink) -> np.ndarray:

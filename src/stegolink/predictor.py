@@ -66,7 +66,7 @@ def _check_embedding(name: str, v: np.ndarray, d: int) -> np.ndarray:
     if v.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},)")
     n = float(np.linalg.norm(v))
-    if n != 0.0 and abs(n - 1.0) > _NORM_TOL:
+    if not (n == 0.0 or abs(n - 1.0) <= _NORM_TOL):  # a NaN norm passes neither
         raise ValueError(f"{name} must have unit norm or be all zero, got norm {n}")
     return v
 
@@ -309,12 +309,13 @@ class Predictor:
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:
         """Noise estimate at step t for each of the bias's rows.
 
-        bias is one this predictor built, and t a step of ``bias.sched``; a
-        sampler pass calls ``bias.predictor.predict``.  z stacks one latent
-        per row along its leading axis (a single latent is a one-row batch as
-        it is); the result has z's shape and is a new array, and neither z
-        nor the bias is written.  Values are checked where they enter the
-        pipeline, not here: each sampler pass checks the state it ends on.
+        bias must be one this predictor built (any other is refused with a
+        ValueError naming bias), and t a step of ``bias.sched``; a sampler
+        pass calls ``bias.predictor.predict``.  z stacks one latent per row
+        along its leading axis (a single latent is a one-row batch as it is);
+        the result has z's shape and is a new array, and neither z nor the
+        bias is written.  Values are checked where they enter the pipeline,
+        not here: each sampler pass checks the state it ends on.
 
         tiny-mlp runs one product, adds the step term and a one-branch
         condition term into it, takes tanh in place and runs one product;
@@ -328,6 +329,8 @@ class Predictor:
         sign of a zero (x + 0.0 turns -0.0 into +0.0): no nonzero value, no
         ``np.array_equal`` comparison and no record sees the difference.
         """
+        if bias.predictor is not self:
+            raise ValueError("bias: was built by another predictor")
         if self.kind == "zero":
             return np.zeros(z.shape)
         cond = bias.cond

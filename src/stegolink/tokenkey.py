@@ -37,9 +37,10 @@ class PerturbationMask:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
-        if (self.bits > 1).any():
+        bits = np.asarray(self.bits)
+        if bits.dtype.kind not in "biuf" or not ((bits == 0) | (bits == 1)).all():  # a cast would wrap or round
             raise ValueError("mask bits must be 0 or 1")
+        object.__setattr__(self, "bits", np.asarray(bits, dtype=np.uint8))
 
 
 def _check_eta(eta: float) -> None:

@@ -84,10 +84,12 @@ class TestTransmit:
     @pytest.mark.parametrize("field,value", [
         ("snr_db", -6000.0), ("snr_db", 4000.0), ("snr_db", math.inf), ("snr_db", -math.inf),
         ("snr_db", math.nan), ("h", 1e-320), ("h", 0.0), ("h", math.nan),
+        ("noise_seed", -1), ("noise_seed", 1.5), ("noiseless", "no"), ("noiseless", 1),
     ])
     def test_unusable_field_rejected_by_name_without_warnings(self, field, value):
         # transmit and decode cannot use these: a zero or infinite noise
-        # divisor, or a gain too small to equalize
+        # divisor, a gain too small to equalize, a seed the noise stream
+        # refuses, or a noiseless that is not a bool
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as exc:

@@ -50,7 +50,8 @@ OWNERS = {
     "embed_dim": lambda v: Predictor("zero", embed_dim=v),
     "guidance_weight": lambda v: Predictor("zero").bias(64, build_schedule(1), [None], v),
     "eta": lambda v: build_mask("owner", (1, 2, 2), v),
-    **{name: lambda v, name=name: _as_seed(v, name) for name in ("predictor_seed", "noise_seed", "secret_seed")},
+    "noise_seed": lambda v: ChannelConfig(noise_seed=v),
+    **{name: lambda v, name=name: _as_seed(v, name) for name in ("predictor_seed", "secret_seed")},
 }
 
 FIELD_KINDS = {f.name: f.type for f in fields(PipelineConfig)}
@@ -73,6 +74,12 @@ def fast_cfg(**kw):
 def sweep_configs(spec):
     return [_trial_config(spec, point, point_index, trial_index)
             for point_index, point in enumerate(spec.points()) for trial_index in range(spec.trials_per_point)]
+
+
+def conditioned_like(link, conditions, guidance_weight):
+    """A bias the link's predictor builds afresh over its schedule, one row per condition set."""
+    bias = link.reveal.noise
+    return bias.predictor.bias(bias.n, bias.sched, conditions, guidance_weight)
 
 
 def uncached_conditions(cfg, token):
@@ -421,12 +428,13 @@ class TestBatchedReveal:
                    "E3": eavesdrop(stego_hat, link, "E3")}
 
         n = int(np.prod(cfg.shape))
-        plain = link.pred.bias(n, link.sched, [None])
+        pred, sched = link.reveal.noise.predictor, link.reveal.noise.sched
+        plain = pred.bias(n, sched, [None])
+        tokens = {"legit": cfg.token, "E2": cfg.eavesdropper_token, "E3": STOCK_REFERENCE_TOKEN}
         masks = {"legit": build_mask(cfg.token, cfg.shape, cfg.eta),
                  "E2": build_mask(cfg.eavesdropper_token, cfg.shape, cfg.eta), "E3": None}
         for name, row in batched.items():
-            row_conditions = link.conditions[REVEAL_ROWS.index(name)]
-            keyed = link.pred.bias(n, link.sched, [row_conditions], cfg.guidance_weight)
+            keyed = pred.bias(n, sched, [uncached_conditions(cfg, tokens[name])], cfg.guidance_weight)
             state = edict_forward(pipeline._unpack_pair(stego_hat, cfg.shape[0], link.gain), keyed, link.params)
             if masks[name] is not None:
                 state = CoupledState(restore(state.z, masks[name]), restore(state.u, masks[name]))
@@ -441,7 +449,7 @@ class TestBatchedReveal:
         for eavesdropper_token in ("856427", STOCK_REFERENCE_TOKEN):
             cfg = fast_cfg(eta=0.5, eavesdropper_token=eavesdropper_token)
             link = KeyedLink(cfg)
-            bits = link.reveal_mask.bits
+            bits = link.reveal.mask.bits
             legit = build_mask(cfg.token, cfg.shape, cfg.eta).bits
             assert np.array_equal(bits[0], legit)
             assert np.array_equal(bits[1], build_mask(eavesdropper_token, cfg.shape, cfg.eta).bits)
@@ -449,8 +457,7 @@ class TestBatchedReveal:
             assert np.array_equal(bits[3], legit)
             want = [uncached_conditions(cfg, t)
                     for t in (cfg.token, eavesdropper_token, STOCK_REFERENCE_TOKEN, cfg.token)]
-            for got, cond in zip(link.conditions, want):
-                assert np.array_equal(got.ref_embedding, cond.ref_embedding)
+            assert np.array_equal(link.reveal.noise.cond, conditioned_like(link, want, cfg.guidance_weight).cond)
 
     def test_divergence_inside_the_reveal_names_op_and_step(self):
         # p = 0.01 over 100 steps expands the chain gap by 10^400, past the
@@ -534,7 +541,9 @@ class TestKeyedLink:
             link = KeyedLink(cfg)
         assert pipeline._model.cache_info().currsize == 2
         assert pipeline.build_conditions.cache_info().currsize == 3
-        assert pipeline._model("linear", cfg.predictor_seed, cfg.embed_dim) is link.pred
+        model = pipeline._model("linear", cfg.predictor_seed, cfg.embed_dim)
+        run = (link.reveal, link.hide)
+        assert all(bias.predictor is model for bias in [p.noise for p in run] + [p.denoise for p in run])
 
     def test_fresh_tokens_evict_only_the_previous_token(self, counts):
         # each link looks up its token, then the shared eavesdropper and
@@ -546,15 +555,22 @@ class TestKeyedLink:
         assert counts["generate_reference"] == n + 2
         assert counts["Predictor"] == 2  # the hiding and the reference model, once each
 
-    def test_receiver_keys(self):
+    def test_receiver_keys(self, monkeypatch):
         # one condition set per distinct token, shared by every row it keys
-        link = KeyedLink(fast_cfg(eta=0.5))
-        legit, e2, e3, roundtrip = link.conditions
-        assert len(link.conditions) == len(REVEAL_ROWS) and roundtrip is legit
-        assert len({id(c) for c in link.conditions}) == 3
-        assert not np.array_equal(legit.ref_embedding, e2.ref_embedding)
-        assert not np.array_equal(e2.ref_embedding, e3.ref_embedding)
-        assert not np.array_equal(link.reveal_mask.bits[0], link.reveal_mask.bits[1])
+        looked_up = []
+        real = pipeline.build_conditions
+        monkeypatch.setattr(pipeline, "build_conditions",
+                            lambda token, **kw: looked_up.append(token) or real(token, **kw))
+        cfg = fast_cfg(eta=0.5)
+        link = KeyedLink(cfg)
+        monkeypatch.undo()  # uncached_conditions reads the cache's own function
+        assert looked_up == [cfg.token, cfg.eavesdropper_token, STOCK_REFERENCE_TOKEN]
+        legit, e2, e3, roundtrip = link.reveal.noise.cond[0]  # guidance 1 keeps the full branch alone
+        assert link.reveal.noise.rows == len(REVEAL_ROWS) and np.array_equal(roundtrip, legit)
+        assert not np.array_equal(legit, e2) and not np.array_equal(e2, e3)
+        want = [uncached_conditions(cfg, t) for t in (*looked_up, cfg.token)]
+        assert np.array_equal(link.reveal.noise.cond, conditioned_like(link, want, cfg.guidance_weight).cond)
+        assert not np.array_equal(link.reveal.mask.bits[0], link.reveal.mask.bits[1])
 
     def test_fresh_token_link_builds_only_its_own_mask(self, monkeypatch):
         # each (token, shape, eta) mask is built once, as its reference is;
@@ -566,27 +582,34 @@ class TestKeyedLink:
         links = [KeyedLink(fast_cfg(predictor_kind="zero", token=f"mask-{i}")) for i in range(3)]
         assert built == ["mask-0", "856427", "mask-1", "mask-2"]
         for i, link in enumerate(links):
-            assert np.array_equal(link.reveal_mask.bits[0], real(f"mask-{i}", (1, 8, 8), 0.05).bits)
-            assert np.array_equal(link.reveal_mask.bits[1], real("856427", (1, 8, 8), 0.05).bits)
+            assert np.array_equal(link.reveal.mask.bits[0], real(f"mask-{i}", (1, 8, 8), 0.05).bits)
+            assert np.array_equal(link.reveal.mask.bits[1], real("856427", (1, 8, 8), 0.05).bits)
         assert not pipeline._mask_bits("856427", (1, 8, 8), 0.05).flags.writeable
 
     def test_references_share_one_key_only_condition_set(self, monkeypatch):
         # one key-only set per (key text, feature text, dim), passed to every
         # reference generation without a copy
-        seen = []
+        seen, built = [], []
         real = pipeline.generate_reference
         monkeypatch.setattr(pipeline, "generate_reference",
                             lambda token, conditions, *args: seen.append(conditions) or real(token, conditions, *args))
         pipeline._key_only_conditions.cache_clear()
         pipeline.build_conditions.cache_clear()
-        link = KeyedLink(fast_cfg(eta=0.5))
+        real_build = pipeline.build_conditions
+        monkeypatch.setattr(pipeline, "build_conditions",
+                            lambda token, **kw: built.append(real_build(token, **kw)) or built[-1])
+        cfg = fast_cfg(eta=0.5)
+        link = KeyedLink(cfg)
         key_only = seen[0]
         assert len(seen) == 3 and all(c is key_only for c in seen)
         assert key_only.without_reference() is key_only
         assert not key_only.ref_embedding.any() and not key_only.ref_embedding.flags.writeable
-        for c in link.conditions:
+        assert len(built) == 3
+        for c in built:
             assert c.key_embedding is key_only.key_embedding and c.feature_embedding is key_only.feature_embedding
             assert c.ref_embedding.any()
+        want = conditioned_like(link, [*built, built[0]], cfg.guidance_weight)
+        assert np.array_equal(link.reveal.noise.cond, want.cond)
 
     def test_guidance_sweep_generates_each_reference_once(self, counts):
         # the guidance weight mixes the branches at sampling time, so the
@@ -697,10 +720,18 @@ class TestLinkCache:
 
     def test_hide_runs_the_legit_row_of_the_reveal_terms(self):
         link = KeyedLink(fast_cfg(predictor_kind="tiny-mlp", guidance_weight=0.4, eta=0.5))
-        assert link.hide_bias.rows == link.hide_plain_bias.rows == 1
-        assert np.array_equal(link.hide_bias.cond, link.reveal_bias.cond[:, [0]])
-        assert link.hide_plain_bias.cond is None and link.hide_plain_bias.step is link.plain_bias.step
-        assert np.array_equal(link.hide_mask.bits, link.reveal_mask.bits[0])
+        plain, mask, keyed = link.hide
+        assert keyed.rows == plain.rows == 1
+        assert np.array_equal(keyed.cond, link.reveal.noise.cond[:, [0]])
+        assert plain.cond is None and plain.step is link.reveal.denoise.step
+        assert np.array_equal(mask.bits, link.reveal.mask.bits[0])
+        for bias in (plain, keyed, link.reveal.noise, link.reveal.denoise):
+            assert bias.predictor is link.reveal.noise.predictor and bias.sched is link.reveal.noise.sched
+
+    def test_link_holds_its_two_passes_and_nothing_else(self):
+        link = KeyedLink(fast_cfg())
+        assert sorted(vars(link)) == ["gain", "hide", "params", "reveal", "shape"]
+        assert isinstance(link.hide, pipeline.Pass) and isinstance(link.reveal, pipeline.Pass)
 
 
 class TestMakeSecret:

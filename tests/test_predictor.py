@@ -53,6 +53,8 @@ class TestConditionSet:
         good = np.zeros(64)
         with pytest.raises(ValueError):
             ConditionSet(2.0 * embed_text("a", 64), good, good)
+        with pytest.raises(ValueError, match="^ref_embedding must have unit norm or be all zero, got norm nan"):
+            ConditionSet(good, good, np.full(64, np.nan))
 
     def test_without_reference_zeroes_only_the_reference(self):
         c = conditions()
@@ -144,6 +146,15 @@ class TestPredict:
         p = Predictor("tiny-mlp", weight_seed=7, embed_dim=64)
         with pytest.raises(ValueError, match="embed_dim"):
             p.bias(64, build_schedule(10), [conditions(d=32)])
+
+    @pytest.mark.parametrize("pred", [Predictor("tiny-mlp", weight_seed=7), Predictor("zero"), Predictor("linear")],
+                             ids=["tiny-mlp-seed-7", "zero", "linear"])
+    def test_a_bias_another_predictor_built_is_refused(self, pred):
+        # at a seed-8 bias, seed 7 once returned seed 8's prediction, zero
+        # returned zeros, and linear failed unpacking tiny-mlp's operands
+        foreign = Predictor("tiny-mlp", weight_seed=8).bias(64, build_schedule(10), [None])
+        with pytest.raises(ValueError, match="^bias: "):
+            pred.predict(np.zeros((1, 8, 8)), 3, foreign)
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_latents_must_fit_the_bias_rows(self, kind):

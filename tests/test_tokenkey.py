@@ -88,6 +88,15 @@ class TestBuildMask:
         with pytest.raises(ValueError):
             PerturbationMask(bits=np.full((2, 2), 2, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bits", [np.array([0.5, 1.7]), np.array([0.0, np.nan]), [-1], ["1"]],
+                             ids=["fractions", "nan", "minus-one", "string"])
+    def test_bits_are_checked_before_the_cast(self, bits):
+        # a cast first would round 0.5 and 1.7 to 0 and 1, turn a NaN into 0
+        # with a RuntimeWarning, fail on -1 with an OverflowError, and parse
+        # the string "1" as the bit 1
+        with pytest.raises(ValueError, match="^mask bits must be 0 or 1$"):
+            PerturbationMask(bits=bits)
+
     @pytest.mark.parametrize("bits, ok", [
         (np.array([[True, False], [False, True]]), True),
         (np.array([[0, 1], [1, 0]]), True),
