@@ -8,10 +8,11 @@ signal power:
     sigma^2 = P_signal / 10^(snr_db / 10)
 
 Noise draws come from a seeded gaussian stream so every transmission is
-reproducible.  ChannelConfig checks its own fields: it refuses a noise_seed
-outside [0, 2^64), a non-bool noiseless, an snr_db whose noise divisor
-10^(snr_db/10) is zero or infinite, and a gain h that is not a finite normal
-float64, so transmit and decode never divide by zero.
+reproducible.  ChannelConfig checks its own fields, kind and range in one
+test each: it refuses a noise_seed outside [0, 2^64), a non-bool noiseless,
+an snr_db that is not a number or whose noise divisor 10^(snr_db/10) is zero
+or infinite, and a gain h that is not a number of finite normal float64
+magnitude, so transmit and decode never divide by zero.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, _as_seed, gaussian_stream
+from .rng import Seed64, _as_seed, _is_number, gaussian_stream
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,14 @@ class ChannelConfig:
         _as_seed(self.noise_seed, "noise_seed")  # checked, not converted
         if not isinstance(self.noiseless, bool):
             raise ValueError("noiseless: must be true or false")
-        try:
-            snr_ratio = 10.0 ** (self.snr_db / 10.0)  # transmit's noise divisor
+        try:  # transmit's noise divisor, or 0 for a value that is not a number
+            snr_ratio = 10.0 ** (self.snr_db / 10.0) if _is_number(self.snr_db) else 0.0
         except OverflowError:
             snr_ratio = math.inf
         if not 0.0 < snr_ratio < math.inf:
             raise ValueError("snr_db: 10^(snr_db/10) must be a positive finite number")
         # a subnormal gain keeps too few bits of h * symbols to decode
-        if not sys.float_info.min <= abs(self.h) <= sys.float_info.max:
+        if not (_is_number(self.h) and sys.float_info.min <= abs(self.h) <= sys.float_info.max):
             raise ValueError(f"h: channel gain must be finite with magnitude at least {sys.float_info.min!r}"
                              " (the smallest normal float64)")
 

@@ -67,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictor import RowBias
+from .rng import _is_number
 
 
 class SamplerDivergenceError(RuntimeError):
@@ -118,9 +119,9 @@ class SamplerParams:
     edit_strength: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.mixing_p <= 1.0:
+        if not (_is_number(self.mixing_p) and 0.0 < self.mixing_p <= 1.0):
             raise ValueError("mixing_p: must lie in (0, 1]")
-        if not 0.0 < self.edit_strength <= 1.0:
+        if not (_is_number(self.edit_strength) and 0.0 < self.edit_strength <= 1.0):
             raise ValueError("edit_strength: must lie in (0, 1]")
 
     def window(self, T: int) -> int:

@@ -47,12 +47,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .metrics import MetricsReport
-from .pipeline import _KIND_CHECKS, BUILD_CACHES, RECEIVERS, PipelineConfig, _check_kinds, make_secret, run_trial
-from .rng import derive, hash_token
+from .pipeline import BUILD_CACHES, RECEIVERS, PipelineConfig, make_secret, run_trial
+from .rng import _is_int, _is_number, derive, hash_token
 
 _RECORD_KEYS = tuple(receiver.key for receiver in RECEIVERS)  # one report per receiver
 METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
-_is_number = _KIND_CHECKS["float"][0]  # the config's "float" kind
 
 
 class ConfigError(ValueError):
@@ -88,9 +87,10 @@ class SweepSpec:
                     replace(self.base, **{name: value})
                 except ValueError as e:
                     raise ConfigError(f"axes.{name}: bad value {value!r}: {e}") from e
-        _check_kinds(self, ConfigError)
-        if self.trials_per_point < 1:
+        if not (_is_int(self.trials_per_point) and self.trials_per_point >= 1):
             raise ConfigError("trials_per_point: must be an integer >= 1")
+        if not (isinstance(self.base_seed, str) and self.base_seed):
+            raise ConfigError("base_seed: must be a non-empty string")
 
     def points(self) -> list[dict]:
         names = list(self.axes)
@@ -408,7 +408,8 @@ def _curve_csv(records: list[dict], axis: str) -> str:
         if axis not in row["axes"]:
             raise ConfigError(f"records carry no '{axis}' axis; cannot export this kind")
         value = row["axes"][axis]
-        if not _is_number(value):
+        # json.loads reads NaN and Infinity, which no config holds
+        if not (_is_number(value) and abs(value) <= sys.float_info.max):
             raise ConfigError(f"axes.{axis}: {value!r} is not a number; cannot export this kind")
         groups.setdefault(value, []).append(row)
     rows = [{axis: value, "n": len(groups[value]), **_summary_cells(groups[value])}
@@ -468,7 +469,8 @@ def _check_row(row) -> None:
         report = trial.get(receiver)
         for metric in METRIC_NAMES:
             value = report.get(metric) if isinstance(report, dict) else None
-            if not _is_number(value):
+            # json.loads reads NaN and Infinity, which no record holds
+            if not (_is_number(value) and abs(value) <= sys.float_info.max):
                 raise ValueError(f"'trial.{receiver}.{metric}' is not a number")
 
 

@@ -46,9 +46,10 @@ conditions and mask.  Its row count is fixed, so every reveal of a link runs
 the same computation; reveal and eavesdrop return their row of it.
 ``link.hide`` is the legit row of the same terms, with the biases swapped.
 
-PipelineConfig checks each field's kind (one table, which SweepSpec reads too)
-and the shape, and leaves every other rule and its message to the check that
-the field's owner runs on its own calls (see README's configuration table).
+PipelineConfig checks its four free-text fields (each a non-empty string) and
+the shape, and leaves every other rule, a value's kind included, and its
+message to the check that the field's owner runs on its own calls (see
+README's configuration table).
 """
 
 from __future__ import annotations
@@ -102,29 +103,6 @@ def _check_shape(shape) -> tuple[int, int, int]:
     return tuple(shape)
 
 
-# one type check per declared field kind (the annotation string); values are
-# checked, never converted, so a record carries exactly what the config held
-_KIND_CHECKS = {
-    "str": (lambda v: isinstance(v, str) and v != "", "must be a non-empty string"),
-    "bool": (lambda v: isinstance(v, bool), "must be true or false"),
-    "int": (_is_int, "must be an integer"),
-    "float": (lambda v: isinstance(v, float) or _is_int(v), "must be a number"),
-}
-
-
-@functools.cache
-def _kinds(cls) -> tuple:
-    # (name, check, message) for each field of the dataclass cls of a declared kind
-    return tuple((f.name, *_KIND_CHECKS[f.type]) for f in fields(cls) if f.type in _KIND_CHECKS)
-
-
-def _check_kinds(obj, error: type[ValueError] = ValueError) -> None:
-    """Raise error naming the first field of the dataclass obj not of its declared kind."""
-    for name, check, message in _kinds(type(obj)):
-        if not check(getattr(obj, name)):
-            raise error(f"{name}: {message}")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Full experiment configuration; every field has a JSON-safe value."""
@@ -151,9 +129,12 @@ class PipelineConfig:
     eavesdropper_token: str = "856427"
 
     def __post_init__(self):
-        _check_kinds(self)
+        for name in ("token", "public_key_text", "feature_text", "eavesdropper_token"):  # free text, no owner
+            text = getattr(self, name)
+            if not (isinstance(text, str) and text):
+                raise ValueError(f"{name}: must be a non-empty string")
         object.__setattr__(self, "shape", _check_shape(self.shape))
-        # every other rule is checked by the module that builds from the field
+        # every other rule, kind included, is checked by the module that builds from the field
         for name in ("predictor_seed", "secret_seed"):
             _check_seed(getattr(self, name), name)
         _check_schedule(self.steps, self.beta_start, self.beta_end)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, _as_seed, _fill_gaussian, _is_int, derive, gaussian_stream, hash_token
+from .rng import Seed64, _as_seed, _fill_gaussian, _is_int, _is_number, derive, gaussian_stream, hash_token
 from .schedule import NoiseSchedule, build_schedule
 
 PREDICTOR_KINDS = ("zero", "linear", "tiny-mlp")
@@ -57,7 +57,7 @@ def _check_args(kind: str = "zero", embed_dim: int = 1, guidance_weight: float =
         raise ValueError(f"predictor_kind: must be one of {', '.join(PREDICTOR_KINDS)}")
     if not (_is_int(embed_dim) and embed_dim >= 1):
         raise ValueError("embed_dim: must be a positive integer")
-    if not 0.0 <= guidance_weight <= 1.0:
+    if not (_is_number(guidance_weight) and 0.0 <= guidance_weight <= 1.0):
         raise ValueError("guidance_weight: must lie in [0, 1]")
 
 

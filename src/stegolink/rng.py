@@ -47,6 +47,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # a float, or an integer _is_int accepts: never a bool, a string or None
+    return isinstance(value, float) or _is_int(value)
+
+
 def _check_seed(value, name: str = "seed") -> int:
     # the seed range: an integer in [0, 2^64), checked, never converted
     if not (_is_int(value) and 0 <= value <= _U64_MAX):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _is_int, gaussian_stream, hash_token, uniform_stream
+from .rng import _is_int, _is_number, gaussian_stream, hash_token, uniform_stream
 
 
 def _grid_size(shape: tuple[int, ...]) -> int:
@@ -44,7 +44,7 @@ class PerturbationMask:
 
 
 def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
+    if not (_is_number(eta) and 0.0 <= eta <= 1.0):
         raise ValueError("eta: must lie in [0, 1]")
 
 

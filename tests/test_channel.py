@@ -85,11 +85,12 @@ class TestTransmit:
         ("snr_db", -6000.0), ("snr_db", 4000.0), ("snr_db", math.inf), ("snr_db", -math.inf),
         ("snr_db", math.nan), ("h", 1e-320), ("h", 0.0), ("h", math.nan),
         ("noise_seed", -1), ("noise_seed", 1.5), ("noiseless", "no"), ("noiseless", 1),
+        ("snr_db", True), ("h", True), ("snr_db", "10"), ("h", None),
     ])
     def test_unusable_field_rejected_by_name_without_warnings(self, field, value):
         # transmit and decode cannot use these: a zero or infinite noise
         # divisor, a gain too small to equalize, a seed the noise stream
-        # refuses, or a noiseless that is not a bool
+        # refuses, a noiseless that is not a bool, or a value of another kind
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as exc:

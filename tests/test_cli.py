@@ -3,6 +3,7 @@
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import shutil
@@ -34,6 +35,13 @@ sys.exit(EntryPoint("stegolink", value, "console_scripts").load()())
 """
 
 FAST = ["--steps", "10", "--shape", "1,8,8", "--token", "4242"]
+
+
+def ok_line(receiver, metric, token):
+    """A records line of an ok trial whose metrics are all 1.0 but receiver's metric, the JSON token."""
+    trial = {key: {name: 1.0 for name in harness.METRIC_NAMES} for key in harness._RECORD_KEYS}
+    trial[receiver][metric] = "@"
+    return json.dumps({"point_index": 0, "axes": {}, "error": None, "trial": trial}).replace('"@"', token)
 
 
 def run_cli(*argv, **kw):
@@ -368,6 +376,9 @@ class TestSweepAndExport:
         ("snr_curves", b'{"a": "\x80"}', "can't decode byte 0x80"),
         ("snr_curves", '{"point_index": 0, "axes": {"snr_db": [1, 2]}, "error": null}',
          "'axes.snr_db' is not a scalar"),
+        ("scenario_bars", ok_line("legit", "psnr_db", "NaN"), "'trial.legit.psnr_db' is not a number"),
+        ("scenario_bars", ok_line("eaves2", "mse", "Infinity"), "'trial.eaves2.mse' is not a number"),
+        ("scenario_bars", ok_line("eaves3", "ssim", "-Infinity"), "'trial.eaves3.ssim' is not a number"),
     ])
     def test_export_malformed_record_rc2_names_the_line(self, sweep_dir, tmp_path, capsys, kind, line, reason):
         good = (sweep_dir / "records.jsonl").read_bytes().splitlines(keepends=True)
@@ -378,14 +389,16 @@ class TestSweepAndExport:
         assert err.startswith("config error: records line 4: ") and reason in err
 
     def test_export_non_numeric_axis_rc2_names_the_axis(self, sweep_dir, tmp_path, capsys):
-        # a string beside numbers once failed sorting the values, exit 1
+        # a string beside numbers once failed sorting the values, exit 1, and
+        # a NaN or an Infinity once printed a row, exit 0
         rows = [json.loads(line) for line in (sweep_dir / "records.jsonl").read_text().splitlines()]
-        rows[-1]["axes"]["snr_db"] = "ten"
-        path = tmp_path / "records.jsonl"
-        path.write_text(records_to_jsonl(rows))
-        assert main(["export", "--records", str(path), "--kind", "snr_curves"]) == 2
-        assert capsys.readouterr().err == ("config error: axes.snr_db: 'ten' is not a number; "
-                                           "cannot export this kind\n")
+        for value in ("ten", math.nan, math.inf, -math.inf):
+            rows[-1]["axes"]["snr_db"] = value
+            path = tmp_path / "records.jsonl"
+            path.write_text(records_to_jsonl(rows))
+            assert main(["export", "--records", str(path), "--kind", "snr_curves"]) == 2
+            assert capsys.readouterr().err == (f"config error: axes.snr_db: {value!r} is not a number; "
+                                               "cannot export this kind\n")
 
     @pytest.mark.parametrize("argv,flag", [
         (["run", "--config", "{dir}"], "config"),

@@ -49,17 +49,16 @@ class TestStateAndParams:
             CoupledState(np.zeros((1, 8, 8)), np.zeros((2, 8, 8)))
 
     def test_mixing_p_range(self):
-        with pytest.raises(ValueError):
-            SamplerParams(mixing_p=0.0)
-        with pytest.raises(ValueError):
-            SamplerParams(mixing_p=1.5)
+        # a bool once ran as 1, and a string raised Python's TypeError
+        for mixing_p in (0.0, 1.5, True, "0.9"):
+            with pytest.raises(ValueError, match="^mixing_p: "):
+                SamplerParams(mixing_p=mixing_p)
         SamplerParams(mixing_p=1.0)  # closed upper endpoint allowed
 
     def test_edit_strength_range(self):
-        with pytest.raises(ValueError):
-            SamplerParams(mixing_p=0.9, edit_strength=0.0)
-        with pytest.raises(ValueError):
-            SamplerParams(mixing_p=0.9, edit_strength=1.1)
+        for edit_strength in (0.0, 1.1, True, "0.5"):
+            with pytest.raises(ValueError, match="^edit_strength: "):
+                SamplerParams(mixing_p=0.9, edit_strength=edit_strength)
 
     def test_window_from_edit_strength(self):
         assert SamplerParams(mixing_p=0.9, edit_strength=0.5).window(10) == 5

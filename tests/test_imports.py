@@ -27,3 +27,22 @@ def test_only_declared_dependencies_are_imported():
             outside += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | DECLARED]
     assert outside == []
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports and never reads; __init__.py's imports are its
+    # re-exports, and the __future__ import changes the compiler, binding nothing
+    unused = []
+    for path in sorted((ROOT / "src" / "stegolink").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == []

@@ -214,8 +214,9 @@ class TestPredict:
 
     def test_lambda_range(self):
         p = Predictor("tiny-mlp", weight_seed=7)
-        for lam in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError, match="guidance_weight"):
+        # a bool was once held as the weight, and a string raised Python's TypeError
+        for lam in (1.5, -0.1, float("nan"), True, "1"):
+            with pytest.raises(ValueError, match="^guidance_weight: "):
                 p.bias(64, build_schedule(10), [conditions()], lam)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stegolink.schedule import build_schedule
+from stegolink.schedule import _check_schedule, build_schedule
 
 
 class TestBuildSchedule:
@@ -49,9 +49,18 @@ class TestBuildSchedule:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             build_schedule(0)
-        for steps in (True, np.True_, 2.5):  # a bool once built a 1-step schedule
+        # a bool once built a 1-step schedule, and a numpy integer was accepted
+        # where the config refused it; a list, like every unhashable argument,
+        # once failed in the cache with TypeError: unhashable type
+        for steps in (True, np.True_, 2.5, np.int64(3), [50]):
             with pytest.raises(ValueError, match="^steps: "):
                 build_schedule(steps)
+        # a string or None once raised Python's TypeError
+        for beta in ("0.1", None, [0.1], {}):
+            with pytest.raises(ValueError, match="^beta_start: "):
+                build_schedule(50, beta)
+        with pytest.raises(ValueError, match="^beta_start: "):
+            _check_schedule(3, None, 0.02)
         with pytest.raises(ValueError):
             build_schedule(10, 0.0, 0.02)
         with pytest.raises(ValueError):

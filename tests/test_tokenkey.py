@@ -69,10 +69,10 @@ class TestBuildMask:
         assert np.array_equal(a.bits, b.bits)
 
     def test_eta_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            build_mask("9000", (2, 8, 8), -0.01)
-        with pytest.raises(ValueError):
-            build_mask("9000", (2, 8, 8), 1.01)
+        # a bool once built an all-set mask, and a string raised Python's TypeError
+        for eta in (-0.01, 1.01, True, "0.5"):
+            with pytest.raises(ValueError, match="^eta: "):
+                build_mask("9000", (2, 8, 8), eta)
 
     def test_token_sensitivity_agreement_fraction(self):
         # independent masks agree on (1-eta)^2 + eta^2 of positions
