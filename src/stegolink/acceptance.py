@@ -186,9 +186,8 @@ def channel_calibration() -> Check:
         frame = encode(raw)
         cfg = ChannelConfig(snr_db=snr, noise_seed=derive(seed, "noise").value)
         received = transmit(frame, cfg)
-        clean = cfg.h * frame.symbols
-        noise = received.symbols - clean
-        empirical = 10.0 * np.log10(np.mean(clean ** 2) / np.mean(noise ** 2))
+        noise = received.symbols - frame.symbols
+        empirical = 10.0 * np.log10(np.mean(frame.symbols ** 2) / np.mean(noise ** 2))
         readings.append(f"{snr:.0f}dB -> {empirical:.3f}")
         worst = max(worst, abs(empirical - snr))
     return Check(worst <= 0.1, "criterion 8 channel calibration",

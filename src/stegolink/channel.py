@@ -1,18 +1,20 @@
 """Power-normalized analog codec and AWGN channel.
 
 A latent grid is flattened to unit-average-power symbols; scale and offset
-travel as frame metadata (out of band, never noised).  The channel applies a
-flat gain h and adds white Gaussian noise sized against the frame's measured
-signal power:
+travel as frame metadata (out of band, never noised).  The channel adds
+white Gaussian noise sized against the frame's measured signal power, so
+snr_db is the link's one level knob:
 
     sigma^2 = P_signal / 10^(snr_db / 10)
 
 Noise draws come from a seeded gaussian stream so every transmission is
 reproducible.  ChannelConfig checks its own fields, kind and range in one
 test each: it refuses a noise_seed outside [0, 2^64), a non-bool noiseless,
-an snr_db that is not a number or whose noise divisor 10^(snr_db/10) is zero
-or infinite, and a gain h that is not a number of finite normal float64
-magnitude, so transmit and decode never divide by zero.
+and an snr_db that is not a number or whose noise divisor 10^(snr_db/10) is
+infinite or below the smallest normal float64, so a unit-power frame's
+sigma^2 stays finite.  SymbolFrame refuses symbols that are empty, not
+one-dimensional or not finite, a scale that is not a positive finite number
+and an offset that is not a finite number.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .rng import Seed64, _as_seed, _is_number, gaussian_stream
 @dataclass(frozen=True)
 class ChannelConfig:
     snr_db: float = 10.0
-    h: float = 1.0
     noise_seed: Seed64 | int = 1
     noiseless: bool = False
 
@@ -42,11 +43,9 @@ class ChannelConfig:
             snr_ratio = 10.0 ** (self.snr_db / 10.0) if _is_number(self.snr_db) else 0.0
         except OverflowError:
             snr_ratio = math.inf
-        if not 0.0 < snr_ratio < math.inf:
-            raise ValueError("snr_db: 10^(snr_db/10) must be a positive finite number")
-        # a subnormal gain keeps too few bits of h * symbols to decode
-        if not (_is_number(self.h) and sys.float_info.min <= abs(self.h) <= sys.float_info.max):
-            raise ValueError(f"h: channel gain must be finite with magnitude at least {sys.float_info.min!r}"
+        # a subnormal divisor would carry a unit-power frame's sigma^2 past float64
+        if not sys.float_info.min <= snr_ratio <= sys.float_info.max:
+            raise ValueError(f"snr_db: 10^(snr_db/10) must be finite and at least {sys.float_info.min!r}"
                              " (the smallest normal float64)")
 
 
@@ -59,11 +58,17 @@ class SymbolFrame:
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=np.float64))
-        if self.symbols.ndim != 1:
-            raise ValueError("symbols must be one-dimensional")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        try:
+            symbols = np.asarray(self.symbols, dtype=np.float64)
+        except (TypeError, ValueError):
+            symbols = None
+        if not (symbols is not None and symbols.ndim == 1 and symbols.size and np.isfinite(symbols).all()):
+            raise ValueError("symbols: must be a non-empty one-dimensional array of finite numbers")
+        object.__setattr__(self, "symbols", symbols)
+        if not (_is_number(self.scale) and 0.0 < self.scale <= sys.float_info.max):
+            raise ValueError("scale: must be a positive finite number")
+        if not (_is_number(self.offset) and abs(self.offset) <= sys.float_info.max):
+            raise ValueError("offset: must be a finite number")
 
 
 def encode(z: np.ndarray) -> SymbolFrame:
@@ -90,33 +95,32 @@ def encode(z: np.ndarray) -> SymbolFrame:
 
 
 def transmit(frame: SymbolFrame, cfg: ChannelConfig) -> SymbolFrame:
-    """Apply the gain and add seeded AWGN sized by measured signal power.
+    """Add seeded AWGN sized by measured signal power; noiseless sends the frame as it is.
 
-    A gain that carries the symbols out of float64 raises a ValueError
+    A frame whose power, or whose noise variance at cfg.snr_db, leaves
+    float64 raises a ValueError naming the overflow, with no RuntimeWarning.
+    """
+    if cfg.noiseless:
+        return frame
+    s = frame.symbols
+    with np.errstate(over="ignore"):
+        p_signal = float(np.mean(s ** 2))
+    sigma2 = p_signal / (10.0 ** (cfg.snr_db / 10.0))
+    if not sigma2 <= sys.float_info.max:
+        raise ValueError(f"the noise variance overflows float64: signal power {p_signal:.3g} "
+                         f"at snr_db {cfg.snr_db:.6g}")
+    return replace(frame, symbols=s + np.sqrt(sigma2) * gaussian_stream(cfg.noise_seed, s.size))
+
+
+def decode(frame: SymbolFrame, shape: tuple[int, ...]) -> np.ndarray:
+    """Undo the encode affine map.
+
+    A scale that carries the symbols out of float64 raises a ValueError
     naming the overflow, with no RuntimeWarning.
     """
-    s = frame.symbols
-    if not cfg.noiseless:
-        p_signal = float(np.mean(s ** 2))
-        sigma2 = p_signal / (10.0 ** (cfg.snr_db / 10.0))
-        noise = gaussian_stream(cfg.noise_seed, s.size)
     try:
         with np.errstate(over="raise"):
-            received = cfg.h * s if cfg.noiseless else cfg.h * s + np.sqrt(sigma2) * noise
+            flat = frame.symbols * frame.scale + frame.offset
     except FloatingPointError:
-        raise ValueError(f"the received symbols overflow float64: channel gain h {cfg.h:.3g}") from None
-    return replace(frame, symbols=received)
-
-
-def decode(frame: SymbolFrame, cfg: ChannelConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """Equalize by h and undo the encode affine map.
-
-    Equalizing by a tiny gain can carry the grid out of float64; that
-    raises a ValueError naming the overflow, with no RuntimeWarning.
-    """
-    try:
-        with np.errstate(over="raise"):
-            flat = frame.symbols / cfg.h * frame.scale + frame.offset
-    except FloatingPointError:
-        raise ValueError(f"the equalized grid overflows float64: channel gain h {cfg.h:.3g}") from None
+        raise ValueError(f"the decoded grid overflows float64: scale {frame.scale:.3g}") from None
     return flat.reshape(shape)

@@ -33,7 +33,7 @@ caches spare a fresh-token link rebuilding what it shares with the last one:
 entries), and ``_key_only_conditions`` the key-only condition set every
 reference generation starts from (1).  hide, reveal and eavesdrop all read
 from a link.  A link is keyed by every config field except the channel's
-(snr_db, h, noiseless) and the trial's seeds (noise_seed, secret_seed), and
+(snr_db, noiseless) and the trial's seeds (noise_seed, secret_seed), and
 built from those fields alone, so the trials of one sweep point, or of an
 SNR sweep, share one link.  No record depends on what the caches hold.
 
@@ -122,7 +122,6 @@ class PipelineConfig:
     eta: float = 0.05
     shape: tuple[int, int, int] = (1, 16, 16)
     snr_db: float = 10.0
-    h: float = 1.0
     noiseless: bool = False
     noise_seed: int = 1
     secret_seed: int = 11
@@ -141,7 +140,7 @@ class PipelineConfig:
         _check_args(self.predictor_kind, self.embed_dim, self.guidance_weight)
         _check_eta(self.eta)
         SamplerParams(mixing_p=self.mixing_p, edit_strength=self.edit_strength)
-        self.channel  # built for its checks of snr_db, h, noise_seed and noiseless
+        self.channel  # built for its checks of snr_db, noise_seed and noiseless
 
     @property
     def channel(self) -> ChannelConfig:
@@ -453,7 +452,7 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     stego = hide(secret, link)
     frame = encode(stego)
     received = transmit(frame, cfg.channel)
-    stego_hat = decode(received, cfg.channel, stego.shape)
+    stego_hat = decode(received, stego.shape)
 
     recovered = dict(zip(REVEAL_ROWS, _reveal_rows(stego_hat, stego, link)))
     reports = {r.key: compare(recovered[r.name] if r.start else eavesdrop(stego_hat, link, r.name), secret, peak)

@@ -147,30 +147,24 @@ class TestRun:
         proc = run_cli("run", *FAST, "--seed", str(2 ** 64 - 1))
         assert proc.returncode == 0, proc.stderr
 
-    def test_overflowing_channel_gain_rc1_without_warnings(self, tmp_path):
-        # h 1e-320 once printed two RuntimeWarnings and failed on
-        # non-finite chains; the decoder now names its overflow, which the
-        # smallest normal gain still reaches under strong noise
-        cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8], "h": sys.float_info.min,
-                                                 "snr_db": -10.0})
-        proc = run_cli("run", "--config", cfg)
-        assert proc.returncode == 1
-        assert proc.stderr == ("runtime error: ValueError: the equalized grid overflows float64: "
-                               "channel gain h 2.23e-308\n")
+    def test_subnormal_noise_divisor_rc2_names_snr_db(self):
+        # 10^(-309) once overflowed the noise variance to inf, and the run
+        # exited 1 blaming the sampler after a RuntimeWarning
+        proc = run_cli("run", "--snr-db", "-3090", "--steps", "10", "--shape", "1,8,8")
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: snr_db: 10^(snr_db/10) must be finite and at least "
+                               "2.2250738585072014e-308 (the smallest normal float64)\n")
 
-    @pytest.mark.parametrize("h", [1e-320, -1e-320, 5e-324])
-    def test_subnormal_channel_gain_rc2_names_field(self, tmp_path, capsys, h):
-        # a noiseless subnormal gain once exited 0 with bits lost: 91.37 dB
-        # at 1e-320 and 25.4 dB at 5e-324, in place of the 100 dB cap
-        cfg = write_json(tmp_path / "cfg.json", {"h": h, "noiseless": True, "steps": 10, "shape": [1, 8, 8]})
-        assert main(["run", "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith("config error: h: ")
-
-    def test_smallest_normal_channel_gain_recovers_to_the_cap(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "cfg.json", {"h": sys.float_info.min, "noiseless": True, "steps": 10,
-                                                 "shape": [1, 8, 8]})
-        assert main(["run", "--config", cfg, "--scenario", "legit"]) == 0
-        assert capsys.readouterr().out.startswith("legit: psnr  100.000 dB")
+    @pytest.mark.parametrize("command,prefix", [("run", ""), ("sweep", "base: ")])
+    def test_removed_channel_gain_rc2_as_unknown_field(self, tmp_path, command, prefix):
+        # h only shifted the SNR, and is gone; a file that still sets it fails
+        run_cfg = {"steps": 10, "shape": [1, 8, 8], "h": 1.0}
+        payload = run_cfg if command == "run" else dict(SWEEP_PAYLOAD, base=run_cfg)
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: {prefix}unknown config field(s): h\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_rc2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")

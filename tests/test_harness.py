@@ -289,7 +289,7 @@ class TestRunSweep:
 # records as computed with this numpy/BLAS build, so it can differ on another
 # one. Only a change that alters records on purpose may re-pin it, and it
 # records which records changed, and why, in CHANGES.md.
-PINNED_SWEEP_SHA256 = "dfe9edb1d9a12a6579e5dc275d4eb68e42362ff7d1ea8f0d59bc6e617836707e"
+PINNED_SWEEP_SHA256 = "b2230ab62cfa18da2575933267448755308035dc9303ef20f3e8c36f78990ac5"
 
 PINNED_SPEC = SweepSpec(
     base=PipelineConfig(steps=10, shape=(1, 8, 8), token="pin"),
@@ -314,7 +314,7 @@ def test_pinned_reference_sweep_digest():
 # computed with this numpy/BLAS build, so it can differ on another one. Only
 # a change that alters records on purpose may re-pin it, and it records
 # which records changed, and why, in CHANGES.md.
-BENCH_SHAPES_SHA256 = "8a99f14862b04a1446868bf92307fc2a72d35eda59aba639efb68e48bbd5b184"
+BENCH_SHAPES_SHA256 = "0927db7085f5019f2d021cf7cce6ef59866e135fc0c0b73f97ae610436d807eb"
 
 BENCH_SHAPE_SPECS = (
     SweepSpec(base=PipelineConfig(steps=10, token="pin"),
