@@ -147,10 +147,12 @@ class TestRun:
         proc = run_cli("run", *FAST, "--seed", str(2 ** 64 - 1))
         assert proc.returncode == 0, proc.stderr
 
-    def test_subnormal_noise_divisor_rc2_names_snr_db(self):
+    @pytest.mark.parametrize("snr_db", ["-3090", "-3076.5265556858876"])
+    def test_subnormal_noise_divisor_rc2_names_snr_db(self, snr_db):
         # 10^(-309) once overflowed the noise variance to inf, and the run
-        # exited 1 blaming the sampler after a RuntimeWarning
-        proc = run_cli("run", "--snr-db", "-3090", "--steps", "10", "--shape", "1,8,8")
+        # exited 1 blaming the sampler after a RuntimeWarning; the second
+        # value is the highest whose divisor rounds below the smallest normal
+        proc = run_cli("run", "--snr-db", snr_db, "--steps", "10", "--shape", "1,8,8")
         assert proc.returncode == 2
         assert proc.stderr == ("config error: snr_db: 10^(snr_db/10) must be finite and at least "
                                "2.2250738585072014e-308 (the smallest normal float64)\n")

@@ -189,15 +189,15 @@ class TestConfigValidation:
         documented = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
         assert documented == {f.name for f in fields(PipelineConfig)}
 
-    def test_unknown_key_rejected(self):
-        # the removed fields too: an old config file that still sets them fails
-        for key in ("bogus_knob", "complex_iq", "perturb_both_chains", "reference_steps",
-                    "reference_predictor_seed", "h"):
-            d = fast_cfg().to_dict()
-            d[key] = 1
-            with pytest.raises(ValueError) as exc:
-                PipelineConfig.from_dict(d)
-            assert key in str(exc.value)
+    # the removed fields too: an old config file that still sets them fails
+    @pytest.mark.parametrize("key", ["bogus_knob", "complex_iq", "perturb_both_chains", "reference_steps",
+                                     "reference_predictor_seed", "h"])
+    def test_unknown_key_rejected(self, key):
+        d = fast_cfg().to_dict()
+        d[key] = 1
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig.from_dict(d)
+        assert key in str(exc.value)
 
 
 class TestSyncGain:
@@ -863,17 +863,26 @@ OTHER_VALUES = {
 }
 
 
-def test_no_config_field_is_inert():
-    # each field, set to another valid value, moves a receiver's metrics or
-    # the round-trip error, not only the config the record echoes; the
-    # secret comes from secret_seed, as in a sweep or stegolink run
-    def scores(cfg):
-        record = run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg).to_dict()
-        return {key: value for key, value in record.items() if key not in ("config", "peak")}
+INERT_BASE = PipelineConfig(steps=10, shape=(1, 8, 8))
 
-    scalar = {f.name for f in fields(PipelineConfig) if f.name != "shape"}
-    assert set(OTHER_VALUES) == scalar
-    base = PipelineConfig(steps=10, shape=(1, 8, 8))
-    default = scores(base)
-    inert = [name for name, value in OTHER_VALUES.items() if scores(replace(base, **{name: value})) == default]
-    assert inert == []
+
+def _scores(cfg):
+    # a receiver's metrics and the round-trip error, not the config the record
+    # echoes; the secret comes from secret_seed, as in a sweep or stegolink run
+    record = run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg).to_dict()
+    return {key: value for key, value in record.items() if key not in ("config", "peak")}
+
+
+@pytest.fixture(scope="module")
+def default_scores():
+    return _scores(INERT_BASE)
+
+
+def test_inert_guard_covers_every_scalar_field():
+    assert set(OTHER_VALUES) == {f.name for f in fields(PipelineConfig) if f.name != "shape"}
+
+
+@pytest.mark.parametrize("field", list(OTHER_VALUES))
+def test_no_config_field_is_inert(field, default_scores):
+    # the field, set to another valid value, moves what the trial measures
+    assert _scores(replace(INERT_BASE, **{field: OTHER_VALUES[field]})) != default_scores
