@@ -3,10 +3,13 @@
 Configs are flat JSON objects mirroring PipelineConfig, and sweep files
 mirror SweepSpec, defaults included: a base config, named axis lists, a trial
 count and a base seed.  Any config field with scalar values (``_is_scalar``)
-is an axis.  Every trial seeds its secret and its channel noise from a hash
-of (base_seed, point index, trial index), unless its point sets that seed, so
-a sweep is a pure function of its spec: running it twice yields
-byte-identical records and exported tables.
+is an axis.  A sweep evaluates one test set of ``trials_per_point`` secrets
+at every point: trial i seeds its secret from a hash of (base_seed, i) and its
+channel noise from a hash of (base_seed, point index, i), unless its point
+sets that seed.  So the points differ only in their axes and their channel
+noise, points that share a keyed link hide each secret once (see
+``pipeline._stego``), and a sweep is a pure function of its spec: running it
+twice yields byte-identical records and exported tables.
 
 A sweep runs on two processes.  Every other trial goes to one persistent
 helper process, forked from the caller when the first sweep reaches its
@@ -131,10 +134,12 @@ def parse_config(path: str):
 # -- sweep execution ----------------------------------------------------------
 
 def _trial_config(spec: SweepSpec, point: dict, point_index: int, trial_index: int) -> PipelineConfig:
-    trial_seed = hash_token(f"{spec.base_seed}|{point_index}|{trial_index}", "trial")
-    seeds = {name: derive(trial_seed, label).value  # a seed the point sets wins over derivation
-             for name, label in (("noise_seed", "noise"), ("secret_seed", "secret")) if name not in point}
-    return replace(spec.base, **point, **seeds)
+    # trial i's secret is the test set's i-th at every point; its channel
+    # noise is the point's own; a seed the point sets wins over derivation
+    seeds = {"secret_seed": hash_token(f"{spec.base_seed}|{trial_index}", "secret").value,
+             "noise_seed": derive(hash_token(f"{spec.base_seed}|{point_index}|{trial_index}", "trial"),
+                                  "noise").value}
+    return replace(spec.base, **{**seeds, **point})
 
 
 def _sweep_row(spec: SweepSpec, point: dict, point_index: int, trial_index: int) -> dict:
@@ -156,11 +161,11 @@ def iter_sweep(spec: SweepSpec):
     """Yield one record dict per trial, in deterministic order.
 
     A failing trial yields an error row instead of aborting the sweep.
-    Trials share links, models and condition sets through the pipeline's
-    caches (see KeyedLink); no record depends on what they hold.  Every other
-    trial runs in the helper process (see the module docstring); a sweep
-    abandoned part-way leaves at most one job there, which the next job
-    sent discards.
+    Trials share links, models, condition sets and stegos through the
+    pipeline's caches (see KeyedLink); no record depends on what they hold.
+    Every other trial runs in the helper process (see the module docstring);
+    a sweep abandoned part-way leaves at most one job there, which the next
+    job sent discards.
     """
     def job(k: int) -> tuple:  # job k's (point, point index, trial index), computed, never stored
         return points[k // spec.trials_per_point], *divmod(k, spec.trials_per_point)
@@ -332,8 +337,8 @@ def _forget_helper() -> None:
 def sweep_work() -> dict:
     """What the sweeps of this process and its helpers have built and run so far.
 
-    Each of ``pipeline.BUILD_CACHES`` (``links``, ``references`` and
-    ``models``) counts that cache's misses in both processes;
+    Each of ``pipeline.BUILD_CACHES`` (``links``, ``references``,
+    ``models`` and ``stegos``) counts that cache's misses in both processes;
     ``helper_rows`` counts the rows the helper returned.
     """
     mine = dict(zip(BUILD_CACHES, _misses()))

@@ -31,11 +31,15 @@ KeyedLinks (4), which hold the rest: the link's two passes.  Two smaller
 caches spare a fresh-token link rebuilding what it shares with the last one:
 ``_mask_bits`` the mask bits of a link's legit and eavesdropper tokens (2
 entries), and ``_key_only_conditions`` the key-only condition set every
-reference generation starts from (1).  hide, reveal and eavesdrop all read
-from a link.  A link is keyed by every config field except the channel's
-(snr_db, noiseless) and the trial's seeds (noise_seed, secret_seed), and
-built from those fields alone, so the trials of one sweep point, or of an
-SNR sweep, share one link.  No record depends on what the caches hold.
+reference generation starts from (1).  ``_stego`` holds the stegos of the
+last 32 (link, secret) pairs (32), keyed by the link's key and the secret's
+float64 bytes, so the points of a sweep that share a link hide each secret
+of its test set once; stegos and keys take about 192 KB at 1x16x16 and
+768 KB at 1x32x32.  hide, reveal and eavesdrop all read from a link.  A
+link is keyed by every config field except the channel's (snr_db,
+noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
+those fields alone, so the trials of one sweep point, or of an SNR sweep,
+share one link.  No record depends on what the caches hold.
 
 A link is its two coupled passes, ``link.hide`` and ``link.reveal``, each a
 ``Pass`` (noise bias, mask, denoise bias); a bias names the predictor and
@@ -275,10 +279,6 @@ def _link(cfg: PipelineConfig) -> KeyedLink:
     return _keyed_link(_link_key(cfg))
 
 
-# the caches whose misses count as builds, named by what a miss builds
-BUILD_CACHES = {"links": _keyed_link, "references": build_conditions, "models": _model}
-
-
 def _pack_pair(state: CoupledState, gain: float) -> np.ndarray:
     try:
         with np.errstate(over="raise"):
@@ -317,6 +317,20 @@ def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
     secret, _ = check_secret(secret, link.shape)
     state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link.hide, link.params)
     return _pack_pair(state, link.gain)
+
+
+@functools.lru_cache(maxsize=32)  # a test set of 20 secrets, hidden once for every point of its link
+def _stego(link_key: tuple, secret_bytes: bytes) -> np.ndarray:
+    # the read-only stego of one (link, secret); the key is the checked
+    # secret's float64 bytes, so a seeded and a loaded secret share it
+    link = _keyed_link(link_key)
+    stego = hide(np.frombuffer(secret_bytes).reshape(link.shape), link)
+    stego.flags.writeable = False
+    return stego
+
+
+# the caches whose misses count as builds, named by what a miss builds
+BUILD_CACHES = {"links": _keyed_link, "references": build_conditions, "models": _model, "stegos": _stego}
 
 
 def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> np.ndarray:
@@ -444,12 +458,14 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     the same stego is included as the sampler round-trip diagnostic.  The
     three keyed receivers and the round trip run as one batched reveal.
     The link comes from the ``_keyed_link`` cache, and its models and
-    condition sets from theirs (see KeyedLink).  A secret that
-    ``check_secret`` rejects fails before any step runs.
+    condition sets from theirs (see KeyedLink); the stego comes from the
+    ``_stego`` memo, which hides a (link, secret) pair once.  A secret that
+    ``check_secret`` rejects fails before any step runs, and a hide that
+    fails is run again by the next trial of its pair.
     """
     secret, peak = check_secret(secret, cfg.shape)
     link = _link(cfg)
-    stego = hide(secret, link)
+    stego = _stego(_link_key(cfg), secret.tobytes())
     frame = encode(stego)
     received = transmit(frame, cfg.channel)
     stego_hat = decode(received, stego.shape)

@@ -294,25 +294,33 @@ class TestSweepAndExport:
         records = (tmp_path / "out" / "records.jsonl").read_text()
         assert records == records_to_jsonl(run_sweep(parse_config(cfg)))
 
-    def test_summary_counts_what_the_sweep_built(self, tmp_path, capsys):
+    def test_summary_counts_what_the_sweep_built(self, tmp_path, capsys, monkeypatch):
         # one (config, token) over an snr_db axis: the first run builds one
-        # link, three references and two models, and the same sweep run
-        # again finds them all in the caches
+        # link, three references and two models, and hides the test set's
+        # two secrets once for both points; the same sweep run again finds
+        # the keyed objects in the caches. Each process holds its own
+        # stegos: in-process the rerun hides nothing, and with the helper,
+        # which forked after the caller's first hide, it takes trial 1 of
+        # both points on the rerun and hides that secret once
         cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
-        for cache in pipeline.BUILD_CACHES.values():
-            cache.cache_clear()
-        for links, references, models in ((1, 3, 2), (0, 0, 0)):
-            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-            summary = capsys.readouterr().err.splitlines()[-1]
-            assert summary.startswith("sweep: done 4/4 trials in ")
-            assert summary.endswith(f", {links} links built, {references} references generated, "
-                                    f"{models} models built")
+        for cpus, rerun_stegos in ((1, 0), (2, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            harness.close_helper()
+            for cache in pipeline.BUILD_CACHES.values():
+                cache.cache_clear()
+            for links, references, models, stegos in ((1, 3, 2, 2), (0, 0, 0, rerun_stegos)):
+                assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+                summary = capsys.readouterr().err.splitlines()[-1]
+                assert summary.startswith("sweep: done 4/4 trials in ")
+                assert summary.endswith(f", {links} links built, {references} references generated, "
+                                        f"{models} models built, {stegos} stegos hidden")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_summary_counts_what_the_helper_built(self, tmp_path, capsys, monkeypatch, cpus):
         # a cold 3-point eta grid: the caller builds the first two links and,
         # with two CPUs, the helper the third, from the caller's references
-        # and models; the summary counts the same either way
+        # and models; each link hides the one secret; the summary counts the
+        # same either way
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, axes={"eta": [0.01, 0.05, 0.5]},
                                                        trials_per_point=1))
@@ -320,8 +328,9 @@ class TestSweepAndExport:
             cache.cache_clear()
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = capsys.readouterr().err.splitlines()[-1]
-        assert summary.endswith(", 3 links built, 3 references generated, 2 models built")
+        assert summary.endswith(", 3 links built, 3 references generated, 2 models built, 3 stegos hidden")
         assert pipeline._keyed_link.cache_info().misses == (3 if cpus == 1 else 2)
+        assert pipeline._stego.cache_info().misses == (3 if cpus == 1 else 2)
         environment = json.loads((tmp_path / "out" / "environment.json").read_text())
         assert environment["helper"] is (cpus == 2) and environment["cpus"] == cpus
         records = (tmp_path / "out" / "records.jsonl").read_text()

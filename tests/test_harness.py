@@ -214,6 +214,22 @@ class TestRunSweep:
         assert rows[0]["trial"]["config"]["secret_seed"] == 101
         assert rows[1]["trial"]["config"]["secret_seed"] == 202
 
+    def test_every_point_evaluates_one_test_set_of_secrets(self):
+        # trial i hides the same secret at every point, and the trials'
+        # secrets differ; the channel noise stays one per (point, trial), with
+        # the seeds it had before the points shared their secrets
+        spec = small_sweep(axes={"snr_db": [5.0, 10.0], "eta": [0.05, 0.5]})
+        cfgs = [[_trial_config(spec, point, point_index, trial_index) for trial_index in range(2)]
+                for point_index, point in enumerate(spec.points())]
+        secret_seeds = [[cfg.secret_seed for cfg in trials] for trials in cfgs]
+        assert all(seeds == secret_seeds[0] for seeds in secret_seeds) and len(set(secret_seeds[0])) == 2
+        assert [[cfg.noise_seed for cfg in trials] for trials in cfgs] == [
+            [6655474686963103328, 6010926699869342902], [8940715419601552430, 779787584377704634],
+            [8750126054614908537, 10054517924447814178], [7995288447040381695, 17130343368566171282]]
+        pinned = small_sweep(axes={"secret_seed": [101], "snr_db": [5.0, 10.0]})
+        assert {_trial_config(pinned, point, point_index, trial_index).secret_seed
+                for point_index, point in enumerate(pinned.points()) for trial_index in range(2)} == {101}
+
     def test_any_scalar_field_is_an_axis(self, tmp_path):
         # schedule, predictor and channel-seed axes need no list of their own
         axes = {"beta_end": [0.02, 0.05], "embed_dim": [16, 32], "noise_seed": [3, 4]}
@@ -233,6 +249,17 @@ class TestRunSweep:
         assert rows[0]["error"] is None
         assert rows[1]["error"] == "ValueError: grid power overflows float64"
         assert rows[1]["trial"] is None
+
+    def test_a_failing_hide_is_hidden_again_at_each_point(self):
+        # both points share the link and trial 0's secret; the memo keeps no
+        # exception, so the second point hides again and fails alike
+        spec = small_sweep(base=fast_base(predictor_kind="zero", steps=20, edit_strength=1.0, mixing_p=1e-6),
+                           trials_per_point=1)
+        before = sweep_work()["stegos"]
+        rows = run_sweep(spec)
+        assert [row["error"] for row in rows] == 2 * [
+            "ValueError: the difference panel overflows float64: pair gain 8.34e+239 times the hidden chains' gap"]
+        assert sweep_work()["stegos"] - before == 2
 
     def test_overflowing_mse_is_an_error_row(self):
         # the receivers' grids reach ~1e154 here and their MSE overflows;
@@ -268,8 +295,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("axes", [{"snr_db": [5.0, 10.0]}, {"secret_seed": [101, 202], "eta": [0.05, 0.5]}])
     def test_trial_config_is_the_two_step_construction(self, axes):
-        # the base with the point applied, then the derived seeds; an
-        # explicit secret_seed axis keeps its value
+        # the base with the point applied, then the derived seeds: the
+        # secret's from (base seed, trial) alone, the noise's from (base seed,
+        # point, trial); an explicit secret_seed axis keeps its value
         spec = small_sweep(axes=axes)
         for point_index, point in enumerate(spec.points()):
             for trial_index in range(spec.trials_per_point):
@@ -277,7 +305,7 @@ class TestRunSweep:
                 cfg = replace(spec.base, **point)
                 cfg = replace(cfg, noise_seed=derive(trial_seed, "noise").value)
                 if "secret_seed" not in point:
-                    cfg = replace(cfg, secret_seed=derive(trial_seed, "secret").value)
+                    cfg = replace(cfg, secret_seed=hash_token(f"unit|{trial_index}", "secret").value)
                 assert _trial_config(spec, point, point_index, trial_index) == cfg
 
     def test_iter_matches_list(self):
@@ -289,7 +317,7 @@ class TestRunSweep:
 # records as computed with this numpy/BLAS build, so it can differ on another
 # one. Only a change that alters records on purpose may re-pin it, and it
 # records which records changed, and why, in CHANGES.md.
-PINNED_SWEEP_SHA256 = "b2230ab62cfa18da2575933267448755308035dc9303ef20f3e8c36f78990ac5"
+PINNED_SWEEP_SHA256 = "b41fe4ccaca98aebf373df0789378144531ffe1ecc5076d403d908174ccc6a54"
 
 PINNED_SPEC = SweepSpec(
     base=PipelineConfig(steps=10, shape=(1, 8, 8), token="pin"),
@@ -314,7 +342,7 @@ def test_pinned_reference_sweep_digest():
 # computed with this numpy/BLAS build, so it can differ on another one. Only
 # a change that alters records on purpose may re-pin it, and it records
 # which records changed, and why, in CHANGES.md.
-BENCH_SHAPES_SHA256 = "0927db7085f5019f2d021cf7cce6ef59866e135fc0c0b73f97ae610436d807eb"
+BENCH_SHAPES_SHA256 = "f83edd5f86db63beb308c691e220a6db98273884c60acb029914eb15ce82f27a"
 
 BENCH_SHAPE_SPECS = (
     SweepSpec(base=PipelineConfig(steps=10, token="pin"),
@@ -332,6 +360,19 @@ def test_benchmark_shape_digest():
     assert all(row["error"] is None for r in rows for row in r)
     digest = hashlib.sha256("".join(records_to_jsonl(r) for r in rows).encode("utf-8")).hexdigest()
     assert digest == BENCH_SHAPES_SHA256
+
+
+@pytest.mark.parametrize("specs", [(PINNED_SPEC,), BENCH_SHAPE_SPECS], ids=["pinned", "bench-shapes"])
+def test_each_pinned_record_is_its_trial_run_with_cold_caches(specs):
+    # the stego memo and the other build caches change no record: each
+    # equals run_trial on its trial config with every cache cleared first
+    for spec in specs:
+        for row in run_sweep(spec):
+            cfg = _trial_config(spec, row["axes"], row["point_index"], row["trial_index"])
+            for cache in pipeline.BUILD_CACHES.values():
+                cache.cache_clear()
+            cold = run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg).to_dict()
+            assert json.dumps(row["trial"], sort_keys=True) == json.dumps(cold, sort_keys=True)
 
 
 def test_warm_caches_leave_the_pinned_records_unchanged():

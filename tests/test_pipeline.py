@@ -503,12 +503,14 @@ class TestKeyedLink:
 
     def test_sweep_shares_the_model_and_references(self, counts):
         # the first trial builds both models and three references; the other
-        # three trials of the same (config, token) build nothing keyed
+        # three trials of the same (config, token) build nothing keyed, and
+        # the second point's trials find the first's two stegos: 2 hides of
+        # 20 predictions and 4 batched reveals of 20
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0]},
                          trials_per_point=2, base_seed="shared")
         for cfg in sweep_configs(spec):  # in-process: a sweep's helper counts in its own process
             run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg)
-        assert counts == {"Predictor": 2, "generate_reference": 3, "predict": 30 + 4 * 40}
+        assert counts == {"Predictor": 2, "generate_reference": 3, "predict": 30 + 2 * 20 + 4 * 20}
 
     def test_warm_trial_predicts_200_times(self, counts):
         # default window (T=50, edit_strength 0.5, lam 1): 25 steps x 2
@@ -649,6 +651,14 @@ class TestLinkCache:
             cold.append(self.record(PipelineConfig.from_dict(row["trial"]["config"])))
         assert [json.dumps(row["trial"], sort_keys=True) for row in warm] == cold
 
+    def test_the_memo_returns_a_read_only_stego(self):
+        cfg = fast_cfg()
+        secret = make_secret(Seed64(5), cfg.shape)
+        stego = pipeline._stego(pipeline._link_key(cfg), secret.tobytes())
+        assert np.array_equal(stego, hide(secret, KeyedLink(cfg)))
+        with pytest.raises(ValueError, match="read-only"):
+            stego[0, 0, 0] = 0.0
+
     def test_snr_sweep_builds_one_link(self):
         spec = SweepSpec(base=fast_cfg(noiseless=False), axes={"snr_db": [5.0, 10.0, 15.0]},
                          trials_per_point=2, base_seed="one-link")
@@ -696,6 +706,10 @@ class TestLinkCache:
     def test_link_of_the_link_fields_gives_the_records_of_the_full_config(self, kind, monkeypatch):
         cfgs = self.trial_configs(fast_cfg(predictor_kind=kind, guidance_weight=0.4, eta=0.1))
         cached = [self.record(cfg) for cfg in cfgs]
+        for cfg in cfgs:  # the memo's stego is the hide on the full config's link
+            secret = make_secret(cfg.secret_seed, cfg.shape)
+            stego = pipeline._stego(pipeline._link_key(cfg), secret.tobytes())
+            assert np.array_equal(stego, hide(secret, KeyedLink(cfg)))
         monkeypatch.setattr(pipeline, "_link", KeyedLink)  # built from each trial's PipelineConfig
         assert [self.record(cfg) for cfg in cfgs] == cached
         assert pipeline._keyed_link.cache_info().misses == 1

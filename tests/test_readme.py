@@ -3,9 +3,12 @@
 import json
 import re
 
+from dataclasses import replace
 from pathlib import Path
 
-from stegolink.harness import SweepSpec, parse_config
+from stegolink import pipeline
+from stegolink.harness import SweepSpec, _trial_config, parse_config
+from stegolink.pipeline import make_secret, run_trial
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -30,3 +33,22 @@ def test_sweep_example_parses(tmp_path):
     data = json.loads(example)
     assert spec.base.to_dict() == {**spec.base.to_dict(), **data["base"]}
     assert spec.axes == data["axes"]
+
+
+
+def test_sweep_example_hides_each_secret_once_per_link(tmp_path):
+    # with snr_db the last axis, the points of one eta share a link and come
+    # one after another, so the stego memo holds the 20 secrets across them:
+    # 3 links x 20 hides (run here at 10 steps, in-process)
+    (example,) = blocks("json")
+    path = tmp_path / "sweep.json"
+    path.write_text(example, encoding="utf-8")
+    spec = parse_config(str(path))
+    spec = replace(spec, base=replace(spec.base, steps=10))
+    assert spec.base.shape == (1, 8, 8) and spec.trials_per_point == 20
+    pipeline._stego.cache_clear()
+    for point_index, point in enumerate(spec.points()):
+        for trial_index in range(spec.trials_per_point):
+            cfg = _trial_config(spec, point, point_index, trial_index)
+            run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg)
+    assert pipeline._stego.cache_info().misses == 3 * 20

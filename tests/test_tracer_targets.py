@@ -14,6 +14,7 @@ import pytest
 
 import stegolink  # noqa: F401 - the tracer looks its targets up in the loaded modules
 
+from stegolink import pipeline
 from stegolink.pipeline import PipelineConfig, make_secret, run_trial
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -33,15 +34,19 @@ def test_every_tracer_target_resolves():
 
 
 def test_a_warm_trial_reads_its_predictor_calls_and_passes():
-    # a warm default trial runs the hide and the batched reveal, each one
-    # forward and one reverse pass over the 25-step window at two
-    # predictions a step; its link and references are already built
+    # a warm default trial of a fresh secret runs the hide and the batched
+    # reveal, each one forward and one reverse pass over the 25-step window
+    # at two predictions a step; its link and references are already built.
+    # A repeated secret finds its stego in the memo and runs the reveal alone.
     cfg = PipelineConfig(shape=(1, 8, 8))
     secret = make_secret(cfg.secret_seed, cfg.shape)
+    pipeline._stego.cache_clear()
     run_trial(secret, cfg)
-    tracer = load_tracer().Tracer()
-    tracer.trial(lambda: run_trial(secret, cfg))
-    calls = {key: st[0] for key, st in tracer.stats.items()}
-    assert tracer.absent == []
-    assert calls["predictor.predict"] == 200
-    assert calls["edict.edict_forward"] == calls["edict.edict_reverse"] == 2
+    for trial_secret, predictions, passes in ((make_secret(cfg.secret_seed + 1, cfg.shape), 200, 2),
+                                              (secret, 100, 1)):
+        tracer = load_tracer().Tracer()
+        tracer.trial(lambda: run_trial(trial_secret, cfg))
+        calls = {key: st[0] for key, st in tracer.stats.items()}
+        assert tracer.absent == []
+        assert calls["predictor.predict"] == predictions
+        assert calls["edict.edict_forward"] == calls["edict.edict_reverse"] == passes
