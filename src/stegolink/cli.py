@@ -183,7 +183,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"sweep: done {len(records)}/{total} trials in {elapsed:.1f} s "
           f"({len(records) / elapsed:.2f} trials/s), {work['links']} links built, "
           f"{work['references']} references generated, {work['models']} models built, "
-          f"{work['stegos']} stegos hidden", file=sys.stderr)
+          f"{work['noisings']} noising passes run, {work['stegos']} stegos hidden", file=sys.stderr)
     with open(aggregates_path, "w", encoding="utf-8") as fh:
         fh.write(aggregates_csv(records))
     with open(environment_path, "w", encoding="utf-8") as fh:

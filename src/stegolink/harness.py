@@ -8,14 +8,18 @@ at every point: trial i seeds its secret from a hash of (base_seed, i) and its
 channel noise from a hash of (base_seed, point index, i), unless its point
 sets that seed.  So the points differ only in their axes and their channel
 noise, points that share a keyed link hide each secret once (see
-``pipeline._stego``), and a sweep is a pure function of its spec: running it
-twice yields byte-identical records and exported tables.
+``pipeline._stego``), points that share a sampler noise it once (see
+``pipeline._noised``), and a sweep is a pure function of its spec: running
+it twice yields byte-identical records and exported tables.
 
-A sweep runs on two processes.  Every other trial goes to one persistent
-helper process, forked from the caller when the first sweep reaches its
-second trial, so the helper starts with the caller's warm keyed-object
-caches.  The caller runs trial k while the helper runs trial k + 1, and rows
-are yielded in order.  Both run the same row function (``_sweep_row``), and
+A sweep runs on two processes.  One persistent helper process runs the odd
+trial indices of every point, so each secret of the test set is noised and
+hidden in one process, in every sweep; at one trial per point it runs the
+odd points.  It is forked from the caller when the first sweep reaches its
+second trial, the helper's first, so it starts with the caller's warm
+keyed-object caches; the caller waits for that row.  From then on the
+helper runs its next trial while the caller runs its own, and rows are
+yielded in order.  Both run the same row function (``_sweep_row``), and
 each row is a pure function of its spec, point and indices, so no record
 depends on where it ran.  The helper is used only where the process may run
 on at least two CPUs, ``os.fork`` exists, the caller is not a daemonic
@@ -161,30 +165,34 @@ def iter_sweep(spec: SweepSpec):
     """Yield one record dict per trial, in deterministic order.
 
     A failing trial yields an error row instead of aborting the sweep.
-    Trials share links, models, condition sets and stegos through the
-    pipeline's caches (see KeyedLink); no record depends on what they hold.
-    Every other trial runs in the helper process (see the module docstring);
-    a sweep abandoned part-way leaves at most one job there, which the next
-    job sent discards.
+    Trials share links, models, condition sets, noised secrets and stegos
+    through the pipeline's caches (see KeyedLink); no record depends on what
+    they hold.  The helper process runs the odd trial indices of every
+    point, or the odd points at one trial per point (see the module
+    docstring); a sweep abandoned part-way leaves at most one job there,
+    which the next job sent discards.
     """
     def job(k: int) -> tuple:  # job k's (point, point index, trial index), computed, never stored
         return points[k // spec.trials_per_point], *divmod(k, spec.trials_per_point)
+
+    def helper_runs(k: int) -> bool:  # an odd trial index, or an odd point at one trial per point
+        return job(k)[1 if spec.trials_per_point == 1 else 2] % 2 == 1
 
     points = spec.points()
     total = len(points) * spec.trials_per_point
     away = None  # (job index, helper, ticket) of the job the helper runs
     for k in range(total):
-        row = None
+        row, ran = None, False
         if away is not None and away[0] == k:
-            row = away[1].result(away[2])
-            away, ahead = None, k + 2  # the caller runs k + 1 itself
-        else:
-            ahead = k + 1
-        if away is None and ahead < total and (k > 0 or _live is not None):
-            helper = _helper()
+            row, away, ran = away[1].result(away[2]), None, True  # a row the helper lost is None
+        if away is None and (k > 0 or _live is not None):
+            ahead = next((j for j in range(k + ran, total) if helper_runs(j)), None)
+            helper = _helper() if ahead is not None else None
             ticket = helper.submit((spec, *job(ahead))) if helper is not None else None
             if ticket is not None:
                 away = ahead, helper, ticket
+                if ahead == k:  # a helper's job not sent ahead, as the first is: wait for it
+                    row, away = helper.result(ticket), None
         yield row if row is not None else _sweep_row(spec, *job(k))
 
 
@@ -338,7 +346,8 @@ def sweep_work() -> dict:
     """What the sweeps of this process and its helpers have built and run so far.
 
     Each of ``pipeline.BUILD_CACHES`` (``links``, ``references``,
-    ``models`` and ``stegos``) counts that cache's misses in both processes;
+    ``models``, ``noisings`` and ``stegos``) counts that cache's misses in
+    both processes;
     ``helper_rows`` counts the rows the helper returned.
     """
     mine = dict(zip(BUILD_CACHES, _misses()))

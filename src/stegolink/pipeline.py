@@ -27,14 +27,20 @@ Every keyed object is a pure function of the config and its tokens.  Three
 ``functools.lru_cache`` functions hold them: ``_model`` the hiding and the
 reference model (2 entries), ``build_conditions`` the condition sets of one
 link's three reference tokens (3), and ``_keyed_link`` the last four
-KeyedLinks (4), which hold the rest: the link's two passes.  Two smaller
-caches spare a fresh-token link rebuilding what it shares with the last one:
-``_mask_bits`` the mask bits of a link's legit and eavesdropper tokens (2
-entries), and ``_key_only_conditions`` the key-only condition set every
-reference generation starts from (1).  ``_stego`` holds the stegos of the
-last 32 (link, secret) pairs (32), keyed by the link's key and the secret's
-float64 bytes, so the points of a sweep that share a link hide each secret
-of its test set once; stegos and keys take about 192 KB at 1x16x16 and
+KeyedLinks (4), which hold the rest: the link's two passes.  A link builds
+its token-free half (sampler params, pair gain and unconditioned biases)
+with ``_token_free`` from ``_NOISING_FIELDS`` alone: the model, schedule,
+sampler and shape fields, which are all that hide's noising pass reads.  Two
+smaller caches spare a fresh-token link rebuilding what it shares with the
+last one: ``_mask_bits`` the mask bits of a link's legit and eavesdropper
+tokens (2 entries), and ``_key_only_conditions`` the key-only condition set
+every reference generation starts from (1).  Two memos hold what links make
+of a secret, each keyed by the secret's float64 bytes too.  ``_noised`` (32)
+holds the end state of hide's noising pass, keyed by the noising fields, so
+the links of one sampler (an eta, token or guidance_weight axis) noise each
+secret of a test set once.  ``_stego`` (32) holds the stegos, keyed by the
+link's key, so the points of a sweep that share a link hide each secret
+once.  Each memo's 32 entries and keys take about 192 KB at 1x16x16 and
 768 KB at 1x32x32.  hide, reveal and eavesdrop all read from a link.  A
 link is keyed by every config field except the channel's (snr_db,
 noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
@@ -48,7 +54,8 @@ trip are the rows (in REVEAL_ROWS order) of ``link.reveal``: they share the
 predictor, the schedule and the window and differ only in start state,
 conditions and mask.  Its row count is fixed, so every reveal of a link runs
 the same computation; reveal and eavesdrop return their row of it.
-``link.hide`` is the legit row of the same terms, with the biases swapped.
+``link.hide`` is the legit row of the same terms, with the biases swapped;
+``hide`` runs it split at its mask flip, the noising half from ``_noised``.
 
 PipelineConfig checks its four free-text fields (each a non-empty string) and
 the shape, and leaves every other rule, a value's kind included, and its
@@ -212,18 +219,55 @@ def sync_gain(mixing_p: float, steps: int) -> float:
     return 2.0 ** min(int(exponent), 1000)
 
 
+# hide's token-free half, its noising pass, reads only the model, the
+# schedule, the sampler and the shape: no token, eta, guidance_weight or key
+# text reaches it, so the links that differ only in those share it
+_NOISING_FIELDS = ("predictor_kind", "predictor_seed", "embed_dim", "steps", "beta_start", "beta_end",
+                   "mixing_p", "edit_strength", "shape")
+_noising_key = operator.attrgetter(*_NOISING_FIELDS)
+_NoisingConfig = collections.namedtuple("_NoisingConfig", _NOISING_FIELDS)
+
+# the sampler params, the pair gain, the unconditioned bias of the reveal's
+# rows (its denoise) and its legit row (hide's noise)
+_TokenFree = collections.namedtuple("_TokenFree", "params gain plain noise")
+
+
+def _token_free(key: tuple) -> _TokenFree:
+    # what a link and the noising memo build from the noising key: its
+    # fields alone, so reading any other field fails
+    cfg = _NoisingConfig._make(key)
+    sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
+    pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
+    plain = pred.bias(math.prod(cfg.shape), sched, [None] * len(REVEAL_ROWS))
+    return _TokenFree(params, sync_gain(cfg.mixing_p, params.window(sched.T)), plain, plain.take([0]))
+
+
+@functools.lru_cache(maxsize=32)  # a test set of 20 secrets, noised once for every link of its sampler
+def _noised(key: tuple, secret_bytes: bytes) -> CoupledState:
+    # the read-only end state of hide's noising pass over one checked secret,
+    # keyed by the token-free fields and the secret's float64 bytes
+    half = _token_free(key)
+    secret = np.frombuffer(secret_bytes).reshape(_NoisingConfig._make(key).shape)
+    state = edict_forward(CoupledState(secret, secret), half.noise, half.params)
+    state.z.flags.writeable = state.u.flags.writeable = False
+    return state
+
+
 class KeyedLink:
     """Every keyed object of one config, built once and shared by all ends.
 
-    Holds the latent shape, the sampler params, the pair gain and the two
-    passes.  ``reveal`` has one row per REVEAL_ROWS entry, noised under the
-    condition set of the reference token its receiver names (cfg.token for
-    the legit and round-trip rows, cfg.eavesdropper_token for E2, the stock
-    reference for E3) mixed by cfg.guidance_weight, sign-flipped by the mask
-    of its mask token (all zeros for E3, which names none, so the flips stay
-    in place), and denoised unconditioned.  ``hide`` runs the legit row of
-    the same terms with the biases swapped, so its conditioned pass and the
-    legit row's inverse add identical bias bits.
+    Holds the latent shape, the key of its token-free half (``noising``,
+    from which ``_token_free`` builds its sampler params, pair gain and
+    plain biases), the params, the gain and the two passes.  ``reveal`` has
+    one row per REVEAL_ROWS entry, noised under the condition set of the
+    reference token its receiver names (cfg.token for the legit and
+    round-trip rows, cfg.eavesdropper_token for E2, the stock reference for
+    E3) mixed by cfg.guidance_weight, sign-flipped by the mask of its mask
+    token (all zeros for E3, which names none, so the flips stay in place),
+    and denoised unconditioned.  ``hide`` runs the legit row of the same
+    terms with the biases swapped, so its conditioned pass and the legit
+    row's inverse add identical bias bits.
 
     A link reads nothing of the channel or the trial's seeds: cfg may be a
     PipelineConfig or the ``_LinkConfig`` of its other fields, which is what
@@ -244,20 +288,17 @@ class KeyedLink:
                                           model_seed=model_seed, steps=cfg.steps, beta_start=cfg.beta_start,
                                           beta_end=cfg.beta_end, shape=cfg.shape)
                       for t in dict.fromkeys(ref_tokens)}
-        sched = build_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-        pred = _model(cfg.predictor_kind, cfg.predictor_seed, cfg.embed_dim)
-
         self.shape = cfg.shape
-        self.params = SamplerParams(mixing_p=cfg.mixing_p, edit_strength=cfg.edit_strength)
-        self.gain = sync_gain(cfg.mixing_p, self.params.window(sched.T))
+        self.noising = _noising_key(cfg)
+        half = _token_free(self.noising)
+        self.params, self.gain = half.params, half.gain
 
-        n = int(np.prod(cfg.shape))
-        keyed = pred.bias(n, sched, [conditions[t] for t in ref_tokens], cfg.guidance_weight)
-        plain = pred.bias(n, sched, [None] * len(REVEAL_ROWS))
+        plain = half.plain
+        keyed = plain.predictor.bias(plain.n, plain.sched, [conditions[t] for t in ref_tokens], cfg.guidance_weight)
         masks = {t: _mask_bits(t, cfg.shape, cfg.eta) for t in dict.fromkeys(mask_tokens) if t}
         mask = PerturbationMask(np.stack([masks[t] if t else np.zeros(cfg.shape, np.uint8) for t in mask_tokens]))
         self.reveal = Pass(keyed, mask, plain)
-        self.hide = Pass(plain.take([0]), PerturbationMask(mask.bits[0]), keyed.take([0]))
+        self.hide = Pass(half.noise, PerturbationMask(mask.bits[0]), keyed.take([0]))
 
 
 # a link reads every PipelineConfig field but the channel's and the trial's
@@ -297,25 +338,33 @@ def _unpack_pair(grid: np.ndarray, channels: int, gain: float) -> CoupledState:
 
 # -- transmitter / receiver ---------------------------------------------------
 
-def _coupled_pass(state: CoupledState, run: Pass, params: SamplerParams) -> CoupledState:
-    """Noise the chains under run.noise, flip run.mask's signs, and denoise under run.denoise.
-
-    Hiding noises under the plain bias and denoises under the conditioned
-    one; the reveal swaps the two, and its flip, an involution, undoes hiding's.
-    """
-    state = edict_forward(state, run.noise, params)
+def _flip_and_denoise(state: CoupledState, run: Pass, params: SamplerParams) -> CoupledState:
+    """Flip run.mask's signs on noised chains and denoise them under run.denoise."""
     # a sign flip keeps the pass's checked chains finite
     state = CoupledState.of_pass(perturb(state.z, run.mask), perturb(state.u, run.mask))
     return edict_reverse(state, run.denoise, params)
 
 
+def _coupled_pass(state: CoupledState, run: Pass, params: SamplerParams) -> CoupledState:
+    """Noise the chains under run.noise, flip run.mask's signs, and denoise under run.denoise.
+
+    The reveal noises under the conditioned bias and denoises under the
+    plain one; its flip, an involution, undoes hiding's.
+    """
+    return _flip_and_denoise(edict_forward(state, run.noise, params), run, params)
+
+
 def hide(secret: np.ndarray, link: KeyedLink) -> np.ndarray:
     """Render the secret into a stego latent keyed by the link's token.
 
-    The secret must pass ``check_secret``.
+    The secret must pass ``check_secret``.  Hiding is ``link.hide`` split at
+    its mask flip.  The first half noises the secret under the plain bias;
+    it reads no token, so it comes from the ``_noised`` memo, which every
+    link of one ``link.noising`` key shares.  The keyed half flips the
+    mask's signs, denoises under the conditioned bias and packs the pair.
     """
     secret, _ = check_secret(secret, link.shape)
-    state = _coupled_pass(CoupledState(secret.copy(), secret.copy()), link.hide, link.params)
+    state = _flip_and_denoise(_noised(link.noising, secret.tobytes()), link.hide, link.params)
     return _pack_pair(state, link.gain)
 
 
@@ -330,7 +379,8 @@ def _stego(link_key: tuple, secret_bytes: bytes) -> np.ndarray:
 
 
 # the caches whose misses count as builds, named by what a miss builds
-BUILD_CACHES = {"links": _keyed_link, "references": build_conditions, "models": _model, "stegos": _stego}
+BUILD_CACHES = {"links": _keyed_link, "references": build_conditions, "models": _model, "noisings": _noised,
+                "stegos": _stego}
 
 
 def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> np.ndarray:

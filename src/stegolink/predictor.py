@@ -168,6 +168,16 @@ class RowBias:
         return replace(self, rows=len(rows), cond=None if self.cond is None else _read_only(self.cond[:, rows]))
 
 
+def _condition_vectors(rows: list[ConditionSet], guidance_weight: float) -> np.ndarray:
+    # (branches, rows, 3 * embed_dim): key only, then full; the endpoints
+    # keep only the branch they use
+    if guidance_weight == 1.0:
+        return np.stack([[c.stacked() for c in rows]])
+    if guidance_weight == 0.0:
+        return np.stack([[c.without_reference().stacked() for c in rows]])
+    return np.stack([[c.without_reference().stacked() for c in rows], [c.stacked() for c in rows]])
+
+
 def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     # an uninitialised float64 array starting on a 64-byte cache line, so the
     # kernel's vector loads of its rows never straddle two lines.  malloc
@@ -272,6 +282,8 @@ class Predictor:
         Each row is conditioned by its ConditionSet or unconditioned (None);
         the rows of one batch are all conditioned or all unconditioned.
         Conditioned rows mix their two guidance branches by guidance_weight.
+        Only linear and tiny-mlp stack the rows' condition vectors; the zero
+        predictor reads none.
         """
         if not rows:
             raise ValueError("a batch needs at least one row")
@@ -282,28 +294,18 @@ class Predictor:
         if any(c.dim != self.embed_dim for c in conditioned):
             raise ValueError("conditions dimension does not match predictor embed_dim")
 
-        # the endpoints keep only the branch they use
-        if not conditioned:
-            cvec = None
-        elif guidance_weight == 1.0:
-            cvec = np.stack([[c.stacked() for c in rows]])
-        elif guidance_weight == 0.0:
-            cvec = np.stack([[c.without_reference().stacked() for c in rows]])
-        else:
-            cvec = np.stack([[c.without_reference().stacked() for c in rows],
-                             [c.stacked() for c in rows]])
-
         step = cond = None
         if self.kind == "linear":
             _, _, w, direction = self.weights_for(n)
-            if cvec is not None:
-                cond = _read_only((_BIAS_SCALE * (cvec @ w))[..., None] * direction)
+            if conditioned:
+                cond = _read_only((_BIAS_SCALE * (_condition_vectors(rows, guidance_weight) @ w))[..., None]
+                                  * direction)
         elif self.kind == "tiny-mlp":
             w1, _ = self.weights_for(n)
             # (T + 1, 1, h): a one-row batch adds step[t] without broadcasting
             step = _read_only(_time_embeddings(sched.T) @ w1[:, n:n + _TIME_DIM].T)[:, None]
-            if cvec is not None:
-                cond = _read_only(cvec @ w1[:, n + _TIME_DIM:].T)
+            if conditioned:
+                cond = _read_only(_condition_vectors(rows, guidance_weight) @ w1[:, n + _TIME_DIM:].T)
         return RowBias(self, sched, n, len(rows), step, cond, guidance_weight, self._sizes.get(n, ((), ()))[1])
 
     def predict(self, z: np.ndarray, t: int, bias: RowBias) -> np.ndarray:

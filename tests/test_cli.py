@@ -296,31 +296,49 @@ class TestSweepAndExport:
 
     def test_summary_counts_what_the_sweep_built(self, tmp_path, capsys, monkeypatch):
         # one (config, token) over an snr_db axis: the first run builds one
-        # link, three references and two models, and hides the test set's
-        # two secrets once for both points; the same sweep run again finds
-        # the keyed objects in the caches. Each process holds its own
-        # stegos: in-process the rerun hides nothing, and with the helper,
-        # which forked after the caller's first hide, it takes trial 1 of
-        # both points on the rerun and hides that secret once
+        # link, three references and two models, and noises and hides the
+        # test set's two secrets once for both points; the same sweep run
+        # again finds everything in the caches. Each process holds its own
+        # memos, and with the helper each runs one trial index throughout,
+        # so the rerun noises and hides nothing either way
         cfg = write_json(tmp_path / "sweep.json", SWEEP_PAYLOAD)
-        for cpus, rerun_stegos in ((1, 0), (2, 1)):
+        for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
             harness.close_helper()
             for cache in pipeline.BUILD_CACHES.values():
                 cache.cache_clear()
-            for links, references, models, stegos in ((1, 3, 2, 2), (0, 0, 0, rerun_stegos)):
+            for links, references, models, secrets in ((1, 3, 2, 2), (0, 0, 0, 0)):
                 assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
                 summary = capsys.readouterr().err.splitlines()[-1]
                 assert summary.startswith("sweep: done 4/4 trials in ")
                 assert summary.endswith(f", {links} links built, {references} references generated, "
-                                        f"{models} models built, {stegos} stegos hidden")
+                                        f"{models} models built, {secrets} noising passes run, "
+                                        f"{secrets} stegos hidden")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_secret_is_hidden_in_one_process(self, tmp_path, capsys, monkeypatch, cpus):
+        # 4 SNR points of 3 trials, run twice: the helper takes trial 1 at
+        # every point, in the sweep that forks it and in the next, so the
+        # test set's 3 secrets are noised and hidden 3 times in all (once
+        # this was 5 with the helper, when a trial index changed process)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, axes={"snr_db": [5.0, 10.0, 15.0, 20.0]},
+                                                       trials_per_point=3))
+        harness.close_helper()
+        for cache in pipeline.BUILD_CACHES.values():
+            cache.cache_clear()
+        for secrets in (3, 0):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            summary = capsys.readouterr().err.splitlines()[-1]
+            assert summary.endswith(f", {secrets} noising passes run, {secrets} stegos hidden")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_summary_counts_what_the_helper_built(self, tmp_path, capsys, monkeypatch, cpus):
-        # a cold 3-point eta grid: the caller builds the first two links and,
-        # with two CPUs, the helper the third, from the caller's references
-        # and models; each link hides the one secret; the summary counts the
-        # same either way
+        # a cold 3-point eta grid: the caller builds the first and third
+        # links and, with two CPUs, the helper the second, from the caller's
+        # references and models; the one secret is noised once for the
+        # grid's one sampler and hidden once per link; the summary counts
+        # the same either way
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, axes={"eta": [0.01, 0.05, 0.5]},
                                                        trials_per_point=1))
@@ -328,9 +346,11 @@ class TestSweepAndExport:
             cache.cache_clear()
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = capsys.readouterr().err.splitlines()[-1]
-        assert summary.endswith(", 3 links built, 3 references generated, 2 models built, 3 stegos hidden")
+        assert summary.endswith(", 3 links built, 3 references generated, 2 models built, "
+                                "1 noising passes run, 3 stegos hidden")
         assert pipeline._keyed_link.cache_info().misses == (3 if cpus == 1 else 2)
         assert pipeline._stego.cache_info().misses == (3 if cpus == 1 else 2)
+        assert pipeline._noised.cache_info().misses == 1  # the helper forked with the secret noised
         environment = json.loads((tmp_path / "out" / "environment.json").read_text())
         assert environment["helper"] is (cpus == 2) and environment["cpus"] == cpus
         records = (tmp_path / "out" / "records.jsonl").read_text()

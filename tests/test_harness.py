@@ -575,24 +575,24 @@ class TestHelper:
         assert records_to_jsonl(run_sweep(spec)) == expected  # the first sweep forks at its second trial
         assert records_to_jsonl(run_sweep(spec)) == expected
         helper_rows = sweep_work()["helper_rows"] - before
-        trials = len(spec.points()) * spec.trials_per_point
-        first = (trials - 1) // 2  # a live helper from the first sweep takes the second from its start
-        assert helper_rows == (0 if n == 1 else first + (trials // 2 if first else first))
+        points = len(spec.points())
+        odd = points // 2 if spec.trials_per_point == 1 else points * (spec.trials_per_point // 2)
+        assert helper_rows == (0 if n == 1 else 2 * odd)  # the odd trials, or odd points, of both sweeps
 
-    def test_rows_alternate_between_the_processes(self, cpus, monkeypatch):
+    @pytest.mark.parametrize("trials", [2, 3, 1])
+    def test_rows_alternate_between_the_processes(self, cpus, monkeypatch, trials):
+        # the helper takes the odd trial indices of every point, or the odd
+        # points at one trial per point, both in the sweep that forks it (at
+        # its second trial) and in the next, so a trial index keeps its process
         cpus(2)
-        spec = small_sweep(axes={"snr_db": [5.0, 10.0, 15.0]})
+        spec = small_sweep(axes={"snr_db": [5.0, 10.0, 15.0, 20.0]}, trials_per_point=trials)
         ran_here = []  # the helper appends to its own copy
         real = harness._sweep_row
-
-        def here(*args):
-            ran_here.append(args[3] + 2 * args[2])  # the trial's position in the sweep
-            return real(*args)
-
-        monkeypatch.setattr(harness, "_sweep_row", here)
-        run_sweep(spec)  # the helper forks at the second trial and takes the third
-        run_sweep(spec)  # a live helper takes every odd trial
-        assert ran_here == [0, 1, 3, 5] + [0, 2, 4]
+        monkeypatch.setattr(harness, "_sweep_row", lambda *args: ran_here.append(args[2:]) or real(*args))
+        run_sweep(spec)
+        run_sweep(spec)
+        expected = [(p, t) for p in range(4) for t in range(trials) if (p if trials == 1 else t) % 2 == 0]
+        assert ran_here == expected + expected
 
     def test_killed_helper_loses_no_row(self, cpus):
         cpus(2)

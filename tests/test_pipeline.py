@@ -263,8 +263,12 @@ class TestHide:
         seen = []
         real = edict._finite
         monkeypatch.setattr(edict, "_finite", lambda arrays: seen.append(len(arrays)) or real(arrays))
+        pipeline._noised.cache_clear()  # a memoised secret skips its start state and noising pass
         hide(secret, link)
         assert seen == [2, 2, 2]  # the secret's start state, then each pass's end
+        seen.clear()
+        hide(secret, link)
+        assert seen == [2]  # the keyed half's end alone
 
     def test_stego_visible_half_not_secret(self):
         # the carrier must not leak the secret verbatim
@@ -498,8 +502,14 @@ class TestKeyedLink:
         # token, 10 predictions each; 5 steps x 2 chains per sampler pass,
         # two passes to hide and two for the batched reveal
         cfg = fast_cfg(token="9000", eavesdropper_token=eavesdropper_token, noiseless=False)
-        run_trial(make_secret(Seed64(46), cfg.shape), cfg)
+        secret = make_secret(Seed64(46), cfg.shape)
+        run_trial(secret, cfg)
         assert counts == {"Predictor": 2, "generate_reference": references, "predict": 10 * references + 40}
+        # another token's link of the same sampler builds its own reference
+        # and finds the secret noised: the hide's keyed half and the reveal
+        counts.update(dict.fromkeys(counts, 0))
+        run_trial(secret, replace(cfg, token="76576"))
+        assert counts == {"Predictor": 0, "generate_reference": 1, "predict": 10 + 10 + 20}
 
     def test_sweep_shares_the_model_and_references(self, counts):
         # the first trial builds both models and three references; the other
@@ -735,7 +745,7 @@ class TestLinkCache:
 
     def test_link_holds_its_two_passes_and_nothing_else(self):
         link = KeyedLink(fast_cfg())
-        assert sorted(vars(link)) == ["gain", "hide", "params", "reveal", "shape"]
+        assert sorted(vars(link)) == ["gain", "hide", "noising", "params", "reveal", "shape"]
         assert isinstance(link.hide, pipeline.Pass) and isinstance(link.reveal, pipeline.Pass)
 
 
@@ -900,3 +910,62 @@ def test_inert_guard_covers_every_scalar_field():
 def test_no_config_field_is_inert(field, default_scores):
     # the field, set to another valid value, moves what the trial measures
     assert _scores(replace(INERT_BASE, **{field: OTHER_VALUES[field]})) != default_scores
+
+
+def _link_noised(cfg):
+    """hide's noising pass as the config's own link defines it, and the memo's state for it."""
+    link = KeyedLink(cfg)
+    secret = make_secret(Seed64(11), cfg.shape)
+    want = edict_forward(CoupledState(secret, secret), link.hide.noise, link.params)
+    return want, pipeline._noised(link.noising, secret.tobytes())
+
+
+@pytest.mark.parametrize("field", [*OTHER_VALUES, "shape"])
+def test_the_noising_memo_keys_exactly_the_fields_its_pass_reads(field):
+    # the memo returns the pass of the full config's link, and that pass
+    # moves exactly when a keyed field does: a field the pass reads but the
+    # key leaves out fails here, and so does a keyed field it never reads
+    base = PipelineConfig(steps=10, shape=(1, 8, 8))
+    other = replace(base, **{field: {**OTHER_VALUES, "shape": (1, 8, 4)}[field]})
+    pipeline._noised.cache_clear()
+    states = [_link_noised(cfg) for cfg in (base, other)]
+    for want, got in states:
+        assert (got.z.tobytes(), got.u.tobytes()) == (want.z.tobytes(), want.u.tobytes())
+    (base_state, _), (other_state, _) = states
+    moved = (other_state.z.tobytes(), other_state.u.tobytes()) != (base_state.z.tobytes(), base_state.u.tobytes())
+    assert moved == (field in pipeline._NOISING_FIELDS)
+    assert pipeline._noised.cache_info().misses == 1 + moved
+
+
+def test_the_noising_memo_returns_a_read_only_state():
+    _, state = _link_noised(fast_cfg())
+    for chain in (state.z, state.u):
+        with pytest.raises(ValueError, match="read-only"):
+            chain[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+@pytest.mark.parametrize("axis,values", [("eta", [0.01, 0.05, 0.5]), ("token", ["9000", "76576", "6718"])])
+def test_links_of_one_sampler_hide_as_cold_caches_do(kind, axis, values):
+    # the links of an eta or token grid noise each secret once, and each
+    # stego is the one hide makes with every cache cold, and the one
+    # coupled pass (noise, flip, denoise) makes, byte for byte
+    cfgs = [fast_cfg(predictor_kind=kind, guidance_weight=0.4, **{axis: v}) for v in values]
+    secrets = [make_secret(Seed64(s), cfgs[0].shape) for s in (11, 12)]
+
+    def clear():
+        for cache in pipeline.BUILD_CACHES.values():
+            cache.cache_clear()
+
+    clear()
+    warm = [hide(s, KeyedLink(cfg)).tobytes() for cfg in cfgs for s in secrets]
+    assert pipeline._noised.cache_info().misses == len(secrets)
+    cold, whole = [], []
+    for cfg in cfgs:
+        for s in secrets:
+            clear()
+            link = KeyedLink(cfg)
+            cold.append(hide(s, link).tobytes())
+            state = pipeline._coupled_pass(CoupledState(s.copy(), s.copy()), link.hide, link.params)
+            whole.append(pipeline._pack_pair(state, link.gain).tobytes())
+    assert warm == cold == whole

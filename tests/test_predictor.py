@@ -142,6 +142,16 @@ class TestPredict:
         with pytest.raises(ValueError, match="^steps: "):
             guided_predict(Predictor(kind, weight_seed=7), np.ones((1, 8, 8)), t, None)
 
+    @pytest.mark.parametrize("kind,stacked", [("zero", 0), ("linear", 8), ("tiny-mlp", 8)])
+    def test_only_a_kind_that_reads_conditions_stacks_them(self, kind, stacked, monkeypatch):
+        # two branches of four rows at lam 0.4; the zero predictor once
+        # stacked them too, for no condition term
+        calls = []
+        real = ConditionSet.stacked
+        monkeypatch.setattr(ConditionSet, "stacked", lambda self: calls.append(1) or real(self))
+        bias = Predictor(kind, weight_seed=7).bias(64, build_schedule(10), rows_of(0.4), 0.4)
+        assert len(calls) == stacked and bias.branches == (2 if stacked else 0)
+
     def test_bias_rejects_a_foreign_condition_dimension(self):
         p = Predictor("tiny-mlp", weight_seed=7, embed_dim=64)
         with pytest.raises(ValueError, match="embed_dim"):

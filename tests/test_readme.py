@@ -39,7 +39,8 @@ def test_sweep_example_parses(tmp_path):
 def test_sweep_example_hides_each_secret_once_per_link(tmp_path):
     # with snr_db the last axis, the points of one eta share a link and come
     # one after another, so the stego memo holds the 20 secrets across them:
-    # 3 links x 20 hides (run here at 10 steps, in-process)
+    # 3 links x 20 hides (run here at 10 steps, in-process); the three links
+    # share one sampler, so the 20 secrets are noised once each
     (example,) = blocks("json")
     path = tmp_path / "sweep.json"
     path.write_text(example, encoding="utf-8")
@@ -47,8 +48,10 @@ def test_sweep_example_hides_each_secret_once_per_link(tmp_path):
     spec = replace(spec, base=replace(spec.base, steps=10))
     assert spec.base.shape == (1, 8, 8) and spec.trials_per_point == 20
     pipeline._stego.cache_clear()
+    pipeline._noised.cache_clear()
     for point_index, point in enumerate(spec.points()):
         for trial_index in range(spec.trials_per_point):
             cfg = _trial_config(spec, point, point_index, trial_index)
             run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg)
     assert pipeline._stego.cache_info().misses == 3 * 20
+    assert pipeline._noised.cache_info().misses == 20

@@ -38,9 +38,11 @@ def test_a_warm_trial_reads_its_predictor_calls_and_passes():
     # reveal, each one forward and one reverse pass over the 25-step window
     # at two predictions a step; its link and references are already built.
     # A repeated secret finds its stego in the memo and runs the reveal alone.
+    # Every memo starts cold, so no earlier test's secret changes the counts.
     cfg = PipelineConfig(shape=(1, 8, 8))
     secret = make_secret(cfg.secret_seed, cfg.shape)
-    pipeline._stego.cache_clear()
+    for cache in pipeline.BUILD_CACHES.values():
+        cache.cache_clear()
     run_trial(secret, cfg)
     for trial_secret, predictions, passes in ((make_secret(cfg.secret_seed + 1, cfg.shape), 200, 2),
                                               (secret, 100, 1)):
