@@ -9,7 +9,7 @@ conditioning, and sent over an AWGN link.  Only the holder of the token can
 run the inverse chain back to the secret.
 """
 
-from .rng import Seed64, RandomStream, hash_token, uniform_stream, gaussian_stream
+from .rng import RandomStream, hash_token, uniform_stream, gaussian_stream
 from .schedule import NoiseSchedule, build_schedule
 from .predictor import ConditionSet, Predictor, embed_text, guided_predict
 from .edict import CoupledState, SamplerParams, SamplerDivergenceError, edict_forward, edict_reverse, ddim_sample

@@ -79,8 +79,8 @@ def _trial_group(eta: float, snr_db: float) -> tuple:
     for i in range(20):
         seed = hash_token(f"acc|{eta}|{snr_db}|{i}", "trial")
         cfg = PipelineConfig(eta=eta, snr_db=float(snr_db), steps=50, shape=(1, 8, 8),
-                             secret_seed=derive(seed, "secret").value,
-                             noise_seed=derive(seed, "noise").value)
+                             secret_seed=derive(seed, "secret"),
+                             noise_seed=derive(seed, "noise"))
         records.append(run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg))
     return tuple(records)
 
@@ -106,10 +106,10 @@ def keyed_recovery_noiseless() -> Check:
     worst = 0.0
     for i in range(50):
         seed = hash_token(f"acceptance-e2e|{i}", "trial")
-        cfg = PipelineConfig(token=f"token-{seed.value % 10 ** 6:06d}",
+        cfg = PipelineConfig(token=f"token-{seed % 10 ** 6:06d}",
                              eta=0.05, guidance_weight=1.0, edit_strength=0.5,
                              steps=50, noiseless=True,
-                             secret_seed=derive(seed, "secret").value)
+                             secret_seed=derive(seed, "secret"))
         secret = make_secret(cfg.secret_seed, cfg.shape)
         link = KeyedLink(cfg)
         recovered = reveal(hide(secret, link), link)
@@ -184,7 +184,7 @@ def channel_calibration() -> Check:
         seed = hash_token(f"acceptance-cal|{snr}", "trial")
         raw = gaussian_stream(derive(seed, "payload"), 1_000_000)
         frame = encode(raw)
-        cfg = ChannelConfig(snr_db=snr, noise_seed=derive(seed, "noise").value)
+        cfg = ChannelConfig(snr_db=snr, noise_seed=derive(seed, "noise"))
         received = transmit(frame, cfg)
         noise = received.symbols - frame.symbols
         empirical = 10.0 * np.log10(np.mean(frame.symbols ** 2) / np.mean(noise ** 2))

@@ -26,17 +26,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, _as_seed, _is_number, gaussian_stream
+from .rng import _check_seed, _is_number, gaussian_stream
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     snr_db: float = 10.0
-    noise_seed: Seed64 | int = 1
+    noise_seed: int = 1
     noiseless: bool = False
 
     def __post_init__(self):
-        _as_seed(self.noise_seed, "noise_seed")  # checked, not converted
+        _check_seed(self.noise_seed, "noise_seed")
         if not isinstance(self.noiseless, bool):
             raise ValueError("noiseless: must be true or false")
         try:  # transmit's noise divisor, or 0 for a value that is not a number

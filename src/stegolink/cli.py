@@ -65,7 +65,7 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
     try:
         if args.seed is not None:
             overrides["secret_seed"] = args.seed
-            overrides["noise_seed"] = derive(args.seed, "noise").value  # derive checks the seed
+            overrides["noise_seed"] = derive(args.seed, "noise")  # derive checks the seed
         return replace(cfg, **overrides)
     except ValueError as e:
         raise ConfigError(str(e)) from e

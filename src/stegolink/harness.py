@@ -140,9 +140,8 @@ def parse_config(path: str):
 def _trial_config(spec: SweepSpec, point: dict, point_index: int, trial_index: int) -> PipelineConfig:
     # trial i's secret is the test set's i-th at every point; its channel
     # noise is the point's own; a seed the point sets wins over derivation
-    seeds = {"secret_seed": hash_token(f"{spec.base_seed}|{trial_index}", "secret").value,
-             "noise_seed": derive(hash_token(f"{spec.base_seed}|{point_index}|{trial_index}", "trial"),
-                                  "noise").value}
+    seeds = {"secret_seed": hash_token(f"{spec.base_seed}|{trial_index}", "secret"),
+             "noise_seed": derive(hash_token(f"{spec.base_seed}|{point_index}|{trial_index}", "trial"), "noise")}
     return replace(spec.base, **{**seeds, **point})
 
 

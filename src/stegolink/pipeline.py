@@ -79,7 +79,7 @@ from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
 from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
 from .predictor import ConditionSet, Predictor, _check_args, embed_text
 from .reference import embed_reference, generate_reference
-from .rng import RandomStream, Seed64, _check_seed, _is_int, derive
+from .rng import RandomStream, _check_seed, _is_int, derive
 from .schedule import _BETA_END, _BETA_START, _check_schedule, build_schedule
 from .tokenkey import PerturbationMask, _check_eta, build_mask, perturb
 
@@ -178,7 +178,7 @@ class PipelineConfig:
 
 @functools.lru_cache(maxsize=2)  # the hiding model and the reference model
 def _model(kind: str, seed: int, embed_dim: int) -> Predictor:
-    return Predictor(kind, Seed64(seed), embed_dim)
+    return Predictor(kind, seed, embed_dim)
 
 
 @functools.lru_cache(maxsize=1)  # a sweep has one key text, feature text and dim
@@ -282,7 +282,7 @@ class KeyedLink:
         ref_tokens = [getattr(cfg, r.reference_token) if r.reference_token else STOCK_REFERENCE_TOKEN
                       for r in _ROWS]
         mask_tokens = [getattr(cfg, r.mask_token) if r.mask_token else None for r in _ROWS]
-        model_seed = derive(Seed64(cfg.predictor_seed), "reference-model").value
+        model_seed = derive(cfg.predictor_seed, "reference-model")
         conditions = {t: build_conditions(t, key_text=cfg.public_key_text, feature_text=cfg.feature_text,
                                           embed_dim=cfg.embed_dim, kind=cfg.predictor_kind,
                                           model_seed=model_seed, steps=cfg.steps, beta_start=cfg.beta_start,
@@ -437,13 +437,13 @@ def _secret_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return yy, xx
 
 
-def make_secret(seed: Seed64 | int, shape: tuple[int, int, int]) -> np.ndarray:
+def make_secret(seed: int, shape: tuple[int, int, int]) -> np.ndarray:
     """Structured synthetic secret: smooth seeded waves plus one step edge.
 
     Stands in for natural-image latents; never constant, so its dynamic
-    range is always a valid PSNR peak.  seed must be a Seed64 or an integer
-    in [0, 2^64), shape three positive integers of two values or more; each
-    is checked, never converted, and a bad one raises a ValueError naming it.
+    range is always a valid PSNR peak.  seed must be an integer in [0, 2^64),
+    shape three positive integers of two values or more; each is checked,
+    never converted, and a bad one raises a ValueError naming it.
     """
     channels, height, width = _check_shape(shape)
     stream = RandomStream(derive(seed, "secret-field"))  # derive checks the seed

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Seed64, _as_seed, _fill_gaussian, _is_int, _is_number, derive, gaussian_stream, hash_token
+from .rng import _check_seed, _fill_gaussian, _is_int, _is_number, derive, gaussian_stream, hash_token
 from .schedule import NoiseSchedule, build_schedule
 
 PREDICTOR_KINDS = ("zero", "linear", "tiny-mlp")
@@ -194,7 +194,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class Predictor:
-    """Deterministic noise predictor; weights derive from weight_seed.
+    """Deterministic noise predictor; weights derive from weight_seed, an int in [0, 2^64).
 
     kind "zero" returns zeros, "linear" applies a fixed orthogonal mixing of
     the latent plus a rank-1 condition bias scaled by 0.1, and "tiny-mlp" is
@@ -211,10 +211,10 @@ class Predictor:
     batch size (structured orthogonal maps: Yu et al., NeurIPS 2016).
     """
 
-    def __init__(self, kind: str, weight_seed: Seed64 | int = 7, embed_dim: int = 64):
+    def __init__(self, kind: str, weight_seed: int = 7, embed_dim: int = 64):
         _check_args(kind, embed_dim)
         self.kind = kind
-        self.weight_seed = _as_seed(weight_seed, "weight_seed")
+        self.weight_seed = _check_seed(weight_seed, "weight_seed")
         self.embed_dim = embed_dim
         self._sizes: dict[int, tuple[tuple, tuple]] = {}  # n -> (weights, kernel operands)
 
@@ -244,7 +244,7 @@ class Predictor:
         """
         hidden = 4 * self.embed_dim
         m = n + _TIME_DIM + 3 * self.embed_dim
-        seed = derive(self.weight_seed, f"tiny-mlp:{n}").value
+        seed = derive(self.weight_seed, f"tiny-mlp:{n}")
         w1 = _aligned_empty((hidden, m))
         w2 = _aligned_empty((n, hidden))
         _fill_gaussian(seed, 0, w1.reshape(-1))

@@ -4,9 +4,11 @@ Every random value in the package is a pure function of a byte-string token,
 so two parties that share the token regenerate identical latents with no
 state exchange.  The stack is:
 
-    SHA-256(token | 0x1F | domain)  ->  64-bit seed
+    SHA-256(token | 0x1F | domain)  ->  64-bit seed, a plain int
     SplitMix64(seed)                ->  uniform doubles in [0, 1)
     Box-Muller on uniform pairs     ->  standard normal doubles
+
+A seed is an int in [0, 2^64), checked by _check_seed wherever one enters.
 
 SplitMix64 reference: https://prng.di.unimi.it/splitmix64.c
 Box-Muller transform: https://en.wikipedia.org/wiki/Box%E2%80%93Muller_transform
@@ -26,8 +28,6 @@ each output depends only on its own pair of draws.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import hashlib
 
@@ -59,40 +59,33 @@ def _check_seed(value, name: str = "seed") -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Seed64:
-    """A 64-bit unsigned seed, normally produced by hash_token."""
-
-    value: int
-
-    def __post_init__(self):
-        _check_seed(self.value, "value")
-
-    def to_bytes(self) -> bytes:
-        return self.value.to_bytes(8, "big")
+def _as_bytes(value, name: str) -> bytes:
+    # text as UTF-8, a bytes-like object as its bytes; bytes(5) is five zero bytes
+    if isinstance(value, str):
+        return value.encode("utf-8")
+    try:
+        return bytes(memoryview(value))
+    except TypeError:
+        raise ValueError(f"{name}: must be a str or a bytes-like object") from None
 
 
-def _as_seed(seed: Seed64 | int, name: str = "seed") -> Seed64:
-    # a Seed64 as it is; anything else must pass _check_seed, which names name
-    return seed if isinstance(seed, Seed64) else Seed64(_check_seed(seed, name))
-
-
-def hash_token(token: bytes | str, domain: bytes | str = b"") -> Seed64:
-    """Map (token, domain) to a Seed64: big-endian first 8 bytes of SHA-256.
+def hash_token(token: bytes | str, domain: bytes | str = b"") -> int:
+    """Map (token, domain) to a 64-bit seed: big-endian first 8 bytes of SHA-256.
 
     The hash input is token | 0x1F | domain; the 0x1F separator keeps
     ("ab", "c") distinct from ("a", "bc").  Domains partition one token into
-    independent streams ("init", "mask", "ref", ...).
+    independent streams ("init", "mask", "ref", ...).  Text is hashed as
+    UTF-8; a token or domain that is neither text nor bytes-like raises.
     """
-    tok = token.encode("utf-8") if isinstance(token, str) else bytes(token)
-    dom = domain.encode("utf-8") if isinstance(domain, str) else bytes(domain)
+    tok = _as_bytes(token, "token")
+    dom = _as_bytes(domain, "domain")
     digest = hashlib.sha256(tok + _DOMAIN_SEPARATOR + dom).digest()
-    return Seed64(int.from_bytes(digest[:8], "big"))
+    return int.from_bytes(digest[:8], "big")
 
 
-def derive(seed: Seed64 | int, label: bytes | str) -> Seed64:
-    """Derive a labeled sub-seed (model weights, projections, per-trial use)."""
-    return hash_token(_as_seed(seed).to_bytes(), label)
+def derive(seed: int, label: bytes | str) -> int:
+    """A labeled sub-seed: the hash of the seed's 8 big-endian bytes under label."""
+    return hash_token(_check_seed(seed).to_bytes(8, "big"), label)
 
 
 def _splitmix_block(seed_value: int, start: int, count: int) -> np.ndarray:
@@ -117,10 +110,10 @@ def _check_count(n) -> None:
         raise ValueError("n must be a non-negative integer")
 
 
-def uniform_stream(seed: Seed64 | int, n: int) -> np.ndarray:
+def uniform_stream(seed: int, n: int) -> np.ndarray:
     """First n uniform [0, 1) doubles of the seed's SplitMix64 stream."""
     _check_count(n)
-    return _bits_to_unit(_splitmix_block(_as_seed(seed).value, 0, n))
+    return _bits_to_unit(_splitmix_block(_check_seed(seed), 0, n))
 
 
 def _fill_gaussian(seed_value: int, first_pair: int, out: np.ndarray) -> None:
@@ -139,7 +132,7 @@ def _fill_gaussian(seed_value: int, first_pair: int, out: np.ndarray) -> None:
         out[2 * j + 1:2 * (j + pairs):2] = radius * np.sin(angle)
 
 
-def gaussian_stream(seed: Seed64 | int, n: int) -> np.ndarray:
+def gaussian_stream(seed: int, n: int) -> np.ndarray:
     """First n standard normal doubles via Box-Muller on uniform pairs.
 
     Pair j consumes uniform draws (2j, 2j+1) and both of its outputs are
@@ -148,7 +141,7 @@ def gaussian_stream(seed: Seed64 | int, n: int) -> np.ndarray:
     """
     _check_count(n)
     out = np.empty(2 * ((n + 1) // 2), dtype=np.float64)
-    _fill_gaussian(_as_seed(seed).value, 0, out)
+    _fill_gaussian(_check_seed(seed), 0, out)
     return out[:n]
 
 
@@ -159,12 +152,12 @@ class RandomStream:
     advancing n+m draws from a fresh stream with the same seed.
     """
 
-    def __init__(self, seed: Seed64 | int):
-        self.seed = _as_seed(seed)
+    def __init__(self, seed: int):
+        self.seed = _check_seed(seed)
         self.draws_emitted = 0
 
     def take(self, n: int) -> np.ndarray:
         _check_count(n)
-        block = _bits_to_unit(_splitmix_block(self.seed.value, self.draws_emitted, n))
+        block = _bits_to_unit(_splitmix_block(self.seed, self.draws_emitted, n))
         self.draws_emitted += n
         return block

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stegolink.channel import ChannelConfig, SymbolFrame, decode, encode, transmit
-from stegolink.rng import Seed64, gaussian_stream
+from stegolink.rng import gaussian_stream
 
 # 10 log10 of the smallest normal float64: the highest snr_db whose noise
 # divisor 10^(snr_db/10) rounds below it
@@ -25,7 +25,7 @@ class TestEncode:
 
     def test_unit_power_over_random_grids(self):
         for i in range(100):
-            z = gaussian_stream(Seed64(3000 + i), 64).reshape(1, 8, 8) * (1 + i % 5) + i
+            z = gaussian_stream(3000 + i, 64).reshape(1, 8, 8) * (1 + i % 5) + i
             f = encode(z)
             assert abs(float(np.mean(f.symbols ** 2)) - 1.0) < 1e-9
 
@@ -77,14 +77,14 @@ class TestSymbolFrame:
 
 class TestTransmit:
     def test_noiseless_sends_the_symbols_bit_for_bit(self):
-        f = encode(gaussian_stream(Seed64(1), 64).reshape(1, 8, 8))
+        f = encode(gaussian_stream(1, 64).reshape(1, 8, 8))
         out = transmit(f, ChannelConfig(noiseless=True, snr_db=-20.0))
         assert out.symbols.tobytes() == f.symbols.tobytes()
         assert (out.scale, out.offset) == (f.scale, f.offset)
 
     def test_noise_variance_at_10_db(self):
         # sigma^2 = P / 10 = 0.1 on unit-power symbols
-        s = gaussian_stream(Seed64(2), 1_000_000)
+        s = gaussian_stream(2, 1_000_000)
         frame = SymbolFrame(symbols=s / np.sqrt(np.mean(s ** 2)), scale=1.0, offset=0.0)
         noisy = transmit(frame, ChannelConfig(snr_db=10.0, noise_seed=9))
         noise = noisy.symbols - frame.symbols
@@ -92,7 +92,7 @@ class TestTransmit:
 
     @pytest.mark.parametrize("snr_db", [5.0, 10.0, 15.0, 20.0])
     def test_empirical_snr_calibration(self, snr_db):
-        s = gaussian_stream(Seed64(4), 1_000_000)
+        s = gaussian_stream(4, 1_000_000)
         frame = SymbolFrame(symbols=s / np.sqrt(np.mean(s ** 2)), scale=1.0, offset=0.0)
         noisy = transmit(frame, ChannelConfig(snr_db=snr_db, noise_seed=11))
         noise = noisy.symbols - frame.symbols
@@ -100,7 +100,7 @@ class TestTransmit:
         assert abs(measured - snr_db) < 0.1
 
     def test_seeded_noise_reproducible(self):
-        f = encode(gaussian_stream(Seed64(5), 256))
+        f = encode(gaussian_stream(5, 256))
         cfg = ChannelConfig(snr_db=5.0, noise_seed=21)
         assert np.array_equal(transmit(f, cfg).symbols, transmit(f, cfg).symbols)
 
@@ -130,7 +130,7 @@ class TestTransmit:
         # float64, and a unit-power frame's noise variance stays finite
         snr_db = math.nextafter(SUBNORMAL_DIVISOR_DB, 0.0)
         assert 10.0 ** (snr_db / 10.0) >= sys.float_info.min
-        f = encode(gaussian_stream(Seed64(3), 64))
+        f = encode(gaussian_stream(3, 64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             received = transmit(f, ChannelConfig(snr_db=snr_db))
@@ -149,13 +149,13 @@ class TestTransmit:
 
 class TestDecode:
     def test_noiseless_round_trip(self):
-        z = gaussian_stream(Seed64(7), 64).reshape(1, 8, 8) * 3.0 + 1.5
+        z = gaussian_stream(7, 64).reshape(1, 8, 8) * 3.0 + 1.5
         cfg = ChannelConfig(noiseless=True)
         back = decode(transmit(encode(z), cfg), (1, 8, 8))
         assert np.max(np.abs(back - z)) < 1e-12
 
     def test_round_trip_at_any_snr_when_noiseless(self):
-        z = gaussian_stream(Seed64(8), 64).reshape(1, 8, 8)
+        z = gaussian_stream(8, 64).reshape(1, 8, 8)
         cfg = ChannelConfig(noiseless=True, snr_db=-20.0)
         back = decode(transmit(encode(z), cfg), (1, 8, 8))
         assert np.max(np.abs(back - z)) < 1e-12
@@ -176,7 +176,7 @@ class TestDecode:
 
     def test_error_variance_propagation(self):
         # per-entry error variance tracks sigma^2 scale^2 within 5%
-        z = gaussian_stream(Seed64(9), 1_000_000) * 2.5 + 0.5
+        z = gaussian_stream(9, 1_000_000) * 2.5 + 0.5
         f = encode(z)
         cfg = ChannelConfig(snr_db=5.0, noise_seed=13)
         back = decode(transmit(f, cfg), z.shape)
@@ -186,7 +186,7 @@ class TestDecode:
         assert abs(measured / predicted - 1.0) < 0.05
 
     def test_mse_monotone_in_snr(self):
-        z = gaussian_stream(Seed64(10), 4096)
+        z = gaussian_stream(10, 4096)
         f = encode(z)
         means = []
         for snr_db in (5.0, 10.0, 15.0, 20.0):

@@ -138,7 +138,7 @@ class TestRun:
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_rc2_names_field(self, seed):
-        # it once exited 1 with Seed64's message, naming no field
+        # it once exited 1 with a message that named no field
         proc = run_cli("run", *FAST, "--seed", seed)
         assert proc.returncode == 2
         assert proc.stderr == "config error: seed: must be an integer in [0, 2^64)\n"

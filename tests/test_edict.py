@@ -17,7 +17,7 @@ from stegolink.edict import (
     edict_reverse,
 )
 from stegolink.predictor import ConditionSet, Predictor, embed_text
-from stegolink.rng import Seed64, gaussian_stream, hash_token
+from stegolink.rng import gaussian_stream, hash_token
 from stegolink.schedule import build_schedule
 
 SHAPES = [(1, 8, 8), (2, 8, 8), (4, 8, 8)]
@@ -71,8 +71,8 @@ class TestSubstepAlgebra:
     def test_mixing_then_unmixing_is_identity(self, p):
         # the convex mixing layer and its unmix inverse, straight from the
         # update equations, composed directly in the test
-        rng_z = gaussian_stream(Seed64(31), 64)
-        rng_u = gaussian_stream(Seed64(32), 64)
+        rng_z = gaussian_stream(31, 64)
+        rng_u = gaussian_stream(32, 64)
         z_mix = p * rng_z + (1.0 - p) * rng_u
         u_mix = p * rng_u + (1.0 - p) * z_mix
         u_back = (u_mix - (1.0 - p) * z_mix) / p
@@ -84,7 +84,7 @@ class TestSubstepAlgebra:
 class TestClosedForms:
     def test_forward_zero_predictor_telescopes(self):
         sched = build_schedule(10)
-        v = gaussian_stream(Seed64(40), 64).reshape(1, 8, 8)
+        v = gaussian_stream(40, 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
         out = edict_forward(state, plain(pred, v, sched),
@@ -103,7 +103,7 @@ class TestClosedForms:
 
     def test_reverse_zero_predictor_divides_by_gain(self):
         sched = build_schedule(10)
-        v = gaussian_stream(Seed64(41), 64).reshape(1, 8, 8)
+        v = gaussian_stream(41, 64).reshape(1, 8, 8)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
         out = edict_reverse(state, plain(pred, v, sched),
@@ -112,7 +112,7 @@ class TestClosedForms:
 
     def test_reverse_single_step_p_one(self):
         sched = build_schedule(1, 0.1, 0.1)
-        v = gaussian_stream(Seed64(42), 16).reshape(1, 4, 4)
+        v = gaussian_stream(42, 16).reshape(1, 4, 4)
         state = CoupledState(v.copy(), v.copy())
         pred = Predictor("zero", 7)
         out = edict_reverse(state, plain(pred, v, sched),
@@ -132,7 +132,7 @@ class TestClosedForms:
 
     def test_chain_symmetry_with_state_independent_predictor(self):
         sched = build_schedule(10)
-        v = gaussian_stream(Seed64(43), 64).reshape(1, 8, 8)
+        v = gaussian_stream(43, 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=0.93, edit_strength=1.0)
         pred = Predictor("zero", 7)
         fwd = edict_forward(CoupledState(v.copy(), v.copy()), plain(pred, v, sched), params)
@@ -143,7 +143,7 @@ class TestClosedForms:
     def test_window_respects_edit_strength(self):
         # forward over half the schedule telescopes over just that window
         sched = build_schedule(10)
-        v = gaussian_stream(Seed64(44), 64).reshape(1, 8, 8)
+        v = gaussian_stream(44, 64).reshape(1, 8, 8)
         pred = Predictor("zero", 7)
         out = edict_forward(CoupledState(v.copy(), v.copy()), plain(pred, v, sched),
                             SamplerParams(mixing_p=0.93, edit_strength=0.5))
@@ -460,7 +460,7 @@ class TestEndStateCheck:
 class TestDDIM:
     def test_zero_predictor_denoise_closed_form(self):
         sched = build_schedule(10)
-        v = gaussian_stream(Seed64(50), 64).reshape(1, 8, 8)
+        v = gaussian_stream(50, 64).reshape(1, 8, 8)
         pred = Predictor("zero", 7)
         out = ddim_sample(v, plain(pred, v, sched), "denoising",
                           SamplerParams(mixing_p=1.0, edit_strength=1.0))
@@ -468,7 +468,7 @@ class TestDDIM:
 
     def test_zero_predictor_round_trip(self):
         sched = build_schedule(50)
-        v = gaussian_stream(Seed64(51), 64).reshape(1, 8, 8)
+        v = gaussian_stream(51, 64).reshape(1, 8, 8)
         params = SamplerParams(mixing_p=1.0, edit_strength=1.0)
         pred = Predictor("zero", 7)
         noised = ddim_sample(v, plain(pred, v, sched), "noising", params)

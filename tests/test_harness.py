@@ -303,9 +303,9 @@ class TestRunSweep:
             for trial_index in range(spec.trials_per_point):
                 trial_seed = hash_token(f"unit|{point_index}|{trial_index}", "trial")
                 cfg = replace(spec.base, **point)
-                cfg = replace(cfg, noise_seed=derive(trial_seed, "noise").value)
+                cfg = replace(cfg, noise_seed=derive(trial_seed, "noise"))
                 if "secret_seed" not in point:
-                    cfg = replace(cfg, secret_seed=hash_token(f"unit|{trial_index}", "secret").value)
+                    cfg = replace(cfg, secret_seed=hash_token(f"unit|{trial_index}", "secret"))
                 assert _trial_config(spec, point, point_index, trial_index) == cfg
 
     def test_iter_matches_list(self):

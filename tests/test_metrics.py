@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from stegolink.metrics import SSIM_MAX_MAGNITUDE, MetricsReport, _mean, compare, mse, psnr, ssim
-from stegolink.rng import Seed64, gaussian_stream
+from stegolink.rng import gaussian_stream
 
 
 def pair(seed, shape=(1, 8, 8)):
     n = 2 * int(np.prod(shape))
-    buf = gaussian_stream(Seed64(seed), n)
+    buf = gaussian_stream(seed, n)
     return buf[:n // 2].reshape(shape), buf[n // 2:].reshape(shape)
 
 
@@ -46,7 +46,7 @@ class TestMean:
     @pytest.mark.parametrize("sizes", [range(1, 301), [1024, 4096, 65536]], ids=["1-300", "large"])
     def test_equals_np_mean_bit_for_bit(self, sizes):
         for n in sizes:
-            x = gaussian_stream(Seed64(1000 + n), n) * 3.0 + 0.5
+            x = gaussian_stream(1000 + n, n) * 3.0 + 0.5
             for grid in (x, x * x, x.reshape(1, 1, n)):
                 assert _mean(grid).tobytes() == np.mean(grid).tobytes(), n
 
@@ -117,7 +117,7 @@ class TestSsim:
     def test_anticorrelated_approaches_minus_one(self):
         # zero mean, variance huge against C2 -> the structural factor
         # dominates and lands near -1
-        a = 1e3 * gaussian_stream(Seed64(11), 4096)
+        a = 1e3 * gaussian_stream(11, 4096)
         a = a - a.mean()
         assert ssim(a, -a, 1.0) == pytest.approx(-1.0, abs=1e-3)
 

@@ -32,7 +32,7 @@ from stegolink.pipeline import (
     sync_gain,
 )
 from stegolink.predictor import Predictor
-from stegolink.rng import RandomStream, Seed64, _as_seed, derive, hash_token
+from stegolink.rng import RandomStream, _check_seed, derive, hash_token
 from stegolink.schedule import _check_schedule, build_schedule
 from stegolink.tokenkey import build_mask, restore
 
@@ -50,7 +50,7 @@ OWNERS = {
     "guidance_weight": lambda v: Predictor("zero").bias(64, build_schedule(1), [None], v),
     "eta": lambda v: build_mask("owner", (1, 2, 2), v),
     "noise_seed": lambda v: ChannelConfig(noise_seed=v),
-    **{name: lambda v, name=name: _as_seed(v, name) for name in ("predictor_seed", "secret_seed")},
+    **{name: lambda v, name=name: _check_seed(v, name) for name in ("predictor_seed", "secret_seed")},
 }
 
 EDGE_VALUES = [
@@ -83,7 +83,7 @@ def uncached_conditions(cfg, token):
     """A token's condition set built afresh, past the build_conditions cache."""
     return pipeline.build_conditions.__wrapped__(
         token, key_text=cfg.public_key_text, feature_text=cfg.feature_text, embed_dim=cfg.embed_dim,
-        kind=cfg.predictor_kind, model_seed=derive(Seed64(cfg.predictor_seed), "reference-model").value,
+        kind=cfg.predictor_kind, model_seed=derive(cfg.predictor_seed, "reference-model"),
         steps=cfg.steps, beta_start=cfg.beta_start, beta_end=cfg.beta_end, shape=cfg.shape)
 
 
@@ -220,14 +220,14 @@ class TestSyncGain:
 class TestHide:
     def test_deterministic(self):
         cfg = fast_cfg()
-        secret = make_secret(Seed64(11), cfg.shape)
+        secret = make_secret(11, cfg.shape)
         link = KeyedLink(cfg)
         assert np.array_equal(hide(secret, link), hide(secret, link))
         assert np.array_equal(hide(secret, link), hide(secret, KeyedLink(cfg)))
 
     def test_output_carries_pair_in_double_channels(self):
         cfg = fast_cfg(shape=(2, 8, 8))
-        secret = make_secret(Seed64(11), cfg.shape)
+        secret = make_secret(11, cfg.shape)
         assert hide(secret, KeyedLink(cfg)).shape == (4, 8, 8)
 
     def test_shape_mismatch_rejected(self):
@@ -250,7 +250,7 @@ class TestHide:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="difference panel overflows float64"):
-                run_trial(make_secret(Seed64(11), cfg.shape), cfg)
+                run_trial(make_secret(11, cfg.shape), cfg)
             rows = run_sweep(SweepSpec(base=cfg, axes={"mixing_p": [1e-6]}, base_seed="pack"))
         assert rows[0]["error"].startswith("ValueError: the difference panel overflows float64")
 
@@ -259,7 +259,7 @@ class TestHide:
         # neither it nor the passes' returned states are checked again
         cfg = fast_cfg()
         link = KeyedLink(cfg)
-        secret = make_secret(Seed64(11), cfg.shape)
+        secret = make_secret(11, cfg.shape)
         seen = []
         real = edict._finite
         monkeypatch.setattr(edict, "_finite", lambda arrays: seen.append(len(arrays)) or real(arrays))
@@ -273,7 +273,7 @@ class TestHide:
     def test_stego_visible_half_not_secret(self):
         # the carrier must not leak the secret verbatim
         cfg = fast_cfg(steps=25)
-        secret = make_secret(Seed64(11), cfg.shape)
+        secret = make_secret(11, cfg.shape)
         visible = hide(secret, KeyedLink(cfg))[:cfg.shape[0]]
         rel = float(np.linalg.norm(visible - secret) /
                     max(np.linalg.norm(visible), np.linalg.norm(secret)))
@@ -281,7 +281,7 @@ class TestHide:
 
     def test_distinct_tokens_distinct_stego(self):
         cfg_by_token = {t: fast_cfg(steps=25, token=t) for t in ("9000", "76576", "6718")}
-        secret = make_secret(Seed64(11), (1, 8, 8))
+        secret = make_secret(11, (1, 8, 8))
         grids = {t: hide(secret, KeyedLink(c))[:1] for t, c in cfg_by_token.items()}
         names = list(grids)
         for i in range(3):
@@ -326,7 +326,7 @@ class TestEndToEndRecovery:
 
     def test_partial_guidance_weight_exact(self):
         cfg = fast_cfg(steps=25, guidance_weight=0.4)
-        secret = make_secret(Seed64(22), cfg.shape)
+        secret = make_secret(22, cfg.shape)
         link = KeyedLink(cfg)
         err = float(np.max(np.abs(reveal(hide(secret, link), link) - secret)))
         assert err < 1e-6
@@ -353,21 +353,21 @@ class TestEavesdrop:
 
     def test_e1_returns_visible_stego(self):
         cfg = fast_cfg()
-        secret = make_secret(Seed64(31), cfg.shape)
+        secret = make_secret(31, cfg.shape)
         link = KeyedLink(cfg)
         stego = hide(secret, link)
         assert np.array_equal(eavesdrop(stego, link, "E1"), stego[:cfg.shape[0]])
 
     def test_e2_with_correct_token_degenerates_to_legit(self):
         cfg = fast_cfg(eavesdropper_token="9000", token="9000")
-        secret = make_secret(Seed64(32), cfg.shape)
+        secret = make_secret(32, cfg.shape)
         link = KeyedLink(cfg)
         stego = hide(secret, link)
         assert np.array_equal(eavesdrop(stego, link, "E2"), reveal(stego, link))
 
     def test_e2_with_wrong_token_differs(self):
         cfg = fast_cfg(eta=0.1)
-        secret = make_secret(Seed64(33), cfg.shape)
+        secret = make_secret(33, cfg.shape)
         link = KeyedLink(cfg)
         stego = hide(secret, link)
         assert not np.allclose(eavesdrop(stego, link, "E2"), secret, atol=1e-3)
@@ -378,7 +378,7 @@ class TestEavesdrop:
         for i in range(5):
             cfg = PipelineConfig(steps=25, shape=(1, 8, 8), eta=0.1, noiseless=True,
                                  secret_seed=400 + i)
-            secret = make_secret(Seed64(cfg.secret_seed), cfg.shape)
+            secret = make_secret(cfg.secret_seed, cfg.shape)
             link = KeyedLink(cfg)
             stego = hide(secret, link)
             peak = float(secret.max() - secret.min())
@@ -395,7 +395,7 @@ def sent_and_received(secret, cfg, link):
 class TestBatchedReveal:
     def test_reveal_and_eavesdrop_return_the_rows_the_trial_scores(self, monkeypatch):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, eta=0.1)
-        secret = make_secret(Seed64(51), cfg.shape)
+        secret = make_secret(51, cfg.shape)
         scored = []
         real = pipeline.compare
 
@@ -418,7 +418,7 @@ class TestBatchedReveal:
         # so rows agree to a tolerance, far below what a wrong key moves
         cfg = fast_cfg(noiseless=False, snr_db=10.0, eta=0.1, steps=25)
         link = KeyedLink(cfg)
-        _, stego_hat = sent_and_received(make_secret(Seed64(52), cfg.shape), cfg, link)
+        _, stego_hat = sent_and_received(make_secret(52, cfg.shape), cfg, link)
         batched = {"legit": reveal(stego_hat, link), "E2": eavesdrop(stego_hat, link, "E2"),
                    "E3": eavesdrop(stego_hat, link, "E3")}
 
@@ -502,7 +502,7 @@ class TestKeyedLink:
         # token, 10 predictions each; 5 steps x 2 chains per sampler pass,
         # two passes to hide and two for the batched reveal
         cfg = fast_cfg(token="9000", eavesdropper_token=eavesdropper_token, noiseless=False)
-        secret = make_secret(Seed64(46), cfg.shape)
+        secret = make_secret(46, cfg.shape)
         run_trial(secret, cfg)
         assert counts == {"Predictor": 2, "generate_reference": references, "predict": 10 * references + 40}
         # another token's link of the same sampler builds its own reference
@@ -526,9 +526,9 @@ class TestKeyedLink:
         # default window (T=50, edit_strength 0.5, lam 1): 25 steps x 2
         # chains x 2 passes to hide, and as many for all four reveals
         cfg = PipelineConfig(shape=(1, 8, 8))
-        run_trial(make_secret(Seed64(47), cfg.shape), cfg)
+        run_trial(make_secret(47, cfg.shape), cfg)
         counts.update(dict.fromkeys(counts, 0))
-        run_trial(make_secret(Seed64(48), cfg.shape), replace(cfg, snr_db=5.0))
+        run_trial(make_secret(48, cfg.shape), replace(cfg, snr_db=5.0))
         assert counts == {"Predictor": 0, "generate_reference": 0, "predict": 200}
 
     @pytest.mark.parametrize("guidance_weight", [1.0, 0.4])
@@ -663,7 +663,7 @@ class TestLinkCache:
 
     def test_the_memo_returns_a_read_only_stego(self):
         cfg = fast_cfg()
-        secret = make_secret(Seed64(5), cfg.shape)
+        secret = make_secret(5, cfg.shape)
         stego = pipeline._stego(pipeline._link_key(cfg), secret.tobytes())
         assert np.array_equal(stego, hide(secret, KeyedLink(cfg)))
         with pytest.raises(ValueError, match="read-only"):
@@ -687,7 +687,7 @@ class TestLinkCache:
         sizes = []
         for i in range(2 * pipeline._keyed_link.cache_info().maxsize + 1):
             cfg = fast_cfg(predictor_kind="zero", token=f"churn-{i}")
-            run_trial(make_secret(Seed64(i), cfg.shape), cfg)
+            run_trial(make_secret(i, cfg.shape), cfg)
             sizes.append(pipeline._keyed_link.cache_info().currsize)
         assert sizes == [1, 2, 3, 4, 4, 4, 4, 4, 4]
         assert pipeline._keyed_link.cache_info().misses == len(sizes)
@@ -751,16 +751,13 @@ class TestLinkCache:
 
 class TestMakeSecret:
     def test_deterministic(self):
-        assert np.array_equal(make_secret(Seed64(5), (2, 8, 8)),
-                              make_secret(Seed64(5), (2, 8, 8)))
+        assert np.array_equal(make_secret(5, (2, 8, 8)),
+                              make_secret(5, (2, 8, 8)))
 
     def test_never_constant(self):
         for seed in range(10):
-            s = make_secret(Seed64(seed), (1, 8, 8))
+            s = make_secret(seed, (1, 8, 8))
             assert float(s.max() - s.min()) > 0.0
-
-    def test_int_seed_accepted(self):
-        assert np.array_equal(make_secret(9, (1, 4, 4)), make_secret(Seed64(9), (1, 4, 4)))
 
     @pytest.mark.parametrize("seed,shape,name", [
         (1.9, (1, 8, 8), "seed"),
@@ -780,7 +777,7 @@ class TestMakeSecret:
     def written_out(seed, shape):
         # a fresh meshgrid per call and np.float64 wave parameters
         channels, height, width = shape
-        stream = RandomStream(derive(Seed64(seed), "secret-field"))
+        stream = RandomStream(derive(seed, "secret-field"))
         yy, xx = np.meshgrid((np.arange(height) + 0.5) / height,
                              (np.arange(width) + 0.5) / width, indexing="ij")
         grids = []
@@ -811,7 +808,7 @@ class TestMakeSecret:
 class TestRunTrial:
     def test_record_structure_and_finiteness(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0)
-        rec = run_trial(make_secret(Seed64(41), cfg.shape), cfg)
+        rec = run_trial(make_secret(41, cfg.shape), cfg)
         for name in ("legit", "eaves1", "eaves2", "eaves3"):
             rep = rec.reports[name]
             assert np.isfinite(rep.mse) and np.isfinite(rep.psnr_db) and np.isfinite(rep.ssim)
@@ -820,19 +817,19 @@ class TestRunTrial:
 
     def test_noiseless_correct_token_hits_cap(self):
         cfg = fast_cfg(steps=25, eta=0.05)
-        rec = run_trial(make_secret(Seed64(42), cfg.shape), cfg)
+        rec = run_trial(make_secret(42, cfg.shape), cfg)
         assert rec.reports["legit"].psnr_db == 100.0
         assert rec.reports["legit"].ssim == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_records(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0)
-        secret = make_secret(Seed64(43), cfg.shape)
+        secret = make_secret(43, cfg.shape)
         first, second = (json.dumps(run_trial(secret, cfg).to_dict(), sort_keys=True) for _ in range(2))
         assert first == second
 
     def test_record_serialization_round_trip(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0)
-        rec = run_trial(make_secret(Seed64(44), cfg.shape), cfg)
+        rec = run_trial(make_secret(44, cfg.shape), cfg)
         line = json.dumps(rec.to_dict(), sort_keys=True)
         assert json.loads(line) == rec.to_dict()
 
@@ -841,14 +838,14 @@ class TestRunTrial:
         # terms do (it scored -1.0): a ValueError, and no RuntimeWarning on
         # the way (which Tier-1 turns into a failure)
         cfg = fast_cfg()
-        secret = make_secret(Seed64(49), cfg.shape)
+        secret = make_secret(49, cfg.shape)
         for large in (np.where(secret > 0.0, 1e308, -1e308), secret * 1e80):
             with pytest.raises(ValueError, match="secret magnitude"):
                 run_trial(large, cfg)
 
     def test_secret_at_the_ssim_bound_scores_finite(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0)
-        secret = make_secret(Seed64(11), cfg.shape)
+        secret = make_secret(11, cfg.shape)
         secret = secret / np.abs(secret).max() * SSIM_MAX_MAGNITUDE
         rec = run_trial(secret, cfg)
         assert all(-1.0 < rec.reports[name].ssim <= 1.0 for name in ("legit", "eaves1", "eaves2", "eaves3"))
@@ -861,7 +858,7 @@ class TestRunTrial:
         # 0.0 after an overflow warning), and scores as at unit scale
         cfg = fast_cfg(predictor_kind="linear", mixing_p=0.5, steps=20, eta=0.05,
                        noiseless=False, snr_db=10.0)
-        unit = make_secret(Seed64(11), cfg.shape)
+        unit = make_secret(11, cfg.shape)
         secret = unit / np.abs(unit).max() * SSIM_MAX_MAGNITUDE
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -873,7 +870,7 @@ class TestRunTrial:
 
     def test_channel_noise_separates_legit_from_cap(self):
         cfg = fast_cfg(noiseless=False, snr_db=10.0, steps=25)
-        rec = run_trial(make_secret(Seed64(45), cfg.shape), cfg)
+        rec = run_trial(make_secret(45, cfg.shape), cfg)
         assert rec.reports["legit"].psnr_db < 100.0
         assert rec.edict_roundtrip_error < 1e-6  # channel-free diagnostic
 
@@ -915,7 +912,7 @@ def test_no_config_field_is_inert(field, default_scores):
 def _link_noised(cfg):
     """hide's noising pass as the config's own link defines it, and the memo's state for it."""
     link = KeyedLink(cfg)
-    secret = make_secret(Seed64(11), cfg.shape)
+    secret = make_secret(11, cfg.shape)
     want = edict_forward(CoupledState(secret, secret), link.hide.noise, link.params)
     return want, pipeline._noised(link.noising, secret.tobytes())
 
@@ -951,7 +948,7 @@ def test_links_of_one_sampler_hide_as_cold_caches_do(kind, axis, values):
     # stego is the one hide makes with every cache cold, and the one
     # coupled pass (noise, flip, denoise) makes, byte for byte
     cfgs = [fast_cfg(predictor_kind=kind, guidance_weight=0.4, **{axis: v}) for v in values]
-    secrets = [make_secret(Seed64(s), cfgs[0].shape) for s in (11, 12)]
+    secrets = [make_secret(s, cfgs[0].shape) for s in (11, 12)]
 
     def clear():
         for cache in pipeline.BUILD_CACHES.values():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stegolink.predictor import ConditionSet, Predictor, embed_text, guided_predict
-from stegolink.rng import Seed64, gaussian_stream
+from stegolink.rng import gaussian_stream
 from stegolink.schedule import build_schedule
 
 
@@ -75,29 +75,29 @@ class TestPredict:
     @pytest.mark.parametrize("shape", [(1, 8, 8), (2, 8, 8), (4, 8, 8)])
     def test_shape_preserving(self, kind, shape):
         p = Predictor(kind, weight_seed=7)
-        z = gaussian_stream(Seed64(1), int(np.prod(shape))).reshape(shape)
+        z = gaussian_stream(1, int(np.prod(shape))).reshape(shape)
         assert guided_predict(p, z, 3, conditions()).shape == shape
 
     def test_zero_kind_returns_zeros(self):
         p = Predictor("zero", weight_seed=7)
-        z = gaussian_stream(Seed64(1), 64).reshape(1, 8, 8)
+        z = gaussian_stream(1, 64).reshape(1, 8, 8)
         assert np.array_equal(guided_predict(p, z, 1, conditions()), np.zeros((1, 8, 8)))
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
     def test_deterministic(self, kind):
-        z = gaussian_stream(Seed64(2), 64).reshape(1, 8, 8)
+        z = gaussian_stream(2, 64).reshape(1, 8, 8)
         a = guided_predict(Predictor(kind, weight_seed=7), z, 5, conditions())
         b = guided_predict(Predictor(kind, weight_seed=7), z, 5, conditions())
         assert np.array_equal(a, b)
 
     def test_weight_seed_changes_output(self):
-        z = gaussian_stream(Seed64(2), 64).reshape(1, 8, 8)
+        z = gaussian_stream(2, 64).reshape(1, 8, 8)
         a = guided_predict(Predictor("tiny-mlp", weight_seed=7), z, 5, conditions())
         b = guided_predict(Predictor("tiny-mlp", weight_seed=8), z, 5, conditions())
         assert not np.array_equal(a, b)
 
     def test_none_conditions_match_zero_conditions(self):
-        z = gaussian_stream(Seed64(3), 64).reshape(1, 8, 8)
+        z = gaussian_stream(3, 64).reshape(1, 8, 8)
         zero = np.zeros(64)
         silent = ConditionSet(zero, zero, zero)
         for kind in ("linear", "tiny-mlp"):
@@ -110,15 +110,15 @@ class TestPredict:
         c = conditions()
         worst = 0.0
         for i in range(20):
-            z1 = gaussian_stream(Seed64(100 + i), 64).reshape(1, 8, 8)
-            z2 = gaussian_stream(Seed64(200 + i), 64).reshape(1, 8, 8)
+            z1 = gaussian_stream(100 + i, 64).reshape(1, 8, 8)
+            z2 = gaussian_stream(200 + i, 64).reshape(1, 8, 8)
             num = np.linalg.norm(guided_predict(p, z1, 3, c) - guided_predict(p, z2, 3, c))
             worst = max(worst, float(num / np.linalg.norm(z1 - z2)))
         assert worst <= 1.0 + 1e-9
 
     def test_tiny_mlp_bounded_on_unit_inputs(self):
         p = Predictor("tiny-mlp", weight_seed=7)
-        z = gaussian_stream(Seed64(4), 64).reshape(1, 8, 8)
+        z = gaussian_stream(4, 64).reshape(1, 8, 8)
         out = guided_predict(p, z, 10, conditions())
         assert np.isfinite(out).all()
         assert float(np.max(np.abs(out))) < 50.0
@@ -180,7 +180,7 @@ class TestPredict:
         # input [latent, time(t), key, feature, reference]
         p = Predictor(kind, weight_seed=7)
         t, n = 7, 128
-        zs = gaussian_stream(Seed64(12), 4 * n).reshape(4, 2, 8, 8)
+        zs = gaussian_stream(12, 4 * n).reshape(4, 2, 8, 8)
         rows = rows_of(lam)
         out = p.predict(zs, t, p.bias(n, build_schedule(10), rows, 1.0 if lam is None else lam))
         assert out.shape == zs.shape
@@ -268,7 +268,7 @@ class TestUnconditionedRows:
         # two guidance branches
         p = Predictor(kind, weight_seed=7)
         n = 64
-        z = (gaussian_stream(Seed64(21), rows * n) if latent == "gaussian" else np.zeros(rows * n))
+        z = (gaussian_stream(21, rows * n) if latent == "gaussian" else np.zeros(rows * n))
         z = z.reshape(rows, 1, 8, 8)
         bias = p.bias(n, build_schedule(10), [None] * rows)
         assert bias.cond is None and bias.branches == 0 and bias.rows == rows
@@ -290,7 +290,7 @@ class TestKernel:
 
     @staticmethod
     def batch(n, rows, lam):
-        z = gaussian_stream(Seed64(31), rows * n).reshape(rows, 1, -1)
+        z = gaussian_stream(31, rows * n).reshape(rows, 1, -1)
         return z, ([None] * rows if lam is None else rows_of(lam)[:rows])
 
     @pytest.mark.parametrize("kind", ["linear", "tiny-mlp"])
@@ -377,7 +377,7 @@ class TestLinearMap:
     def test_each_row_equals_its_one_row_call(self, n, shape, lam):
         # the same precomputed terms for each row, so only the map is compared
         p = Predictor("linear", weight_seed=7)
-        zs = gaussian_stream(Seed64(13), 4 * n).reshape(4, *shape)
+        zs = gaussian_stream(13, 4 * n).reshape(4, *shape)
         bias = p.bias(n, build_schedule(10), rows_of(lam), 1.0 if lam is None else lam)
         out = p.predict(zs, 3, bias)
         for i in range(4):
@@ -390,7 +390,7 @@ class TestGuidedPredict:
         # an endpoint evaluates only its branch: lam 0 is exactly the
         # prediction under the key-only set
         p = Predictor(kind, weight_seed=7)
-        z = gaussian_stream(Seed64(6), 64).reshape(1, 8, 8)
+        z = gaussian_stream(6, 64).reshape(1, 8, 8)
         c = conditions()
         assert np.array_equal(guided_predict(p, z, 3, c, 0.0), guided_predict(p, z, 3, c.without_reference()))
         for lam, branches in ((0.0, 1), (0.5, 2), (1.0, 1)):
@@ -399,7 +399,7 @@ class TestGuidedPredict:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_affine_in_lambda(self, lam):
         p = Predictor("tiny-mlp", weight_seed=7)
-        z = gaussian_stream(Seed64(8), 64).reshape(1, 8, 8)
+        z = gaussian_stream(8, 64).reshape(1, 8, 8)
         lo = guided_predict(p, z, 3, conditions(), 0.0)
         hi = guided_predict(p, z, 3, conditions(), 1.0)
         mid = guided_predict(p, z, 3, conditions(), lam)
@@ -407,7 +407,7 @@ class TestGuidedPredict:
 
     def test_half_is_mean_of_endpoints(self):
         p = Predictor("linear", weight_seed=7)
-        z = gaussian_stream(Seed64(9), 64).reshape(1, 8, 8)
+        z = gaussian_stream(9, 64).reshape(1, 8, 8)
         lo = guided_predict(p, z, 2, conditions(), 0.0)
         hi = guided_predict(p, z, 2, conditions(), 1.0)
         mid = guided_predict(p, z, 2, conditions(), 0.5)

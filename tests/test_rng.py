@@ -7,16 +7,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stegolink.predictor import Predictor
+from stegolink.channel import ChannelConfig
+from stegolink.pipeline import PipelineConfig, make_secret
+from stegolink.predictor import ConditionSet, Predictor, embed_text
+from stegolink.reference import generate_reference
 from stegolink.rng import (
     _BLOCK_PAIRS,
     RandomStream,
-    Seed64,
     derive,
     gaussian_stream,
     hash_token,
     uniform_stream,
 )
+from stegolink.schedule import build_schedule
+from stegolink.tokenkey import build_mask, init_latent
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -55,7 +59,7 @@ def gaussian_oracle(seed, n):
 def whole_array_gaussian(seed, n):
     # the unblocked numpy body: every value of the draw computed at once
     pairs = (n + 1) // 2
-    u = uniform_stream(Seed64(seed), 2 * pairs)
+    u = uniform_stream(seed, 2 * pairs)
     u1 = u[0::2]
     u2 = u[1::2]
     u1 = np.where(u1 == 0.0, 2.0 ** -53, u1)
@@ -83,92 +87,141 @@ BAD_COUNTS = [3.5, 2.0, True, False, "2", None]
 class TestHashToken:
     def test_empty_token_empty_domain_hashes_the_separator(self):
         # first 8 bytes of SHA-256(b"\x1f") big-endian: the separator is always hashed
-        assert hash_token("", "").value == 0xFFE679BB831C95B6
+        assert hash_token("", "") == 0xFFE679BB831C95B6
 
     def test_matches_independent_sha256(self):
         for token, domain in [("9000", "init"), ("9000", "mask"), (b"\x00\x01", "ref")]:
             t = token.encode() if isinstance(token, str) else token
             digest = hashlib.sha256(t + b"\x1f" + domain.encode()).digest()
             expected = int.from_bytes(digest[:8], "big")
-            assert hash_token(token, domain).value == expected
+            assert hash_token(token, domain) == expected
 
     def test_deterministic(self):
         assert hash_token("9000", "init") == hash_token("9000", "init")
 
     def test_domains_separate(self):
-        values = {hash_token("9000", d).value for d in ("init", "mask", "ref")}
+        values = {hash_token("9000", d) for d in ("init", "mask", "ref")}
         assert len(values) == 3
 
     def test_str_and_bytes_tokens_agree(self):
         assert hash_token("abc", "init") == hash_token(b"abc", "init")
 
+    @pytest.mark.parametrize("like", [bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8)])
+    def test_bytes_like_tokens_and_domains_agree(self, like):
+        assert hash_token(like(b"abc"), like(b"init")) == hash_token(b"abc", "init")
 
-class TestSeed64:
-    def test_range_validated(self):
-        with pytest.raises(ValueError):
-            Seed64(-1)
-        with pytest.raises(ValueError):
-            Seed64(1 << 64)
+    @pytest.mark.parametrize("token,domain,name", [
+        (5, "x", "token"),  # bytes(5) is five zero bytes
+        ([1, 2], "x", "token"),  # bytes([1, 2]) is b"\x01\x02"
+        (None, "x", "token"),
+        (1.5, "x", "token"),
+        ("x", 5, "domain"),
+        ("x", None, "domain"),
+    ])
+    def test_neither_text_nor_bytes_refused(self, token, domain, name):
+        with pytest.raises(ValueError, match=f"^{name}: must be a str or a bytes-like object$"):
+            hash_token(token, domain)
 
-    def test_to_bytes_big_endian(self):
-        assert Seed64(1).to_bytes() == b"\x00" * 7 + b"\x01"
+    @pytest.mark.parametrize("call,name", [
+        (lambda: embed_text(7), "token"),
+        (lambda: build_mask(7, (1, 2, 2), 0.5), "token"),
+        (lambda: init_latent(7, (1, 2, 2)), "token"),
+        (lambda: generate_reference(7, ConditionSet(*map(embed_text, "kfr")), build_schedule(2),
+                                    Predictor("zero"), (1, 2, 2)), "token"),
+        (lambda: derive(7, 3), "domain"),
+    ], ids=["embed_text", "build_mask", "init_latent", "generate_reference", "derive"])
+    def test_entry_points_refuse_a_token_that_is_not_text(self, call, name):
+        # each once ran on a hash of bytes(7) or bytes(3), with no error
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            call()
 
-    def test_bool_rejected(self):
-        # bool is an int subclass, so True once made seed 1
-        with pytest.raises(ValueError):
-            Seed64(True)
+
+# every entry point that takes a seed, as a call on the value, and the parameter its error names
+SEED_ENTRY_POINTS = {
+    "derive": (lambda v: derive(v, "x"), "seed"),
+    "uniform_stream": (lambda v: uniform_stream(v, 1), "seed"),
+    "gaussian_stream": (lambda v: gaussian_stream(v, 1), "seed"),
+    "RandomStream": (RandomStream, "seed"),
+    "Predictor": (lambda v: Predictor("zero", v), "weight_seed"),
+    "ChannelConfig": (lambda v: ChannelConfig(noise_seed=v), "noise_seed"),
+    "make_secret": (lambda v: make_secret(v, (1, 2, 2)), "seed"),
+    **{f"PipelineConfig.{name}": (lambda v, name=name: PipelineConfig(**{name: v}), name)
+       for name in ("predictor_seed", "secret_seed", "noise_seed")},
+}
+
+
+class TestSeedRule:
+    # a seed is an integer in [0, 2^64) wherever it enters; bool is an int subclass,
+    # so True once made seed 1
+
+    @pytest.mark.parametrize("value", [-1, 2 ** 64, True, 1.0, "7", None])
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    def test_refused_naming_the_parameter(self, entry, value):
+        call, name = SEED_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name}: must be an integer in \\[0, 2\\^64\\)$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    def test_range_ends_accepted(self, entry, value):
+        call, _ = SEED_ENTRY_POINTS[entry]
+        call(value)
+
+    def test_seeds_are_plain_ints(self):
+        assert type(hash_token("9000", "x")) is int
+        assert type(derive(12345, "x")) is int
 
 
 class TestDerive:
     def test_deterministic_and_label_separated(self):
-        s = Seed64(12345)
+        s = 12345
         assert derive(s, "a") == derive(s, "a")
         assert derive(s, "a") != derive(s, "b")
 
-    def test_matches_hash_of_seed_bytes(self):
-        s = Seed64(12345)
-        assert derive(s, "noise") == hash_token(s.to_bytes(), "noise")
+    @pytest.mark.parametrize("s", [0, 1, 12345, 2 ** 64 - 1])
+    def test_matches_hash_of_big_endian_seed_bytes(self, s):
+        assert derive(s, "noise") == hash_token(s.to_bytes(8, "big"), "noise")
 
 
 class TestUniformStream:
     def test_first_output_reference_vector(self):
         # splitmix64 first output for seed 0
-        assert uniform_stream(Seed64(0), 1)[0] == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53
+        assert uniform_stream(0, 1)[0] == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53
 
     @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, (1 << 64) - 1])
     def test_matches_pure_python_oracle(self, seed):
-        got = uniform_stream(Seed64(seed), 64)
+        got = uniform_stream(seed, 64)
         assert np.array_equal(got, np.array(uniform_oracle(seed, 64)))
 
     def test_empty(self):
-        assert uniform_stream(Seed64(7), 0).size == 0
+        assert uniform_stream(7, 0).size == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            uniform_stream(Seed64(7), -1)
+            uniform_stream(7, -1)
 
     @pytest.mark.parametrize("draw", [uniform_stream, gaussian_stream])
     @pytest.mark.parametrize("n", BAD_COUNTS)
     def test_non_integer_count_rejected(self, draw, n):
         with pytest.raises(ValueError, match="^n "):
-            draw(Seed64(7), n)
+            draw(7, n)
 
     @pytest.mark.parametrize("n", BAD_COUNTS + [-1])
     def test_rejected_take_leaves_the_stream_where_it_was(self, n):
         # a rejected count must not move draws_emitted, or the next take repeats a draw
-        rs = RandomStream(Seed64(7))
+        rs = RandomStream(7)
         rs.take(3)
         with pytest.raises(ValueError, match="^n "):
             rs.take(n)
         assert rs.draws_emitted == 3
-        assert np.array_equal(rs.take(2), uniform_stream(Seed64(7), 5)[3:])
+        assert np.array_equal(rs.take(2), uniform_stream(7, 5)[3:])
 
     def test_range(self):
-        u = uniform_stream(Seed64(3), 10_000)
+        u = uniform_stream(3, 10_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
     def test_mean_bound(self):
-        u = uniform_stream(Seed64(11), 1_000_000)
+        u = uniform_stream(11, 1_000_000)
         assert abs(float(u.mean()) - 0.5) < 0.002
 
 
@@ -176,21 +229,21 @@ class TestGaussianStream:
     @pytest.mark.parametrize("seed", [0, 42, 0xABCDEF])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
     def test_matches_pure_python_oracle(self, seed, n):
-        assert np.array_equal(gaussian_stream(Seed64(seed), n), gaussian_oracle(seed, n))
+        assert np.array_equal(gaussian_stream(seed, n), gaussian_oracle(seed, n))
 
     def test_deterministic(self):
-        a = gaussian_stream(Seed64(9), 100)
-        b = gaussian_stream(Seed64(9), 100)
+        a = gaussian_stream(9, 100)
+        b = gaussian_stream(9, 100)
         assert np.array_equal(a, b)
 
     def test_prefix_stable(self):
         # pair boundaries fixed at even offsets, so prefixes never shift
-        long = gaussian_stream(Seed64(5), 101)
+        long = gaussian_stream(5, 101)
         for n in (1, 2, 3, 50, 100):
-            assert np.array_equal(gaussian_stream(Seed64(5), n), long[:n])
+            assert np.array_equal(gaussian_stream(5, n), long[:n])
 
     def test_moments(self):
-        g = gaussian_stream(Seed64(2024), 1_000_000)
+        g = gaussian_stream(2024, 1_000_000)
         assert abs(float(g.mean())) < 0.005
         assert abs(float(g.var()) - 1.0) < 0.01
 
@@ -213,7 +266,7 @@ class TestBlockedGaussian:
                              + [2 * k * _BLOCK_PAIRS + d for k in (1, 2) for d in (-3, -2, -1, 0, 1, 2, 3)]
                              + [100_003])
     def test_blocks_keep_the_bits_of_the_whole_array(self, seed, n):
-        got = gaussian_stream(Seed64(seed), n)
+        got = gaussian_stream(seed, n)
         want = whole_array_gaussian(seed, n)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -230,7 +283,7 @@ class TestBlockedGaussian:
         assert np.array_equal(w2.view(np.uint64), want2.view(np.uint64))
 
     def test_a_long_draw_peaks_near_its_result(self):
-        g, peak = traced_peak(lambda: gaussian_stream(Seed64(5), 1_000_000))
+        g, peak = traced_peak(lambda: gaussian_stream(5, 1_000_000))
         assert peak <= g.nbytes + 2 ** 20, f"{peak} bytes traced for an {g.nbytes}-byte draw"
 
     def test_a_weight_build_peaks_near_its_weights(self):
@@ -241,14 +294,14 @@ class TestBlockedGaussian:
 
 class TestRandomStream:
     def test_split_equals_whole(self):
-        whole = uniform_stream(Seed64(77), 30)
-        rs = RandomStream(Seed64(77))
+        whole = uniform_stream(77, 30)
+        rs = RandomStream(77)
         assert np.array_equal(np.concatenate([rs.take(11), rs.take(19)]), whole)
 
     def test_state_advances_linearly(self):
-        rs = RandomStream(Seed64(5))
+        rs = RandomStream(5)
         assert rs.draws_emitted == 0
         rs.take(3)
         rs.take(0)
         assert rs.draws_emitted == 3
-        assert np.array_equal(rs.take(2), uniform_stream(Seed64(5), 5)[3:])
+        assert np.array_equal(rs.take(2), uniform_stream(5, 5)[3:])
