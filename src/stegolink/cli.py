@@ -91,13 +91,16 @@ def _load_secret(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, str]:
     return secret, hashlib.sha256(data).hexdigest()
 
 
-def _check_out_file(path: str) -> None:
-    """Reject an --out file path that cannot be written, before any work runs."""
+def _check_out_file(path: str, *inputs: str | None) -> None:
+    """Reject an --out file path that cannot be written or is one of inputs, before any work runs."""
     if os.path.isdir(path):
         raise ConfigError(f"out: {path!r} is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"out: directory {parent!r} does not exist")
+    for source in filter(None, inputs):
+        if os.path.exists(path) and os.path.exists(source) and os.path.samefile(path, source):
+            raise ConfigError(f"out: {path!r} is the same file as the input {source!r}")
 
 
 def _write_out(path: str, text: str) -> None:
@@ -111,7 +114,7 @@ def _write_out(path: str, text: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     if args.out:
-        _check_out_file(args.out)
+        _check_out_file(args.out, args.config, args.secret_npy)
     if args.secret_npy:
         secret, sha256 = _load_secret(args.secret_npy, cfg.shape)
         source = {"npy": args.secret_npy, "sha256": sha256}
@@ -160,7 +163,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     aggregates_path = os.path.join(args.out, "aggregates.csv")
     environment_path = os.path.join(args.out, "environment.json")
     for path in (records_path, aggregates_path, environment_path):
-        _check_out_file(path)  # before any trial runs
+        _check_out_file(path, args.config)  # before any trial runs
     records = []
     total = len(spec.points()) * spec.trials_per_point
     before = sweep_work()
@@ -195,7 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     if args.out:
-        _check_out_file(args.out)
+        _check_out_file(args.out, args.records)
     records = load_records(args.records)
     table = export_plot_data(records, args.kind)
     if args.out:

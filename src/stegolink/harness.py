@@ -55,7 +55,7 @@ import numpy as np
 
 from .metrics import MetricsReport
 from .pipeline import BUILD_CACHES, RECEIVERS, PipelineConfig, make_secret, run_trial
-from .rng import _is_int, _is_number, derive, hash_token
+from .rng import _check_text, _is_int, _is_number, derive, hash_token
 
 _RECORD_KEYS = tuple(receiver.key for receiver in RECEIVERS)  # one report per receiver
 METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
@@ -96,8 +96,10 @@ class SweepSpec:
                     raise ConfigError(f"axes.{name}: bad value {value!r}: {e}") from e
         if not (_is_int(self.trials_per_point) and self.trials_per_point >= 1):
             raise ConfigError("trials_per_point: must be an integer >= 1")
-        if not (isinstance(self.base_seed, str) and self.base_seed):
-            raise ConfigError("base_seed: must be a non-empty string")
+        try:
+            _check_text(self.base_seed, "base_seed")
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
     def points(self) -> list[dict]:
         names = list(self.axes)

@@ -41,11 +41,13 @@ the links of one sampler (an eta, token or guidance_weight axis) noise each
 secret of a test set once.  ``_stego`` (32) holds the stegos, keyed by the
 link's key, so the points of a sweep that share a link hide each secret
 once.  Each memo's 32 entries and keys take about 192 KB at 1x16x16 and
-768 KB at 1x32x32.  hide, reveal and eavesdrop all read from a link.  A
-link is keyed by every config field except the channel's (snr_db,
-noiseless) and the trial's seeds (noise_seed, secret_seed), and built from
-those fields alone, so the trials of one sweep point, or of an SNR sweep,
-share one link.  No record depends on what the caches hold.
+768 KB at 1x32x32.  A sweep visits its test set in a cycle, so a process
+that meets more than 32 trial indices of one point reuses nothing: each
+lookup misses.  hide, reveal and eavesdrop all read from a link.  A link is
+keyed by every config field except the channel's (snr_db, noiseless) and the
+trial's seeds (noise_seed, secret_seed), and built from those fields alone,
+so the trials of one sweep point, or of an SNR sweep, share one link.  No
+record depends on what the caches hold.
 
 A link is its two coupled passes, ``link.hide`` and ``link.reveal``, each a
 ``Pass`` (noise bias, mask, denoise bias); a bias names the predictor and
@@ -53,14 +55,16 @@ schedule it runs.  The receivers with a start and the channel-free round
 trip are the rows (in REVEAL_ROWS order) of ``link.reveal``: they share the
 predictor, the schedule and the window and differ only in start state,
 conditions and mask.  Its row count is fixed, so every reveal of a link runs
-the same computation; reveal and eavesdrop return their row of it.
+the same computation.  ``_reveal_rows`` runs it and returns every receiver's
+grid by name (E1's the received grid's visible half), for run_trial to score
+and for reveal and eavesdrop to return one.
 ``link.hide`` is the legit row of the same terms, with the biases swapped;
 ``hide`` runs it split at its mask flip, the noising half from ``_noised``.
 
-PipelineConfig checks its four free-text fields (each a non-empty string) and
-the shape, and leaves every other rule, a value's kind included, and its
-message to the check that the field's owner runs on its own calls (see
-README's configuration table).
+PipelineConfig checks the shape, and leaves every other rule, a value's kind
+included, and its message to the check that the field's owner runs on its
+own calls (``rng._check_text`` for its four free-text fields; see README's
+configuration table).
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from .edict import CoupledState, SamplerParams, edict_forward, edict_reverse
 from .metrics import SSIM_MAX_MAGNITUDE, MetricsReport, compare
 from .predictor import ConditionSet, Predictor, _check_args, embed_text
 from .reference import embed_reference, generate_reference
-from .rng import RandomStream, _check_seed, _is_int, derive
+from .rng import RandomStream, _check_seed, _check_text, _is_int, derive
 from .schedule import _BETA_END, _BETA_START, _check_schedule, build_schedule
 from .tokenkey import PerturbationMask, _check_eta, build_mask, perturb
 
@@ -139,10 +143,8 @@ class PipelineConfig:
     eavesdropper_token: str = "856427"
 
     def __post_init__(self):
-        for name in ("token", "public_key_text", "feature_text", "eavesdropper_token"):  # free text, no owner
-            text = getattr(self, name)
-            if not (isinstance(text, str) and text):
-                raise ValueError(f"{name}: must be a non-empty string")
+        for name in ("token", "public_key_text", "feature_text", "eavesdropper_token"):  # free text: rng's rule
+            _check_text(getattr(self, name), name)
         object.__setattr__(self, "shape", _check_shape(self.shape))
         # every other rule, kind included, is checked by the module that builds from the field
         for name in ("predictor_seed", "secret_seed"):
@@ -383,47 +385,45 @@ BUILD_CACHES = {"links": _keyed_link, "references": build_conditions, "models": 
                 "stegos": _stego}
 
 
-def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> np.ndarray:
-    """Run the batched reveal; returns one recovered latent per REVEAL_ROWS entry.
+def _reveal_rows(stego_hat: np.ndarray, stego: np.ndarray, link: KeyedLink) -> dict[str, np.ndarray]:
+    """The one receive call: every RECEIVERS entry's grid and the round trip's, by name.
 
-    Each row starts from its receiver's start: stego_hat if received, stego
-    if sent.  A non-finite start is rejected here, before any step runs.
+    Checks both grids, shape then finiteness (``_unpack_pair``), before any
+    step runs.  A row starts from stego_hat if its receiver's start is
+    received, stego if sent; E1, with no start, gets stego_hat's visible half.
     """
     channels = link.shape[0]
     expected = (2 * channels,) + link.shape[1:]
-    stego_hat = np.asarray(stego_hat, dtype=np.float64)
-    stego = np.asarray(stego, dtype=np.float64)
-    for grid in (stego_hat, stego):
+    grids = {"received": np.asarray(stego_hat, dtype=np.float64), "sent": np.asarray(stego, dtype=np.float64)}
+    for grid in grids.values():
         if grid.shape != expected:
             raise ValueError(f"stego shape {grid.shape} does not match expected {expected}")
-
-    grids = {"received": stego_hat, "sent": stego}
     state = _unpack_pair(np.stack([grids[r.start] for r in _ROWS]), channels, link.gain)
-    return _coupled_pass(state, link.reveal, link.params).z
+    rows = dict(zip(REVEAL_ROWS, _coupled_pass(state, link.reveal, link.params).z))
+    visible = grids["received"][:channels].copy()
+    return {r.name: rows[r.name] if r.start else visible for r in (*RECEIVERS, _ROUNDTRIP)}
 
 
 def reveal(stego_hat: np.ndarray, link: KeyedLink) -> np.ndarray:
     """Invert hide with the correct token; exact up to float drift.
 
-    Returns the legit row of the batched reveal of stego_hat.
+    Returns the legit entry of the one receive call on stego_hat.
     """
-    return _reveal_rows(stego_hat, stego_hat, link)[REVEAL_ROWS.index("legit")]
+    return _reveal_rows(stego_hat, stego_hat, link)["legit"]
 
 
 def eavesdrop(stego_hat: np.ndarray, link: KeyedLink, model: str) -> np.ndarray:
     """Run one adversary model against a decoded stego grid.
 
-    E1 returns the visible stego image unchanged (decoder-only adversary).
-    E2 and E3 return their row of the batched reveal of stego_hat: E2 runs
-    the full reveal with the eavesdropper token's key, E3 the reveal with
-    the stock reference and no mask restoration.
+    Returns the model's entry of the one receive call on stego_hat, checked
+    as ``reveal`` checks it: E1 the visible stego image (decoder-only
+    adversary), E2 the full reveal with the eavesdropper token's key, E3 the
+    reveal with the stock reference and no mask restoration.
     """
     eavesdroppers = tuple(r.name for r in RECEIVERS if r.name != "legit")
     if model not in eavesdroppers:
         raise ValueError(f"model must be one of {eavesdroppers}")
-    if model not in REVEAL_ROWS:  # a receiver with no start has no reveal row
-        return np.asarray(stego_hat, dtype=np.float64)[:link.shape[0]].copy()
-    return _reveal_rows(stego_hat, stego_hat, link)[REVEAL_ROWS.index(model)]
+    return _reveal_rows(stego_hat, stego_hat, link)[model]
 
 
 # -- synthetic secrets --------------------------------------------------------
@@ -503,10 +503,10 @@ class TrialRecord:
 def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     """Hide, transmit, and score every receiver against the secret.
 
-    The E1 report scores the visible stego image against the secret; its
-    "recovery" is by definition just the stego.  A channel-free reveal of
-    the same stego is included as the sampler round-trip diagnostic.  The
-    three keyed receivers and the round trip run as one batched reveal.
+    Every receiver's grid, E1's visible stego included, comes from one
+    receive call, ``_reveal_rows``: the three keyed receivers and a
+    channel-free reveal of the sent stego (the round-trip diagnostic) run
+    as one batched reveal.
     The link comes from the ``_keyed_link`` cache, and its models and
     condition sets from theirs (see KeyedLink); the stego comes from the
     ``_stego`` memo, which hides a (link, secret) pair once.  A secret that
@@ -520,8 +520,7 @@ def run_trial(secret: np.ndarray, cfg: PipelineConfig) -> TrialRecord:
     received = transmit(frame, cfg.channel)
     stego_hat = decode(received, stego.shape)
 
-    recovered = dict(zip(REVEAL_ROWS, _reveal_rows(stego_hat, stego, link)))
-    reports = {r.key: compare(recovered[r.name] if r.start else eavesdrop(stego_hat, link, r.name), secret, peak)
-               for r in RECEIVERS}
+    recovered = _reveal_rows(stego_hat, stego, link)
+    reports = {r.key: compare(recovered[r.name], secret, peak) for r in RECEIVERS}
     return TrialRecord(config=cfg.to_dict(), reports=reports, peak=peak,
                        edict_roundtrip_error=float(np.max(np.abs(recovered[_ROUNDTRIP.name] - secret))))

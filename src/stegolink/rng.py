@@ -59,10 +59,27 @@ def _check_seed(value, name: str = "seed") -> int:
     return value
 
 
+def _utf8(text: str, name: str) -> bytes:
+    # a lone surrogate (a JSON "\ud800" escape, argv bytes that are not
+    # UTF-8) has no UTF-8 form, so no hash
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{name}: must be text that UTF-8 can encode (no lone surrogates)") from None
+
+
+def _check_text(value, name: str) -> str:
+    # a free-text field: a non-empty str that hash_token can hash
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{name}: must be a non-empty string")
+    _utf8(value, name)
+    return value
+
+
 def _as_bytes(value, name: str) -> bytes:
     # text as UTF-8, a bytes-like object as its bytes; bytes(5) is five zero bytes
     if isinstance(value, str):
-        return value.encode("utf-8")
+        return _utf8(value, name)
     try:
         return bytes(memoryview(value))
     except TypeError:
@@ -75,7 +92,8 @@ def hash_token(token: bytes | str, domain: bytes | str = b"") -> int:
     The hash input is token | 0x1F | domain; the 0x1F separator keeps
     ("ab", "c") distinct from ("a", "bc").  Domains partition one token into
     independent streams ("init", "mask", "ref", ...).  Text is hashed as
-    UTF-8; a token or domain that is neither text nor bytes-like raises.
+    UTF-8; a token or domain that is neither text nor bytes-like, or text
+    that UTF-8 cannot encode, raises a ValueError naming it.
     """
     tok = _as_bytes(token, "token")
     dom = _as_bytes(domain, "domain")

@@ -35,6 +35,8 @@ sys.exit(EntryPoint("stegolink", value, "console_scripts").load()())
 """
 
 FAST = ["--steps", "10", "--shape", "1,8,8", "--token", "4242"]
+UTF8_RULE = "must be text that UTF-8 can encode (no lone surrogates)"
+LONE_SURROGATE = "\ud800"  # what a JSON "\ud800" escape decodes to: text with no UTF-8 form
 
 
 def ok_line(receiver, metric, token):
@@ -473,6 +475,80 @@ class TestSweepAndExport:
         cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8]})
         proc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
+
+
+class TestTextFields:
+    # each once passed the config checks and failed in the hash with
+    # UnicodeEncodeError: run exited 1, a sweep wrote error rows or no aggregates
+
+    @pytest.mark.parametrize("field", ["token", "eavesdropper_token", "public_key_text", "feature_text"])
+    def test_config_text_utf8_cannot_encode_rc2_names_field(self, tmp_path, capsys, field):
+        cfg = write_json(tmp_path / "cfg.json", {"steps": 10, "shape": [1, 8, 8], field: LONE_SURROGATE})
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: {UTF8_RULE}\n"
+
+    def test_token_flag_of_bytes_that_are_not_utf8_rc2(self, capsys):
+        # argv bytes that are not UTF-8 reach Python as lone surrogates
+        assert main(["run", *FAST, "--token", os.fsdecode(b"\xff")]) == 2
+        assert capsys.readouterr().err == f"config error: token: {UTF8_RULE}\n"
+
+    @pytest.mark.parametrize("change,field", [
+        ({"base_seed": LONE_SURROGATE}, "base_seed"),
+        ({"axes": {"eavesdropper_token": ["856427", LONE_SURROGATE]}}, "axes.eavesdropper_token"),
+    ], ids=["base_seed", "eavesdropper_token-axis"])
+    def test_sweep_text_utf8_cannot_encode_rc2_before_any_output(self, tmp_path, capsys, change, field):
+        cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_PAYLOAD, **change))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.endswith(f"{UTF8_RULE}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
+class TestOutNamesNoInput:
+    # each once wrote over its own input and exited 0
+
+    @pytest.fixture(params=["same path", "symlink"])
+    def alias(self, request, tmp_path):
+        # the path an output flag is given for an input file
+        def name(path):
+            if request.param == "same path":
+                return str(path)
+            link = tmp_path / f"link-to-{path.name}"
+            link.symlink_to(path)
+            return str(link)
+        return name
+
+    def refused(self, argv, path, capsys):
+        before = path.read_bytes()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and "is the same file as the input" in err
+        assert path.read_bytes() == before
+
+    def test_export_out_naming_its_records(self, sweep_dir, tmp_path, capsys, alias):
+        records = tmp_path / "records.jsonl"
+        shutil.copy(sweep_dir / "records.jsonl", records)
+        self.refused(["export", "--records", str(records), "--kind", "snr_curves", "--out", alias(records)],
+                     records, capsys)
+
+    def test_run_out_naming_its_config(self, tmp_path, capsys, alias):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"steps": 10, "shape": [1, 8, 8]})
+        self.refused(["run", "--config", str(cfg), "--out", alias(cfg)], cfg, capsys)
+
+    def test_run_out_naming_its_secret(self, tmp_path, capsys, alias):
+        secret = tmp_path / "secret.npy"
+        np.save(secret, make_secret(3, (1, 8, 8)))
+        self.refused(["run", *FAST, "--secret-npy", str(secret), "--out", alias(secret)], secret, capsys)
+
+    @pytest.mark.parametrize("name", ["records.jsonl", "aggregates.csv", "environment.json"])
+    def test_sweep_output_naming_its_config(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = out / name
+        write_json(cfg, SWEEP_PAYLOAD)
+        self.refused(["sweep", "--config", str(cfg), "--out", str(out)], cfg, capsys)
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("receiver", pipeline.RECEIVERS, ids=lambda receiver: receiver.name)

@@ -32,7 +32,7 @@ from stegolink.pipeline import (
     sync_gain,
 )
 from stegolink.predictor import Predictor
-from stegolink.rng import RandomStream, _check_seed, derive, hash_token
+from stegolink.rng import RandomStream, _check_seed, _check_text, derive, hash_token
 from stegolink.schedule import _check_schedule, build_schedule
 from stegolink.tokenkey import build_mask, restore
 
@@ -51,6 +51,8 @@ OWNERS = {
     "eta": lambda v: build_mask("owner", (1, 2, 2), v),
     "noise_seed": lambda v: ChannelConfig(noise_seed=v),
     **{name: lambda v, name=name: _check_seed(v, name) for name in ("predictor_seed", "secret_seed")},
+    **{name: lambda v, name=name: _check_text(v, name)
+       for name in ("token", "public_key_text", "feature_text", "eavesdropper_token")},
 }
 
 EDGE_VALUES = [
@@ -405,12 +407,26 @@ class TestBatchedReveal:
 
         monkeypatch.setattr(pipeline, "compare", capturing)
         run_trial(secret, cfg)
-        legit, _, e2, e3 = scored
+        legit, e1, e2, e3 = scored
         link = KeyedLink(cfg)
         _, stego_hat = sent_and_received(secret, cfg, link)
         assert np.array_equal(reveal(stego_hat, link), legit)
+        assert np.array_equal(eavesdrop(stego_hat, link, "E1"), e1)
+        assert np.array_equal(e1, stego_hat[:cfg.shape[0]])
         assert np.array_equal(eavesdrop(stego_hat, link, "E2"), e2)
         assert np.array_equal(eavesdrop(stego_hat, link, "E3"), e3)
+
+    def test_the_trial_takes_every_grid_from_one_receive_call(self, monkeypatch):
+        # run_trial reaches no receiver through reveal or eavesdrop, and runs
+        # the batched reveal once
+        cfg = fast_cfg(noiseless=False, snr_db=10.0)
+        calls = []
+        real = pipeline._reveal_rows
+        monkeypatch.setattr(pipeline, "_reveal_rows", lambda *a: calls.append(1) or real(*a))
+        for name in ("reveal", "eavesdrop"):
+            monkeypatch.setattr(pipeline, name, lambda *a, name=name: pytest.fail(f"run_trial called {name}"))
+        record = run_trial(make_secret(53, cfg.shape), cfg)
+        assert calls == [1] and list(record.reports) == [r.key for r in RECEIVERS]
 
     def test_each_row_matches_its_own_one_row_reveal(self):
         # the unbatched reveal of each receiver, one row at a time with its
@@ -473,8 +489,22 @@ class TestBatchedReveal:
         grid[1, 3, 4] = bad
         with pytest.raises(ValueError, match="finite"):
             reveal(grid, link)
-        with pytest.raises(ValueError, match="finite"):
-            eavesdrop(grid, link, "E3")
+        for model in ("E1", "E2", "E3"):
+            with pytest.raises(ValueError, match="finite"):
+                eavesdrop(grid, link, model)
+        assert calls == []
+
+    @pytest.mark.parametrize("model", ["E1", "E2", "E3"])
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (1, 8, 8), (2, 8, 4)])
+    def test_eavesdropper_refuses_a_wrong_shaped_grid_before_any_step(self, monkeypatch, model, shape):
+        # E1's grid comes from the same checked call as the keyed rows, so
+        # it cannot hand back a slice of a grid no receiver could decode
+        link = KeyedLink(fast_cfg(predictor_kind="tiny-mlp"))
+        calls = []
+        real = Predictor.predict
+        monkeypatch.setattr(Predictor, "predict", lambda *a, **k: calls.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="does not match expected"):
+            eavesdrop(np.zeros(shape), link, model)
         assert calls == []
 
 

@@ -1,10 +1,13 @@
 """README's examples run as written, so an API change cannot leave them stale."""
 
+import importlib
 import json
 import re
 
 from dataclasses import replace
 from pathlib import Path
+
+import stegolink
 
 from stegolink import pipeline
 from stegolink.harness import SweepSpec, _trial_config, parse_config
@@ -55,3 +58,32 @@ def test_sweep_example_hides_each_secret_once_per_link(tmp_path):
             run_trial(make_secret(cfg.secret_seed, cfg.shape), cfg)
     assert pipeline._stego.cache_info().misses == 3 * 20
     assert pipeline._noised.cache_info().misses == 20
+
+
+MODULES = sorted(p.stem for p in Path(stegolink.__file__).parent.glob("*.py") if not p.stem.startswith("_"))
+# `stegolink.channel`, `pipeline.BUILD_CACHES` or `stegolink.acceptance.CRITERIA`,
+# but not an attribute of something else, such as `link.reveal`
+MODULE_NAME = re.compile(rf"(?<![\w./])(?:stegolink|{'|'.join(MODULES)})(?:\.\w+)+")
+
+
+def resolve(name: str):
+    parts = name.split(".")
+    if parts[0] != "stegolink":
+        parts.insert(0, "stegolink")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+def test_every_module_name_resolves():
+    # a rename cannot leave README's caches and API paragraphs naming what is gone
+    names = sorted(set(MODULE_NAME.findall(README)))
+    missing = []
+    for name in names:
+        try:
+            resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert "pipeline.BUILD_CACHES" in names and "stegolink.acceptance.CRITERIA" in names
+    assert missing == []

@@ -122,6 +122,13 @@ class TestHashToken:
         with pytest.raises(ValueError, match=f"^{name}: must be a str or a bytes-like object$"):
             hash_token(token, domain)
 
+    @pytest.mark.parametrize("token,domain,name", [("\ud800", "x", "token"), ("x", "\udcff", "domain")],
+                             ids=["token", "domain"])
+    def test_text_utf8_cannot_encode_refused(self, token, domain, name):
+        # a lone surrogate once raised UnicodeEncodeError, naming neither
+        with pytest.raises(ValueError, match=f"^{name}: must be text that UTF-8 can encode"):
+            hash_token(token, domain)
+
     @pytest.mark.parametrize("call,name", [
         (lambda: embed_text(7), "token"),
         (lambda: build_mask(7, (1, 2, 2), 0.5), "token"),
