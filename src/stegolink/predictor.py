@@ -316,7 +316,8 @@ class Predictor:
         pass calls ``bias.predictor.predict``.  z stacks one latent per row
         along its leading axis (a single latent is a one-row batch as it is);
         the result has z's shape and is a new array, and neither z nor the
-        bias is written.  Values are checked where they enter the pipeline,
+        bias is written.  The sampler passes only read the result; they
+        never write it.  Values are checked where they enter the pipeline,
         not here: each sampler pass checks the state it ends on.
 
         tiny-mlp runs one product, adds the step term and a one-branch

@@ -412,6 +412,82 @@ class TestBoxedCoefficients:
             assert g.tobytes() == w.tobytes()
 
 
+def frozen(st):
+    """st with both chains read-only, as _noised hands hide's noising pass its secret."""
+    st.z.flags.writeable = st.u.flags.writeable = False
+    return st
+
+
+class FrozenZeros:
+    """A zero noise estimate: one cached read-only array, returned by every call."""
+
+    def __init__(self, shape):
+        self.eps = np.zeros(shape)
+        self.eps.flags.writeable = False
+
+    def predict(self, z, t, bias):
+        return self.eps
+
+
+class TestPassBuffers:
+    # each pass writes only the arrays it allocated at its start: never its
+    # inputs, never the predictor's result, and never another pass's state
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    @pytest.mark.parametrize("kind", ["zero", "linear", "tiny-mlp"])
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_pass_leaves_its_inputs_untouched(self, name, kind, rows):
+        sched = build_schedule(10)
+        pred = Predictor(kind, weight_seed=7)
+        shape = (rows, 1, 8, 8) if rows > 1 else (1, 8, 8)
+        st = frozen(seeded_state(f"inputs|{rows}", 0, shape))
+        before = st.z.tobytes(), st.u.tobytes()
+        run_pass(name, st, pred.bias(64, sched, [None] * rows), WINDOW)
+        assert (st.z.tobytes(), st.u.tobytes()) == before
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_replay_leaves_the_inputs_untouched(self, name):
+        # the replay restarts from the inputs, so the failed run must not
+        # have written them
+        run, _, order = PASSES[name]
+        st = frozen(seeded_state("inputs-replay", 1))
+        before = st.z.tobytes(), st.u.tobytes()
+        with pytest.raises(SamplerDivergenceError):
+            run(st, SpikePredictor(at=order[1]))
+        assert (st.z.tobytes(), st.u.tobytes()) == before
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    @pytest.mark.parametrize("kind", ["zero", "tiny-mlp"])
+    def test_end_states_own_their_memory(self, name, kind):
+        sched = build_schedule(10)
+        pred = Predictor(kind, weight_seed=7)
+        st = seeded_state("own-memory", 0, (4, 1, 8, 8))
+        bias = pred.bias(64, sched, [None] * 4)
+        first, second = run_pass(name, st, bias, WINDOW), run_pass(name, st, bias, WINDOW)
+        arrays = [*first, *second, st.z, st.u]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+        # a caller may freeze an end state, as _noised and _stego do; a later
+        # pass must not write it
+        kept = [x.tobytes() for x in first]
+        for x in first:
+            x.flags.writeable = False
+        run_pass(name, st, bias, WINDOW)
+        assert [x.tobytes() for x in first] == kept
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_pass_never_writes_the_predictor_result(self, name):
+        # a rewrite that scales eps in place fails on the read-only array
+        st = seeded_state("frozen-eps", 0)
+        stub = FrozenZeros(st.z.shape)
+        got = run_pass(name, st, spiked(st, stub), WINDOW)
+        want = run_pass(name, st, spiked(st, Predictor("zero")), WINDOW)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+        assert not stub.eps.any()
+
+
 class TestBiasNamesItsPass:
     # a pass runs the predictor and the schedule its bias names, and a bias's
     # subset of rows names the same two
